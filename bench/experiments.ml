@@ -1441,9 +1441,9 @@ let e17 ?(smoke = false) () =
     (if smoke then "E17  indexed store vs naive evaluation (smoke)"
      else "E17  indexed store vs naive evaluation");
   Printf.printf
-    "part A — one query, two engines over the same document: the Naive\n\
-     engine is the seed interpreter (full traversal per descendant step),\n\
-     Indexed serves descendant steps from the store's structural index.\n\
+    "part A — one query, two evaluators over the same document: naive is\n\
+     the seed interpreter Query.Eval (full traversal per descendant step),\n\
+     indexed is Query.Compile over the store's structural index.\n\
      \"rare-label\" binds //promo (matches only the selected fraction);\n\
      \"attr-sel\" binds //item and filters on an attribute (candidate\n\
      work dominates — the honest case where indexing helps less).\n\n";
@@ -1467,13 +1467,11 @@ let e17 ?(smoke = false) () =
               (fun (qname, q) ->
                 let naive_ms, out_n =
                   best_ms (fun () ->
-                      Query.Compile.eval ~engine:Query.Compile.Naive
-                        ~gen:(eval_gen ()) q [ [ doc ] ])
+                      Query.Eval.eval ~gen:(eval_gen ()) q [ [ doc ] ])
                 in
                 let indexed_ms, out_i =
                   best_ms (fun () ->
-                      Query.Compile.eval_over ~engine:Query.Compile.Indexed
-                        ~gen:(eval_gen ()) q
+                      Query.Compile.eval_over ~gen:(eval_gen ()) q
                         [ ([ doc ], Some ix) ])
                 in
                 let identical =
@@ -1580,13 +1578,9 @@ let e17 ?(smoke = false) () =
         let rebuild_per = !rebuild_ms /. float_of_int (max 1 !rebuild_samples) in
         let q = Workload.Xml_gen.selection_query () in
         let out_i =
-          Query.Compile.eval_over ~engine:Query.Compile.Indexed ~gen:(eval_gen ())
-            q [ ([ !doc ], Some ix) ]
+          Query.Compile.eval_over ~gen:(eval_gen ()) q [ ([ !doc ], Some ix) ]
         in
-        let out_n =
-          Query.Compile.eval ~engine:Query.Compile.Naive ~gen:(eval_gen ()) q
-            [ [ !doc ] ]
-        in
+        let out_n = Query.Eval.eval ~gen:(eval_gen ()) q [ [ !doc ] ] in
         let identical =
           Xml.Serializer.forest_to_string out_i
           = Xml.Serializer.forest_to_string out_n
@@ -1938,15 +1932,16 @@ let e18 ?(smoke = false) () =
 (* --- E19: batched transport ablation ----------------------------- *)
 
 (* Coalescing ablation (DESIGN.md §13): the same chatty workloads run
-   with the per-message Reliable protocol and with batching on, and
-   the delta prices what per-message envelopes and per-message acks
+   at the Reliable window's 0/0 defaults (each message shipped bare and
+   acked on arrival) and with its flush/ack-delay knobs raised, and the
+   delta prices what per-message envelopes and per-message acks
    cost.  Three traffic shapes: a continuous service streaming many
    tiny responses (envelope-dominated), repeated two-site joins
    (request/response traffic, where acks can ride reverse batches),
    and a double catalog fetch (identical in-flight transfers, so
    within-frame sharing — rule (13) at the transport layer — fires).
-   Correctness bar: every batched run must reproduce its unbatched
-   twin's answer and final Σ fingerprint. *)
+   Correctness bar: every batched run must reproduce its 0/0 twin's
+   answer and final Σ fingerprint. *)
 
 let e19 ?(smoke = false) () =
   section
@@ -1954,8 +1949,8 @@ let e19 ?(smoke = false) () =
      else "E19  batched transport ablation");
   Printf.printf
     "workloads: stream (chatty continuous service), join (request/response\n\
-     rounds), dup (identical concurrent transfers); each runs with the\n\
-     per-message Reliable protocol (flush 0/ack 0) and with batching on\n\n";
+     rounds), dup (identical concurrent transfers); each runs at the\n\
+     Reliable window's defaults (flush 0/ack 0) and with batching on\n\n";
   let link = Net.Link.make ~latency_ms:10.0 ~bandwidth_bytes_per_ms:100.0 in
   (* stream: a continuous service at p2 pushing [stream_k] one-element
      responses, spaced 1ms apart, into a collector document at p1 — the
@@ -2109,7 +2104,7 @@ let e19 ?(smoke = false) () =
       per_workload
   in
   if not all_correct then
-    Printf.printf "  !! E19 a batched run diverged from its unbatched twin\n";
+    Printf.printf "  !! E19 a batched run diverged from its 0/0 twin\n";
   (* Headline: aggregate frame/byte reduction across the three
      workloads at the default-recommended knobs. *)
   let sum f =

@@ -65,21 +65,6 @@ let query_cmd =
   let files =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Input documents")
   in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("indexed", Query.Compile.Indexed); ("naive", Query.Compile.Naive);
-             ])
-          Query.Compile.Indexed
-      & info [ "engine" ] ~docv:"naive|indexed"
-          ~doc:
-            "Evaluation engine: $(b,indexed) compiles the query and serves \
-             descendant steps from a structural index, $(b,naive) is the \
-             reference interpreter (ablation / cross-check)")
-  in
   let profile =
     Arg.(
       value & flag
@@ -149,7 +134,7 @@ let query_cmd =
     Format.printf "%a@." Runtime.Profiler.pp_report report;
     if not (Runtime.Profiler.sums_to_root report) then exit 1
   in
-  let run qtext engine profile files =
+  let run qtext profile files =
     if profile then run_profile qtext files
     else begin
       let gen = Xml.Node_id.Gen.create ~namespace:"cli" in
@@ -175,14 +160,14 @@ let query_cmd =
                 exit 1)
           files
       in
-      let out = Query.Compile.eval ~engine ~gen q inputs in
+      let out = Query.Compile.eval ~gen q inputs in
       List.iter (fun t -> print_string (Xml.Serializer.to_string_pretty t)) out;
       Format.printf "; %d result(s)@." (List.length out)
     end
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a query over XML documents")
-    Term.(const run $ qarg $ engine $ profile $ files)
+    Term.(const run $ qarg $ profile $ files)
 
 (* --- shared plan options --------------------------------------- *)
 
@@ -448,16 +433,16 @@ let trace_cmd =
       value & opt float 0.0
       & info [ "flush-ms" ] ~docv:"MS"
           ~doc:
-            "Batch flush window; a positive value switches on the batched \
-             Reliable transport")
+            "Coalescing window of the Reliable transport; a positive value \
+             runs the traced plans over Reliable instead of Raw")
   in
   let ack_delay =
     Arg.(
       value & opt float 0.0
       & info [ "ack-delay" ] ~docv:"MS"
           ~doc:
-            "Standalone-ack deferral; a positive value switches on the \
-             batched Reliable transport")
+            "Standalone-ack deferral of the Reliable transport; a positive \
+             value runs the traced plans over Reliable instead of Raw")
   in
   let run items selectivity out format metrics_out flush_ms ack_delay =
     (* Example-1 (pushing selections), instrumented: the naive plan and
@@ -474,7 +459,7 @@ let trace_cmd =
         [ p1; p2 ]
     in
     let build () =
-      (* The batching knobs imply the Reliable transport: batch frames
+      (* The window knobs imply the Reliable transport: batch frames
          and delayed acks only exist in the sequenced protocol. *)
       let sys =
         if flush_ms > 0.0 || ack_delay > 0.0 then
@@ -615,18 +600,16 @@ let chaos_cmd =
       value & opt float 0.0
       & info [ "flush-ms" ] ~docv:"MS"
           ~doc:
-            "Batch flush window for the system under test; a positive value \
-             switches the Reliable transport into batched mode (ignored \
-             with $(b,--raw))")
+            "Coalescing window of the Reliable transport under test (0 \
+             ships each message on send; ignored with $(b,--raw))")
   in
   let ack_delay =
     Arg.(
       value & opt float 0.0
       & info [ "ack-delay" ] ~docv:"MS"
           ~doc:
-            "Standalone-ack deferral for the system under test; a positive \
-             value switches the Reliable transport into batched mode \
-             (ignored with $(b,--raw))")
+            "Standalone-ack deferral of the Reliable transport under test \
+             (0 acks each message on arrival; ignored with $(b,--raw))")
   in
   let run seed drop raw flush_ms ack_delay wire slo =
     (* Three-peer reference Σ (the V-series shape): catalog at p2,
@@ -646,9 +629,9 @@ let chaos_cmd =
     let orders_xml =
       {|<orders><order item="alpha"/><order item="gamma"/><order item="zeta"/></orders>|}
     in
-    (* The reference runs stay on the unbatched per-message protocol
-       and the XML wire: the check is that a batched (or binary-wire)
-       faulty run still reproduces the plain fault-free answer, not a
+    (* The reference runs stay at the window's 0/0 defaults and the XML
+       wire: the check is that a faulty run with raised knobs (or the
+       binary wire) still reproduces the plain fault-free answer, not a
        twin of itself. *)
     let build ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0)
         ?(wire = Runtime.System.Xml) transport =

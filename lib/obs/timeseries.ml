@@ -62,12 +62,17 @@ let set_enabled t b = t.enabled <- b
 let is_on t = t.enabled
 let window_ms t = t.window_ms
 let ring_size t = t.ring_size
-let set_clock t f = t.clock <- f
 let now t = t.clock ()
 
 let reset t =
   Hashtbl.reset t.tbl;
   t.gen <- t.gen + 1
+
+(* A new clock (a new simulator) starts a new time line: windows keyed
+   by the old one would alias the new run's epochs. *)
+let set_clock t f =
+  t.clock <- f;
+  reset t
 
 (* Epochs are positions in the [window_ms] grid, so a width change
    invalidates every live window — the registry is reset wholesale

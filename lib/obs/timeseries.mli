@@ -47,7 +47,9 @@ val set_window : t -> float -> unit
 val set_clock : t -> (unit -> float) -> unit
 (** Install the driving clock ([Sim.now] in the runtime — virtual
     milliseconds, so recordings stay deterministic).  Default: a
-    constant 0. *)
+    constant 0.  Windows recorded under the previous clock mean
+    nothing under the new one, so this drops every live series, like
+    {!reset}: each simulator starts from empty telemetry. *)
 
 val now : t -> float
 

@@ -31,43 +31,27 @@ type transport = Raw | Reliable
    end. *)
 type wire = Xml | Binary | Binary_strict
 
-(* Reliable-transport state. Sequence cursors ([next_seq],
-   [next_expected]) model WAL-backed durable state: they survive a
-   crash, so a restarted peer neither reuses sequence numbers (which
-   would be mistaken for duplicates) nor re-accepts old ones.  The
-   in-flight tables ([pending] at the sender, [buffer] at the
-   receiver) are volatile and wiped by a crash — the protocol is
-   designed so that is safe: a buffered message is never acked, so
-   losing the buffer just means the sender retransmits. *)
-type pending_send = {
-  msg : Message.t;
-  mutable attempt : int;
-  mutable cancel_retry : unit -> unit;
-      (* Cancels the scheduled retransmission timer; invoked when the
-         ack lands (or the sender crashes) so the dead timer cannot
-         stretch the run's completion time. *)
-}
-
-(* One connection record per ordered peer pair (a, b), bundling every
-   role [a] plays in its conversation with [b]: the durable sequence
-   cursors, the sender-side in-flight state for a→b traffic (per-seq
-   [pending] sends or the batching window), and the receiver-side
-   state for b→a traffic (the early-arrival [buffer] and the delayed
-   standalone ack).  This replaces five tuple-keyed hashtables whose
-   per-message key allocation and generic tuple hashing dominated the
-   transport at 10^6 messages: now each message does one int-keyed
-   probe (packed dense peer indexes) to reach all of its state.
+(* Reliable-transport state: one connection record per ordered peer
+   pair (a, b), bundling every role [a] plays in its conversation with
+   [b]: the sequence cursors, the sender-side window for a→b traffic
+   (the unflushed [queue] and the sent-but-[unacked] messages under
+   one retry timer), and the receiver-side state for b→a traffic (the
+   early-arrival [buffer] and the delayed standalone ack).  Each
+   message does one int-keyed probe (packed dense peer indexes) to
+   reach all of its state.
 
    Durability: [next_seq] / [next_expected] model WAL-backed cursors
-   and survive a crash of [a]; everything else in the record is
-   volatile and reset by {!handle_crash}.  The record itself is
-   created on first contact and never removed. *)
+   and survive a crash of [a], so a restarted peer neither reuses
+   sequence numbers (which would be mistaken for duplicates) nor
+   re-accepts old ones.  Everything else in the record is volatile and
+   reset by {!handle_crash} — safe because a buffered message is never
+   acked, so losing the buffer just means the sender retransmits.  The
+   record itself is created on first contact and never removed. *)
 type conn = {
   c_src : Peer_id.t;  (* a *)
   c_dst : Peer_id.t;  (* b *)
   mutable next_seq : int;  (* last seq assigned to a→b traffic *)
   mutable next_expected : int;  (* next in-order seq awaited from b *)
-  pending : (int, pending_send) Hashtbl.t;  (* seq -> unbatched in-flight *)
   mutable queue : Message.t list;  (* awaiting flush, newest first *)
   mutable flush_pending : bool;
   mutable unacked : Message.t list;  (* sent, ascending seq *)
@@ -318,7 +302,6 @@ let conn t a b =
           c_dst = b;
           next_seq = 0;
           next_expected = 1;
-          pending = Hashtbl.create 8;
           queue = [];
           flush_pending = false;
           unacked = [];
@@ -340,77 +323,23 @@ let conn_opt t a b =
   | c -> Some c
   | exception Not_found -> None
 
-(* One physical transmission of a sequenced message plus the timer
-   that guards it.  The timer outlives acks on purpose: when it fires
-   it checks whether the send is still pending and retransmits with
-   backoff, giving up (and counting the abandonment) after
-   [max_retries] so a permanently dead destination cannot keep the
-   simulation alive forever.  The connection record is captured by the
-   timer closure — records are never replaced, so the capture cannot
-   go stale. *)
-let rec transmit t (c : conn) ~src ~dst (msg : Message.t) =
-  raw_send t ~src ~dst msg;
-  match Hashtbl.find_opt c.pending msg.Message.seq with
-  | None -> ()
-  | Some p ->
-      p.cancel_retry <-
-        Sim.after_cancellable t.sim ~peer:src
-          ~delay_ms:(retry_delay t p.attempt) (fun () ->
-            retry t c ~src ~dst msg)
+(* --- the sequenced window (sender side) --------------------------- *)
 
-and retry t (c : conn) ~src ~dst (msg : Message.t) =
-  let seq = msg.Message.seq in
-  match Hashtbl.find_opt c.pending seq with
-  | None -> () (* acked in the meantime *)
-  | Some p when p.attempt >= t.max_retries ->
-      Hashtbl.remove c.pending seq;
-      t.rel.abandoned <- t.rel.abandoned + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "abandoned";
-      (* SLO breach: reliable delivery gave up on this message. *)
-      if Trace.sampled () then
-        Trace.instant ~cat:"slo"
-          ~peer:(Peer_id.to_string src)
-          ~ts:(Sim.now t.sim)
-          ~args:
-            [ ("dst", Peer_id.to_string dst); ("seq", string_of_int seq);
-              ("count", "1") ]
-          "abandoned";
-      Log.warn (fun m ->
-          m "peer %a: abandoning seq %d to %a after %d retries" Peer_id.pp src
-            seq Peer_id.pp dst t.max_retries)
-  | Some p ->
-      p.attempt <- p.attempt + 1;
-      t.rel.retransmits <- t.rel.retransmits + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "retransmits";
-      transmit t c ~src ~dst msg
-
-(* --- batched reliable transport (sender side) -------------------- *)
-
-(* Batching is an opt-in layer over the Reliable transport: with a
-   positive [flush_ms] (a Nagle-style coalescing window) and/or
-   [ack_delay_ms] (delayed standalone acks), sequenced messages to the
-   same destination ride one [Message.Batch] frame carrying a
-   piggybacked cumulative ack of the reverse direction.  With both
-   knobs at 0 — the default — the per-message path above runs
-   unchanged, byte for byte. *)
-let batched t =
-  t.transport = Reliable && (t.flush_ms > 0.0 || t.ack_delay_ms > 0.0)
+(* Under [Reliable] every sequenced message joins its direction's
+   window: it waits in [queue] until the next flush (immediately when
+   [flush_ms = 0], otherwise after a Nagle-style coalescing window),
+   then stays in [unacked] until a cumulative ack covers it.  One
+   retry timer per direction guards the whole window. *)
 
 (* Highest sequence number [c.c_src] has delivered from [c.c_dst] —
    what a cumulative ack acknowledges ([0] = nothing yet). *)
 let cum_ack (c : conn) = c.next_expected - 1
 
-(* Ship one frame.  A regular flush carries only the window's fresh
-   messages; a retransmission timeout re-ships the whole unacked
-   window (go-back-N on loss only — re-shipping on every flush would
-   go quadratic when the flush window is shorter than the RTT).  One
-   retry timer per direction guards the window, replacing the
-   per-message timers of the unbatched path. *)
-let rec send_batch t ~src ~dst (d : conn) msgs =
+(* A frame of several messages, or of one message plus an owed ack:
+   one [Message.Batch] carrying a piggybacked cumulative ack of the
+   reverse direction, with identical payload forests shipped once per
+   frame (transfer sharing, rule (13), at the transport layer). *)
+let send_batch t ~src ~dst (d : conn) msgs =
   if d.ack_due then begin
     (* The pending standalone ack is subsumed by this frame's
        piggybacked cumulative ack. *)
@@ -447,17 +376,33 @@ let rec send_batch t ~src ~dst (d : conn) msgs =
           ("shared_bytes", string_of_int saved);
         ]
       "batch";
-  raw_send t ~src ~dst (Message.make payload);
+  raw_send t ~src ~dst (Message.make payload)
+
+(* Ship one frame and re-arm the direction's retry timer.  A flush
+   carries only the window's fresh messages; a retransmission timeout
+   re-ships the whole unacked window (go-back-N on loss only —
+   re-shipping on every flush would go quadratic when the flush window
+   is shorter than the RTT).  A lone message with no ack to carry
+   ships bare, so at [flush_ms = ack_delay_ms = 0] every physical
+   message is one logical message.  The timer backs off per attempt
+   and gives up after [max_retries], counting the abandonment, so a
+   permanently dead destination cannot keep the simulation alive
+   forever.  The connection record is captured by the timer closure —
+   records are never replaced, so the capture cannot go stale. *)
+let rec ship t ~src ~dst (d : conn) msgs =
+  (match msgs with
+  | [ msg ] when not d.ack_due -> raw_send t ~src ~dst msg
+  | _ -> send_batch t ~src ~dst d msgs);
   d.cancel_retry ();
   d.cancel_retry <-
     Sim.after_cancellable t.sim ~peer:src ~delay_ms:(retry_delay t d.attempt)
-      (fun () -> retry_batch t d ~src ~dst)
+      (fun () -> retry_window t d ~src ~dst)
 
-and retry_batch t (d : conn) ~src ~dst =
-  match d with
-  | d when d.unacked = [] -> ()
-  | d when d.attempt >= t.max_retries ->
-      let n = List.length d.unacked in
+and retry_window t (d : conn) ~src ~dst =
+  match d.unacked with
+  | [] -> ()
+  | unacked when d.attempt >= t.max_retries ->
+      let n = List.length unacked in
       d.unacked <- [];
       d.attempt <- 0;
       t.rel.abandoned <- t.rel.abandoned + n;
@@ -473,41 +418,46 @@ and retry_batch t (d : conn) ~src ~dst =
             [ ("dst", Peer_id.to_string dst); ("count", string_of_int n) ]
           "abandoned";
       Log.warn (fun m ->
-          m "peer %a: abandoning %d batched message(s) to %a after %d retries"
+          m "peer %a: abandoning %d message(s) to %a after %d retries"
             Peer_id.pp src n Peer_id.pp dst t.max_retries)
-  | d ->
+  | unacked ->
       d.attempt <- d.attempt + 1;
       t.rel.retransmits <- t.rel.retransmits + 1;
       if Metrics.is_on Metrics.default then
         Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
           ~subsystem:"net" "retransmits";
-      send_batch t ~src ~dst d d.unacked
+      ship t ~src ~dst d unacked
 
-let flush_conn t ~src ~dst (d : conn) =
+let flush t ~src ~dst (d : conn) =
   d.flush_pending <- false;
   match List.rev d.queue with
   | [] -> ()  (* stale timer, e.g. surviving a crash+restart *)
   | fresh ->
       d.queue <- [];
       d.unacked <- d.unacked @ fresh;
-      send_batch t ~src ~dst d fresh
+      ship t ~src ~dst d fresh
+
+(* [unacked] is in ascending seq order, so what a cumulative ack
+   covers is a prefix. *)
+let rec drop_acked upto = function
+  | (m : Message.t) :: rest when m.Message.seq <= upto -> drop_acked upto rest
+  | rest -> rest
 
 (* Everything up to [upto] is delivered at the far side.  Progress
    resets the backoff; an emptied window parks the retry timer. *)
 let handle_cum_ack t ~at ~from upto =
   match conn_opt t at from with
   | None -> ()
-  | Some d ->
-      let before = List.length d.unacked in
-      d.unacked <-
-        List.filter (fun (m : Message.t) -> m.Message.seq > upto) d.unacked;
-      if List.length d.unacked < before then begin
-        d.attempt <- 0;
-        if d.unacked = [] then begin
-          d.cancel_retry ();
-          d.cancel_retry <- ignore
-        end
-      end
+  | Some d -> (
+      match drop_acked upto d.unacked with
+      | rest when rest == d.unacked -> ()
+      | rest ->
+          d.unacked <- rest;
+          d.attempt <- 0;
+          if rest = [] then begin
+            d.cancel_retry ();
+            d.cancel_retry <- ignore
+          end)
 
 (* Sender-side congestion telemetry: how many sequenced messages to
    [c.c_dst] are in flight (unacked window plus the unflushed queue)
@@ -529,9 +479,7 @@ let note_inflight (c : conn) =
   (* [+ 1] counts the joining message itself: a quiet link reads 1,
      a saturating one reads its whole outstanding window. *)
   Timeseries.record h
-    (float_of_int
-       (1 + Hashtbl.length c.pending + List.length c.unacked
-      + List.length c.queue))
+    (float_of_int (1 + List.length c.unacked + List.length c.queue))
 
 let send t ~src ~dst payload =
   let corr = Trace.current_corr () in
@@ -552,19 +500,12 @@ let send t ~src ~dst payload =
     c.next_seq <- seq;
     let msg = Message.make ~corr ~seq ~op payload in
     if Timeseries.is_on Timeseries.default then note_inflight c;
-    if batched t then begin
-      c.queue <- msg :: c.queue;
-      if not c.flush_pending then begin
-        c.flush_pending <- true;
-        (* [flush_ms = 0] still coalesces: the timer fires after every
-           send already scheduled at this instant. *)
-        Sim.after t.sim ~peer:src ~delay_ms:t.flush_ms (fun () ->
-            flush_conn t ~src ~dst c)
-      end
-    end
-    else begin
-      Hashtbl.replace c.pending seq { msg; attempt = 0; cancel_retry = ignore };
-      transmit t c ~src ~dst msg
+    c.queue <- msg :: c.queue;
+    if t.flush_ms <= 0.0 then flush t ~src ~dst c
+    else if not c.flush_pending then begin
+      c.flush_pending <- true;
+      Sim.after t.sim ~peer:src ~delay_ms:t.flush_ms (fun () ->
+          flush t ~src ~dst c)
     end
   end
 
@@ -572,7 +513,7 @@ let send_ack t ~src ~dst ~corr seq =
   t.rel.acks_sent <- t.rel.acks_sent + 1;
   raw_send t ~src ~dst (Message.make ~corr (Message.Ack { seq }))
 
-(* --- batched reliable transport (receiver side, ack scheduling) --- *)
+(* --- the sequenced window (receiver side, ack scheduling) -------- *)
 
 let fire_delayed_ack t ~at ~from (d : conn) =
   if d.ack_due then begin
@@ -585,12 +526,12 @@ let fire_delayed_ack t ~at ~from (d : conn) =
   end
 
 (* Owe the sender an acknowledgement.  With no delay configured a
-   standalone cumulative ack leaves immediately; otherwise a single
+   standalone cumulative ack leaves immediately, carrying the
+   correlation id of the message that prompted it; otherwise a single
    timer is armed (re-arming would starve the sender under a steady
    stream) and cancelled if reverse traffic piggybacks first. *)
-let schedule_ack t ~at ~from (d : conn) =
-  if t.ack_delay_ms <= 0.0 then
-    send_ack t ~src:at ~dst:from ~corr:0 (cum_ack d)
+let schedule_ack t ~at ~from ~corr (d : conn) =
+  if t.ack_delay_ms <= 0.0 then send_ack t ~src:at ~dst:from ~corr (cum_ack d)
   else if not d.ack_due then begin
     d.ack_due <- true;
     d.cancel_ack <-
@@ -938,7 +879,7 @@ let dispatch t (self : Peer.t) ~src (msg : Message.t) =
 (* Receiver-side transport stage, run before dispatch.  Sequenced
    messages are delivered to the application exactly once and in send
    order: early arrivals wait in a (volatile) buffer, duplicates are
-   suppressed, and an ack is emitted only when a message is actually
+   suppressed, and an ack is owed only when a message is actually
    delivered — never for a merely buffered one, so a crash that wipes
    the buffer cannot lose anything the sender believes delivered. *)
 let count_dup t p =
@@ -947,28 +888,20 @@ let count_dup t p =
     Metrics.incr Metrics.default ~peer:(Peer_id.to_string p) ~subsystem:"net"
       "dup_suppressed"
 
-let rec deliver_in_order t (c : conn) p ~src (msg : Message.t) =
+(* The ack is owed {e before} the message is dispatched: a handler can
+   keep the peer busy for a long simulated time (a declarative service
+   charges [cpu_ms_per_kb]), and an ack sent after dispatch would
+   depart only when that CPU ends — late enough to fire the sender's
+   retry timer for a message that arrived in time. *)
+let rec deliver_ready t (c : conn) p ~src (msg : Message.t) =
   let seq = msg.Message.seq in
   c.next_expected <- seq + 1;
-  send_ack t ~src:p ~dst:src ~corr:msg.Message.corr seq;
+  schedule_ack t ~at:p ~from:src ~corr:msg.Message.corr c;
   dispatch t (peer t p) ~src msg;
   match Hashtbl.find_opt c.buffer (seq + 1) with
   | Some next ->
       Hashtbl.remove c.buffer (seq + 1);
-      deliver_in_order t c p ~src next
-  | None -> ()
-
-(* Batched-mode variant: same in-order/exactly-once machinery, but the
-   acknowledgement is cumulative and deferred via [schedule_ack]
-   instead of per-message and immediate. *)
-let rec deliver_in_order_batched t (c : conn) p ~src (msg : Message.t) =
-  let seq = msg.Message.seq in
-  c.next_expected <- seq + 1;
-  dispatch t (peer t p) ~src msg;
-  match Hashtbl.find_opt c.buffer (seq + 1) with
-  | Some next ->
-      Hashtbl.remove c.buffer (seq + 1);
-      deliver_in_order_batched t c p ~src next
+      deliver_ready t c p ~src next
   | None -> ()
 
 let receive_sequenced t p ~src (msg : Message.t) =
@@ -976,19 +909,16 @@ let receive_sequenced t p ~src (msg : Message.t) =
   let seq = msg.Message.seq in
   let expected = c.next_expected in
   if seq < expected then begin
-    (* Already delivered — a go-back-N re-ship or a lost ack.  Owe a
+    (* Already delivered — a lost ack or a go-back-N re-ship.  Owe a
        (cumulative) re-ack so the sender's window drains. *)
     count_dup t p;
-    schedule_ack t ~at:p ~from:src c
+    schedule_ack t ~at:p ~from:src ~corr:msg.Message.corr c
   end
   else if seq > expected then begin
     if Hashtbl.mem c.buffer seq then count_dup t p
     else Hashtbl.replace c.buffer seq msg
   end
-  else begin
-    deliver_in_order_batched t c p ~src msg;
-    schedule_ack t ~at:p ~from:src c
-  end
+  else deliver_ready t c p ~src msg
 
 let on_message t p ~src (msg : Message.t) =
   match msg.Message.payload with
@@ -997,54 +927,28 @@ let on_message t p ~src (msg : Message.t) =
       List.iter
         (fun item -> receive_sequenced t p ~src (Message.item_message item))
         items
-  | Message.Ack { seq } when batched t -> handle_cum_ack t ~at:p ~from:src seq
-  | Message.Ack { seq } -> (
-      match conn_opt t p src with
-      | None -> ()
-      | Some c -> (
-          match Hashtbl.find_opt c.pending seq with
-          | None -> ()
-          | Some ps ->
-              ps.cancel_retry ();
-              Hashtbl.remove c.pending seq))
+  | Message.Ack { seq } -> handle_cum_ack t ~at:p ~from:src seq
   | _ when msg.Message.seq = 0 -> dispatch t (peer t p) ~src msg
-  | _ ->
-      let c = conn t p src in
-      let seq = msg.Message.seq in
-      let expected = c.next_expected in
-      if seq < expected then begin
-        (* Already delivered — the ack must have been lost.  Re-ack so
-           the sender stops retransmitting. *)
-        count_dup t p;
-        send_ack t ~src:p ~dst:src ~corr:msg.Message.corr seq
-      end
-      else if seq > expected then begin
-        if Hashtbl.mem c.buffer seq then count_dup t p
-        else Hashtbl.replace c.buffer seq msg
-      end
-      else deliver_in_order t c p ~src msg
+  | _ -> receive_sequenced t p ~src msg
 
 (* A crash wipes everything volatile the peer holds: its store,
    registry, catalog, watchers — and the transport's in-flight state
    on both sides of every conversation it participates in as the
    crashed party.  The id generator and the sequence cursors are
-   durable (see [rel]); [failover_save] snapshots Σ members for a
+   durable (see [conn]); [failover_save] snapshots Σ members for a
    later [failover_load] (wired up by {!Failover.enable} — without it
    a restarted peer comes back empty). *)
 let handle_crash t p =
   t.failover_save p;
   (* Every conn (p, _) holds all of p's volatile transport roles: its
-     unbatched in-flight sends, its batching queues/windows, its
-     early-arrival buffers and its owed delayed acks.  Reset them in
-     place, keeping the durable cursors.  (Conns (_, p) belong to live
-     senders, which keep retransmitting toward the outage as they
-     should.) *)
+     send windows, its early-arrival buffers and its owed delayed
+     acks.  Reset them in place, keeping the durable cursors.  (Conns
+     (_, p) belong to live senders, which keep retransmitting toward
+     the outage as they should.) *)
   let pi = Peer_id.index p in
   Hashtbl.iter
     (fun key (c : conn) ->
       if key lsr 31 = pi then begin
-        Hashtbl.iter (fun _ (ps : pending_send) -> ps.cancel_retry ()) c.pending;
-        Hashtbl.reset c.pending;
         c.queue <- [];
         c.flush_pending <- false;
         c.unacked <- [];

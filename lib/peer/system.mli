@@ -22,9 +22,11 @@ type emit = Axml_xml.Forest.t -> final:bool -> unit
 type transport =
   | Raw  (** Messages ride the simulator as-is; a lost message is lost. *)
   | Reliable
-      (** Per-(src,dst) sequence numbers, acks, exponential-backoff
-          retransmission and receiver-side in-order dedup: effectively
-          exactly-once, in-order delivery over a lossy network. *)
+      (** One sequenced window per (src,dst) direction: sequence
+          numbers, cumulative acks, exponential-backoff go-back-N
+          retransmission and receiver-side in-order dedup —
+          effectively exactly-once, in-order delivery over a lossy
+          network. *)
 
 (** Which wire encoding the simulator charges for each transmission. *)
 type wire =
@@ -60,19 +62,21 @@ val create :
     needs no protocol; the knob exists for ablation); under
     [Reliable], [rto_ms] is the initial retransmission timeout
     (default 40.0, doubling per retry up to 32x) and [max_retries]
-    bounds retransmissions per message (default 30) so a permanently
-    unreachable destination cannot keep the run alive forever.
+    bounds the retransmissions of a direction's window (default 30)
+    so a permanently unreachable destination cannot keep the run
+    alive forever.
 
-    [flush_ms] and [ack_delay_ms] (defaults 0.0) switch the Reliable
-    transport into {e batched} mode when either is positive: sequenced
-    messages to the same destination are held for up to [flush_ms] and
-    coalesced into one {!Message.Batch} frame carrying a piggybacked
-    cumulative ack, with identical payload forests shipped once per
-    frame (transfer sharing, rule (13), at the transport layer);
-    standalone acks are deferred by [ack_delay_ms] and suppressed when
-    reverse traffic piggybacks them first.  At the defaults the
-    unbatched per-message protocol runs unchanged.  Both knobs are
-    ignored under [Raw].
+    [flush_ms] and [ack_delay_ms] (defaults 0.0) set the Reliable
+    window.  Sequenced messages to the same destination are held for
+    up to [flush_ms] and coalesced into one {!Message.Batch} frame
+    carrying a piggybacked cumulative ack, with identical payload
+    forests shipped once per frame (transfer sharing, rule (13), at
+    the transport layer); at [flush_ms = 0] each message ships inside
+    {!send}, bare unless it has an ack to carry.  Standalone acks are
+    deferred by [ack_delay_ms] and suppressed when reverse traffic
+    piggybacks them first; at [ack_delay_ms = 0] a receiver acks each
+    in-order message on arrival, before dispatching it.  Both knobs
+    are ignored under [Raw].
 
     [wire] (default [Xml]) selects the byte-accounting model — and,
     for [Binary_strict], routes every transmission through the binary
@@ -85,8 +89,7 @@ val transport : t -> transport
 val wire : t -> wire
 
 val flush_ms : t -> float
-(** The coalescing window ([0.0] = batching off unless
-    [ack_delay_ms] is set). *)
+(** The coalescing window ([0.0] = ship on send). *)
 
 val ack_delay_ms : t -> float
 (** The standalone-ack deferral ([0.0] = immediate acks). *)
@@ -136,8 +139,8 @@ val send : t -> src:Peer_id.t -> dst:Peer_id.t -> Message.payload -> unit
 (** Wrap the payload in a {!Message.t} envelope carrying the ambient
     correlation id ({!Axml_obs.Trace.current_corr}) and enqueue it on
     the simulator.  Under the [Reliable] transport the message is
-    also sequenced, tracked and retransmitted until acked (loopbacks
-    and acks stay raw).  Per-peer send metrics are recorded when
+    also sequenced and joins its direction's window until acked
+    (loopbacks and acks stay raw).  Per-peer send metrics are recorded when
     {!Axml_obs.Metrics.default} is enabled. *)
 
 val route :
@@ -227,7 +230,7 @@ type reliability_counters = {
   dup_suppressed : int;
   abandoned : int;  (** sends given up after [max_retries] *)
   acks_sent : int;
-  batches_sent : int;  (** batch frames shipped (batched mode only) *)
+  batches_sent : int;  (** [Message.Batch] frames shipped *)
   batched_messages : int;
       (** logical messages those frames carried, re-ships included *)
   piggybacked_acks : int;
@@ -242,8 +245,11 @@ type reliability_counters = {
 
 val reliability_counters : t -> reliability_counters
 (** Always-on transport counters (also exported as [net/*] metrics
-    when {!Axml_obs.Metrics.default} is enabled).  The batching
-    counters stay 0 in unbatched mode. *)
+    when {!Axml_obs.Metrics.default} is enabled).  [batches_sent],
+    [batched_messages] and [dedup_shared_bytes] count real
+    {!Message.Batch} frames only: a bare message is not a batch, so at
+    [flush_ms = ack_delay_ms = 0] they move only when a timeout
+    re-ships two or more unacked messages together. *)
 
 (** {1 Running and observing} *)
 

@@ -5,19 +5,6 @@ module Index = Axml_xml.Index
 module Metrics = Axml_obs.Metrics
 module Trace = Axml_obs.Trace
 
-type engine = Naive | Indexed
-
-let default_engine = ref Indexed
-let set_engine e = default_engine := e
-let engine () = !default_engine
-
-let engine_of_string = function
-  | "naive" -> Some Naive
-  | "indexed" -> Some Indexed
-  | _ -> None
-
-let engine_to_string = function Naive -> "naive" | Indexed -> "indexed"
-
 let threshold = ref 128
 let set_index_threshold n = threshold := max 0 n
 let index_threshold () = !threshold
@@ -398,30 +385,20 @@ let check_arity q inputs =
       (Printf.sprintf "Query.eval: arity mismatch (query %d, inputs %d)"
          (Ast.arity q) (List.length inputs))
 
-let eval_counted ?engine:e ~gen q inputs =
-  match Option.value ~default:!default_engine e with
-  | Naive -> Eval.eval_counted ~gen q inputs
-  | Indexed ->
-      check_arity q inputs;
-      let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
-      let out =
-        eval_compiled ~gen cnt (compiled q)
-          (List.map (fun f -> (f, None)) inputs)
-      in
-      flush cnt;
-      out
+let eval_counted ~gen q inputs =
+  check_arity q inputs;
+  let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
+  let out =
+    eval_compiled ~gen cnt (compiled q) (List.map (fun f -> (f, None)) inputs)
+  in
+  flush cnt;
+  out
 
-let eval ?engine:e ~gen q inputs =
-  match Option.value ~default:!default_engine e with
-  | Naive -> Eval.eval ~gen q inputs
-  | Indexed -> fst (eval_counted ?engine:e ~gen q inputs)
+let eval ~gen q inputs = fst (eval_counted ~gen q inputs)
 
-let eval_over ?engine:e ~gen q inputs =
-  match Option.value ~default:!default_engine e with
-  | Naive -> Eval.eval ~gen q (List.map fst inputs)
-  | Indexed ->
-      check_arity q (List.map fst inputs);
-      let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
-      let out, _ = eval_compiled ~gen cnt (compiled q) inputs in
-      flush cnt;
-      out
+let eval_over ~gen q inputs =
+  check_arity q (List.map fst inputs);
+  let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
+  let out, _ = eval_compiled ~gen cnt (compiled q) inputs in
+  flush cnt;
+  out

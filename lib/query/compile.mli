@@ -9,23 +9,12 @@
     the cost of a step scales with its matches instead of the
     document.  Results, enumeration order and tuple counts are
     exactly those of {!Eval.eval} (property-tested); the interpreter
-    stays available as the [Naive] engine for ablation and as the
-    testing oracle.
+    stays as the testing oracle.
 
     Metrics (on {!Axml_obs.Metrics.default}, subsystem [query]):
     [index_hits] (descendant steps served from postings),
     [index_builds], [fallback] (steps that had to traverse),
     [compile_ms] (histogram, compile-cache misses only). *)
-
-type engine = Naive | Indexed
-
-val set_engine : engine -> unit
-(** Select the process-wide default engine (default [Indexed]). *)
-
-val engine : unit -> engine
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
 
 val set_index_threshold : int -> unit
 (** Minimum node count ({!Axml_xml.Forest.size}) before an input
@@ -46,17 +35,15 @@ val compiled : Ast.t -> t
     the same query hit the cache. *)
 
 val eval :
-  ?engine:engine ->
   gen:Axml_xml.Node_id.Gen.t ->
   Ast.t ->
   Axml_xml.Forest.t list ->
   Axml_xml.Forest.t
 (** Drop-in for {!Eval.eval}: same checks, same exceptions, same
-    results.  [Indexed] compiles (cached) and indexes large inputs on
-    the fly; [Naive] delegates to {!Eval.eval} unchanged. *)
+    results.  Compiles (cached) and indexes large inputs on the
+    fly. *)
 
 val eval_counted :
-  ?engine:engine ->
   gen:Axml_xml.Node_id.Gen.t ->
   Ast.t ->
   Axml_xml.Forest.t list ->
@@ -65,7 +52,6 @@ val eval_counted :
     extensions enumerated (identical to the interpreter's count). *)
 
 val eval_over :
-  ?engine:engine ->
   gen:Axml_xml.Node_id.Gen.t ->
   Ast.t ->
   (Axml_xml.Forest.t * Axml_xml.Index.t option) list ->

@@ -26,8 +26,9 @@ val eval_tree :
 val compare_values : Ast.cmp -> string -> string -> bool
 (** XPath-1.0-style weak-typed comparison: ordering operators compare
     numerically when both sides parse as numbers, as strings
-    otherwise; [Contains] is pure substring search.  Shared with the
-    compiled engine ({!Compile}) so both arms agree exactly. *)
+    otherwise; [Contains] is pure substring search.  Shared with
+    {!Compile}, so the compiled path agrees exactly with this
+    reference interpreter. *)
 
 val holds : Ast.pred -> (string * Axml_xml.Tree.t) list -> bool
 (** Predicate evaluation under an environment binding variables to

@@ -54,10 +54,7 @@ let extend t ~input delta =
       if (not (Index.append_roots ix delta)) || Index.needs_compaction ix then
         t.indexes.(input) <- None
   | None ->
-      if
-        Compile.engine () = Compile.Indexed
-        && Forest.size t.seen.(input) >= Compile.index_threshold ()
-      then begin
+      if Forest.size t.seen.(input) >= Compile.index_threshold () then begin
         let ix = Index.build_forest t.seen.(input) in
         t.indexes.(input) <- (if Index.usable ix then Some ix else None)
       end

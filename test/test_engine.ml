@@ -34,8 +34,8 @@ let random_query ~rng ~arity =
   if arity = 1 && Rng.bool rng then Query_gen.random_composed ~rng config
   else Query_gen.random_flwr ~rng config
 
-(* Both engines on the same inputs: byte-identical output, identical
-   tuple count. *)
+(* The compiled path and the interpreter on the same inputs:
+   byte-identical output, identical tuple count. *)
 let engines_agree ~threshold seed =
   let rng = Rng.create ~seed in
   let arity = 1 + Rng.int rng 2 in
@@ -47,13 +47,9 @@ let engines_agree ~threshold seed =
           ~trees:(1 + Rng.int rng 3) ())
   in
   with_threshold threshold (fun () ->
-      let naive, n_count =
-        Query.Compile.eval_counted ~engine:Query.Compile.Naive
-          ~gen:(fresh_gen ()) q inputs
-      in
+      let naive, n_count = Query.Eval.eval_counted ~gen:(fresh_gen ()) q inputs in
       let indexed, i_count =
-        Query.Compile.eval_counted ~engine:Query.Compile.Indexed
-          ~gen:(fresh_gen ()) q inputs
+        Query.Compile.eval_counted ~gen:(fresh_gen ()) q inputs
       in
       bytes_of naive = bytes_of indexed && n_count = i_count)
 
@@ -83,16 +79,16 @@ let errors_agree seed =
       [ { Query.Ast.var = "x"; source = Query.Ast.Input 0; path = [] } ]
       (Query.Ast.Copy_of "x")
   in
-  let message engine q inputs =
-    match Query.Compile.eval ~engine ~gen:(fresh_gen ()) q inputs with
+  let message eval q inputs =
+    match eval ~gen:(fresh_gen ()) q inputs with
     | _ -> None
     | exception Invalid_argument m -> Some m
   in
   ignore seed;
   List.for_all
     (fun (q, inputs) ->
-      let a = message Query.Compile.Naive q inputs in
-      let b = message Query.Compile.Indexed q inputs in
+      let a = message Query.Eval.eval q inputs in
+      let b = message Query.Compile.eval q inputs in
       a <> None && a = b)
     ((arity_mismatch, [ [] ])
     :: List.map (fun q -> (q, [ [] ])) bad_queries)
@@ -198,10 +194,7 @@ let incremental_indexed_equals_naive seed =
           stream
       in
       let total = Query.Incremental.total_output ~gen:g state in
-      let naive =
-        Query.Compile.eval ~engine:Query.Compile.Naive ~gen:(fresh_gen ()) q
-          [ stream ]
-      in
+      let naive = Query.Eval.eval ~gen:(fresh_gen ()) q [ stream ] in
       Xml.Canonical.equal_forest deltas total
       && bytes_of total = bytes_of naive)
 
@@ -237,17 +230,11 @@ let store_insert_maintains_index seed =
             let indexed =
               match Doc.Store.index_of store name with
               | Some ix when Xml.Index.usable ix ->
-                  Query.Compile.eval_over ~engine:Query.Compile.Indexed
-                    ~gen:(fresh_gen ()) q
+                  Query.Compile.eval_over ~gen:(fresh_gen ()) q
                     [ ([ Doc.Document.root doc' ], Some ix) ]
-              | _ ->
-                  Query.Compile.eval ~engine:Query.Compile.Indexed
-                    ~gen:(fresh_gen ()) q inputs
+              | _ -> Query.Compile.eval ~gen:(fresh_gen ()) q inputs
             in
-            let naive =
-              Query.Compile.eval ~engine:Query.Compile.Naive
-                ~gen:(fresh_gen ()) q inputs
-            in
+            let naive = Query.Eval.eval ~gen:(fresh_gen ()) q inputs in
             if bytes_of indexed <> bytes_of naive then ok := false
       done;
       !ok)

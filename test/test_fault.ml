@@ -54,6 +54,11 @@ let agrees ~(reference : Exec.outcome * string) (out : Exec.outcome) fp =
 
 (* --- the chaos property ------------------------------------------- *)
 
+(* At the default knobs ([flush_ms = ack_delay_ms = 0]) the sequenced
+   window ships each message the moment it is sent, bare, and the
+   receiver acks it the moment it arrives: go-back-N retransmission,
+   cumulative acks and in-order buffering are all that stands between
+   the fault plan and the answer. *)
 let chaos_arb =
   let n = List.length (Lazy.force plans) in
   QCheck.make
@@ -71,13 +76,14 @@ let chaos_property =
       in
       agrees ~reference:(List.assoc name (Lazy.force reference)) out fp)
 
-(* --- the chaos property, batched transport ------------------------- *)
+(* --- the chaos property, coalescing window --------------------------- *)
 
-(* Same property, Reliable in batched mode: random coalescing windows
-   and ack delays on top of random faults must still reproduce the
-   fault-free forest and Σ fingerprint.  Knob value 0/0 is excluded by
-   construction (that is the unbatched property above); the arrays mix
-   flush-only, ack-delay-only and combined configurations. *)
+(* Same property with the window's knobs raised: random coalescing
+   windows and ack delays on top of random faults must still reproduce
+   the fault-free forest and Σ fingerprint.  Knob value 0/0 is
+   excluded by construction (that is the default-knob property above);
+   the arrays mix flush-only, ack-delay-only and combined
+   configurations. *)
 let flush_choices = [| 0.0; 0.5; 2.0; 5.0 |]
 let ack_choices = [| 1.0; 8.0; 20.0 |]
 

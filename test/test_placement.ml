@@ -477,6 +477,47 @@ let test_cross_seed_runs_diverge () =
   Alcotest.(check bool) "different seeds, different schedules" true
     (sched_a <> sched_b || ts_a <> ts_b)
 
+(* Two same-seed runs of the benchmark's hotspot shape in one process,
+   with no [Timeseries.reset] between them: creating the second system
+   installs a fresh clock, and that must drop the first run's windows,
+   or their load and read rates steer the second run's migrations. *)
+let test_rerun_needs_no_reset () =
+  let run () =
+    let hs =
+      Scenarios.hotspot ~owners:6 ~spares:4 ~readers:32 ~docs:40
+        ~hot_fraction:0.1 ~hot_share:0.9 ~reads_per_reader:50 ~appends:36
+        ~append_every_ms:100.0 ~payload_bytes:2048 ~think_ms:2.0
+        ~arrival_window_ms:100.0 ~steered:true ~wire:System.Binary
+        ~cpu_ms_per_kb:3.0 ~seed:1 ()
+    in
+    let sys = hs.Scenarios.hs_system in
+    let storage = hs.Scenarios.hs_owners @ hs.Scenarios.hs_spares in
+    let ctl =
+      Placement.enable
+        ~cfg:
+          {
+            Placement.default_config with
+            tick_ms = 20.0;
+            windows = 3;
+            hot_rate = 100.0;
+            migrations_per_tick = 2;
+            seed = 100;
+            eligible = Some (fun p -> List.exists (Peer_id.equal p) storage);
+          }
+        sys
+    in
+    let outcome, _ = System.run ~max_events:2_000_000 sys in
+    Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
+    ( Placement.schedule_fingerprint ctl,
+      (Placement.stats ctl).Placement.s_started )
+  in
+  with_telemetry ~window_ms:10.0 (fun () ->
+      let sched_a, n_a = run () in
+      let sched_b, n_b = run () in
+      Alcotest.(check bool) "the run migrated" true (n_a > 0);
+      Alcotest.(check int) "same migration count" n_a n_b;
+      Alcotest.(check string) "same migration schedule" sched_a sched_b)
+
 let suite =
   [
     ("steered pick: least-loaded member wins", `Quick, test_steered_picks_least_loaded);
@@ -494,4 +535,5 @@ let suite =
     ("determinism: same seed replays on every wire", `Quick, test_same_seed_replays_per_wire);
     ("determinism: wires agree on Σ content", `Quick, test_wires_agree_on_content);
     ("determinism: seeds diverge", `Quick, test_cross_seed_runs_diverge);
+    ("determinism: rerun in one process needs no reset", `Quick, test_rerun_needs_no_reset);
   ]

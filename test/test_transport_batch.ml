@@ -1,8 +1,9 @@
-(* Batched reliable transport (DESIGN.md §13).
+(* The Reliable transport's sequenced window (DESIGN.md §13).
 
-   The batching layer is opt-in: with [flush_ms]/[ack_delay_ms] at
-   their 0.0 defaults the per-message Reliable protocol must run
-   unchanged, byte for byte.  With the knobs on, coalescing must cut
+   One window per direction carries every sequenced message.  At the
+   0.0 defaults of [flush_ms]/[ack_delay_ms] each message ships bare
+   the moment it is sent and is acked the moment it arrives, before
+   its handler runs.  With the knobs raised, coalescing must cut
    physical message counts (and the fixed envelope cost), delayed acks
    must be piggybacked on reverse traffic or fired standalone, and
    within-frame transfer sharing must dedup identical forests — all
@@ -84,7 +85,7 @@ let test_batch_dedup () =
     (no_dedup - forest_bytes + Message.backref_bytes)
     (Message.bytes payload)
 
-(* --- default knobs: the unbatched path, unchanged ------------------ *)
+(* --- 0/0 knobs: one bare frame per message ------------------------- *)
 
 let run_plan ?flush_ms ?ack_delay_ms plan =
   let sys, _ =
@@ -99,7 +100,10 @@ let join_plan () =
     (Test_rules_exec.base_plans
        (snd (Test_rules_exec.build_system ())))
 
-let test_default_knobs_identical () =
+(* The defaults are the window at [flush_ms = ack_delay_ms = 0]: an
+   explicit 0/0 run is the same run, and a fault-free join ships every
+   message bare — no [Batch] frame, no deferred or piggybacked ack. *)
+let test_zero_knobs_ship_bare () =
   let plan = join_plan () in
   let out_a, fp_a, rc_a = run_plan plan in
   let out_b, fp_b, rc_b = run_plan ~flush_ms:0.0 ~ack_delay_ms:0.0 plan in
@@ -113,6 +117,75 @@ let test_default_knobs_identical () =
   Alcotest.(check int) "physical = logical messages"
     out_a.Exec.stats.Net.Stats.messages
     out_a.Exec.stats.Net.Stats.payload_messages
+
+(* --- the receiver acks before it dispatches ------------------------ *)
+
+(* A request whose handler keeps the receiver busy: a declarative
+   service priced at 50 ms of CPU per KB of parameter.  At
+   [ack_delay_ms = 0] the request's ack must leave p2 the moment the
+   request arrives.  An ack sent after dispatch would depart only when
+   the handler's CPU ends, and the sender's 40 ms retry timer would
+   re-ship a request that had arrived in time.  (The reply itself is
+   sent while p2 is busy and may be re-sent before it departs; only
+   the request's acknowledgement is pinned here.) *)
+let test_ack_before_dispatch () =
+  let topo = mesh ~latency:10.0 ~bandwidth:1000.0 [ "p1"; "p2" ] in
+  let sys =
+    System.create ~transport:System.Reliable ~cpu_ms_per_kb:50.0 ~rto_ms:40.0
+      topo
+  in
+  System.add_service sys p2
+    (Doc.Service.declarative ~name:"pick"
+       (query
+          {|query(1) for $x in $0//item where attr($x, "k") = "y" return <hit/>|}));
+  let g = gen () in
+  let param =
+    [
+      elt g "catalog"
+        (List.init 200 (fun i ->
+             elt ~attrs:[ ("k", if i = 7 then "y" else "n") ] g "item"
+               [ txt (string_of_int i) ]));
+    ]
+  in
+  let stats = Net.Sim.stats (System.sim sys) in
+  Net.Stats.set_tracing stats true;
+  let key = System.fresh_key sys in
+  let hits = ref [] in
+  System.set_cont sys key (fun forest ~final:_ -> hits := !hits @ forest);
+  System.send sys ~src:p1 ~dst:p2
+    (Message.Invoke
+       {
+         service = Names.Service_name.of_string "pick";
+         params = [ Message.now param ];
+         replies = [ Message.Cont { peer = p1; key } ];
+       });
+  let outcome, _ = System.run sys in
+  Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
+  Alcotest.(check int) "one hit" 1 (List.length !hits);
+  let sent ~src prefix =
+    List.filter
+      (fun (e : Net.Stats.trace_entry) ->
+        Net.Peer_id.equal e.src src && String.starts_with ~prefix e.note)
+      (Net.Stats.trace stats)
+  in
+  let invokes = sent ~src:p1 "invoke" in
+  Alcotest.(check int) "request shipped once" 1 (List.length invokes);
+  let invoke = List.hd invokes in
+  let ack = List.hd (sent ~src:p2 "ack") in
+  let reply = List.hd (sent ~src:p2 "stream") in
+  let arrival =
+    invoke.at_ms
+    +. Net.Link.transfer_ms
+         (Net.Topology.link topo ~src:p1 ~dst:p2)
+         ~bytes:invoke.trace_bytes
+  in
+  let cpu_ms = 50.0 *. float_of_int (Xml.Forest.byte_size param) /. 1024.0 in
+  Alcotest.(check (float 1e-9)) "ack departs when the request arrives" arrival
+    ack.at_ms;
+  Alcotest.(check bool)
+    (Printf.sprintf "reply departs after the handler's CPU (%.1f ms)" cpu_ms)
+    true
+    (reply.at_ms >= arrival +. cpu_ms -. 1e-9)
 
 (* --- coalescing on a chatty stream --------------------------------- *)
 
@@ -241,7 +314,8 @@ let suite =
   [
     ("batch frame byte accounting", `Quick, test_batch_bytes);
     ("batch dedup back-references", `Quick, test_batch_dedup);
-    ("default knobs run the unbatched path", `Quick, test_default_knobs_identical);
+    ("0/0 knobs: bare frames, one per message", `Quick, test_zero_knobs_ship_bare);
+    ("ack departs before the handler runs", `Quick, test_ack_before_dispatch);
     ("coalescing cuts messages and bytes", `Quick, test_coalescing_reduces_messages);
     ("acks piggyback on reverse batches", `Quick, test_piggybacked_acks);
     ("identical forests dedup within a frame", `Quick, test_dedup_in_flight);
