@@ -77,6 +77,8 @@ let memo_of t =
       Memo.add memo_tbl t m;
       m
 
+let clean_memo () = Memo.clean memo_tbl
+
 let byte_size_cached t =
   let m = memo_of t in
   if m.m_bytes >= 0 then m.m_bytes

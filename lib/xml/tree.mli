@@ -68,6 +68,11 @@ val byte_size_cached : t -> int
     path-copy; meant for hot paths that re-measure the same shipped
     tree on every charge. *)
 
+val clean_memo : unit -> unit
+(** Drop the memo's entries whose trees are dead.  Allocation brackets
+    call it after a full major so stale keys cannot collide with the
+    measured run's. *)
+
 val shape_hash : t -> int
 (** Structural digest consistent with {!equal_shape}: equal shapes
     hash equal; node identifiers are ignored.  Memoized like
