@@ -644,7 +644,6 @@ let crowd_run ~seed (mirrors, subscribers, reqs) (arm, a) =
   (* Batched arms spend ~12 events per request (flush timers, acks,
      retransmission bookkeeping), raw arms ~3. *)
   let budget = (16 * fc.fc_requests) + (40 * peers) + 10_000 in
-  let d0 = Runtime.Message.payload_decodes () in
   let (outcome, events), c = measure (fun () -> System.run ~max_events:budget sys) in
   let st = System.stats sys in
   let rc = System.reliability_counters sys in
@@ -659,7 +658,6 @@ let crowd_run ~seed (mirrors, subscribers, reqs) (arm, a) =
       ("wall_s", num "%.3f" c.wall_s);
       ("events_per_sec", num "%.3g" (float_of_int events /. Float.max c.wall_s 1e-9));
       ("words_per_event", num "%.1f" (per_event c.words));
-      ("payload_decodes", int (Runtime.Message.payload_decodes () - d0));
       ("sampled_spans", int (if a.keep_one_in > 0 then Obs.Trace.count () else 0));
       ( "timeseries_keys",
         int (List.length (Obs.Timeseries.keys Obs.Timeseries.default)) );
@@ -822,18 +820,17 @@ let e21 =
    re-batch, so the wire's accounting cost is on the per-event path;
    raw arms are the floor where both wires charge once per message.
    Gates: the wire never changes answers (binary-strict, which
-   round-trips every transmission through encode/decode, included),
-   binary frames are strictly smaller than the XML model, and a relay
-   re-batches binary frames without decoding a payload. *)
-let e22_run (t, relay_iters) arms =
+   round-trips every transmission through encode/decode, included) and
+   binary frames are strictly smaller than the XML model. *)
+let e22_run t arms =
   with_nursery @@ fun () ->
   let rows = crowd_rows t arms (fun _ r -> r) in
   table rows
     ~show:
       [ "peers"; "arm"; "events"; "messages"; "bytes"; "wall_s"; "words_per_event";
-        "payload_decodes"; "quiescent_and_complete" ];
-  (* Strict wire on the smallest tier: lazy decode keeps payload parses
-     bounded by the logical messages actually delivered. *)
+        "quiescent_and_complete" ];
+  (* Strict wire on the smallest tier: every transmission crosses the
+     codec, and the answers must not change. *)
   let strict =
     { (List.assoc "batched/binary" arms) with wire = System.Binary_strict }
   in
@@ -848,41 +845,7 @@ let e22_run (t, relay_iters) arms =
   table ~name:"strict_wire"
     [ srow @ [ ("fingerprint_agrees", flag agrees) ] ]
     ~show:
-      [ "peers"; "events"; "messages"; "payload_decodes"; "fingerprint_agrees";
-        "quiescent_and_complete" ];
-  (* Relay: slice and re-frame an encoded batch; the decode counter
-     must not move. *)
-  let g = Xml.Node_id.Gen.create ~namespace:"e22-relay" in
-  let msgs =
-    List.init 16 (fun i ->
-        let pkg =
-          Printf.sprintf "<pkg name=\"pkg%03d\"><blob>%s</blob></pkg>" i
-            (String.make 64 'x')
-        in
-        Runtime.Message.make ~seq:(i + 1)
-          (Runtime.Message.Stream
-             { key = i; final = true;
-               forest = Runtime.Message.now [ Xml.Parser.parse_exn ~gen:g pkg ] }))
-  in
-  let frame =
-    Runtime.Codec.encode (Runtime.Message.make (Runtime.Message.batch ~ack:3 msgs))
-  in
-  let d0 = Runtime.Message.payload_decodes () in
-  let (), wall =
-    cpu_ms (fun () ->
-        for i = 1 to relay_iters do
-          match Runtime.Codec.Relay.parse_batch frame with
-          | Ok (_, items) -> ignore (Runtime.Codec.Relay.rebatch ~ack:i items)
-          | Error _ -> failwith "E22: relay parse failed"
-        done)
-  in
-  table ~name:"relay"
-    [
-      [
-        ("payload_decodes", int (Runtime.Message.payload_decodes () - d0));
-        ("ns_per_frame", num "%.0f" (wall *. 1e6 /. float_of_int relay_iters));
-      ];
-    ]
+      [ "peers"; "events"; "messages"; "fingerprint_agrees"; "quiescent_and_complete" ]
 
 let wire_pairs ok rows =
   pairs ~by:[ "peers" ] "raw/xml" "raw/binary" ok rows
@@ -901,7 +864,7 @@ let e22 =
          binary codec; per tier and transport the two wires must agree on\n\
          the final Σ while the binary wire ships smaller frames, and on the\n\
          batched arms it should cost less wall and allocation per event";
-      smoke = Some (crowd_smoke, 1_000); full = (crowd_full, 20_000);
+      smoke = Some crowd_smoke; full = crowd_full;
       arms =
         [
           ("raw/xml", plain); ("raw/binary", { plain with wire = System.Binary });
@@ -919,8 +882,6 @@ let e22 =
           gate ~table:"strict_wire" "the strict wire reproduces Σ and completes"
             (fun rows ->
               every "fingerprint_agrees" rows && every "quiescent_and_complete" rows);
-          gate ~table:"relay" "a relay re-frames without decoding payloads"
-            (List.for_all (fun r -> geti r "payload_decodes" = 0));
         ];
     }
 

@@ -114,12 +114,11 @@ let () =
        {
          node = update_node;
          forest =
-           Runtime.Message.now
-             [
-               Xml.Tree.element_of_string ~gen:gm "update"
-                 ~attrs:[ ("package", List.hd sd.sd_packages); ("version", "2.0") ]
-                 [];
-             ];
+           [
+             Xml.Tree.element_of_string ~gen:gm "update"
+               ~attrs:[ ("package", List.hd sd.sd_packages); ("version", "2.0") ]
+               [];
+           ];
          notify = None;
        });
   ignore (System.run sys);

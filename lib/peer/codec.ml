@@ -95,11 +95,7 @@ let rd_skip r n =
 
    A tree is encoded as a self-contained blob: an interned string
    table (labels, attribute names, identifier namespaces, in first-use
-   order) followed by the node structure referencing table indices.
-   Blobs are cached per tree in a weak pointer-keyed table, so a
-   shared tree (the flash-crowd request and package payloads) is
-   encoded once no matter how many messages carry it, and sizing a
-   message that carries it is a length lookup. *)
+   order) followed by the node structure referencing table indices. *)
 
 let encode_tree_blob t =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -234,23 +230,6 @@ let tree_blob_len t =
         n
       end
 
-module Blob_tbl = Ephemeron.K1.Make (struct
-  type t = Tree.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let blob_tbl = Blob_tbl.create 1024
-
-let tree_blob t =
-  match Blob_tbl.find_opt blob_tbl t with
-  | Some b -> b
-  | None ->
-      let b = encode_tree_blob t in
-      Blob_tbl.add blob_tbl t b;
-      b
-
 let decode_tree_blob r =
   let nstrings = rd_count r ~per:1 in
   let strings = Array.make (max nstrings 1) "" in
@@ -292,69 +271,45 @@ let decode_tree_blob r =
   in
   node 0
 
+(* A tree blob framed as uv(blob_len) blob.  The blob must end
+   exactly at its declared length: padding inside it would make
+   [frame_bytes] of the decoded message disagree with the frame it came
+   from. *)
+let rd_tree r =
+  let len = rd_len r in
+  let sub = { buf = r.buf; pos = r.pos; limit = r.pos + len } in
+  rd_skip r len;
+  let t = decode_tree_blob sub in
+  if sub.pos <> sub.limit then malformed "trailing bytes in tree blob";
+  t
+
 (* ---------- forest sections ----------
 
    forest := uv(ntrees) { uv(blob_len) blob }*
 
-   The per-tree length prefixes are the offset index: a reader can
-   locate every tree (and the end of the section) without parsing any
-   blob, which is what makes lazy decode and zero-parse relay slicing
-   possible. *)
+   Sizing reads each tree's blob length from the direct-mapped cache,
+   so a shared tree is measured once however many messages carry it. *)
 
-let forest_section_size lf =
-  let open Message in
-  if lf.wire >= 0 then lf.wire
-  else
-    let n =
-      match lf.st with
-      | Todo { enc = _, _, len; _ } -> len
-      | Done f ->
-          List.fold_left
-            (fun acc t ->
-              let len = tree_blob_len t in
-              acc + uv_size len + len)
-            (uv_size (List.length f))
-            f
-    in
-    lf.wire <- n;
-    n
+let forest_section_size f =
+  List.fold_left
+    (fun acc t ->
+      let len = tree_blob_len t in
+      acc + uv_size len + len)
+    (uv_size (List.length f))
+    f
 
-let buf_forest b lf =
-  let open Message in
-  match lf.st with
-  | Todo { enc = src, off, len; _ } -> Buffer.add_subbytes b src off len
-  | Done f ->
-      buf_uv b (List.length f);
-      List.iter
-        (fun t ->
-          let blob = tree_blob t in
-          buf_uv b (Bytes.length blob);
-          Buffer.add_bytes b blob)
-        f
+let buf_forest b f =
+  buf_uv b (List.length f);
+  List.iter
+    (fun t ->
+      let blob = encode_tree_blob t in
+      buf_uv b (Bytes.length blob);
+      Buffer.add_bytes b blob)
+    f
 
-(* Skips over a forest section, returning the lazy forest backed by
-   the frame slice.  Only length prefixes are read — no blob is
-   parsed until the forest is forced. *)
 let rd_forest r =
-  let start = r.pos in
   let ntrees = rd_count r ~per:1 in
-  let offs =
-    List.init ntrees (fun _ ->
-        let len = rd_len r in
-        let o = r.pos in
-        rd_skip r len;
-        (o, len))
-  in
-  let slice_len = r.pos - start in
-  let buf = r.buf in
-  let decode () =
-    List.map
-      (fun (o, len) -> decode_tree_blob { buf; pos = o; limit = o + len })
-      offs
-  in
-  let lf = Message.delay ~trees:ntrees ~enc:(buf, start, slice_len) decode in
-  lf.Message.wire <- slice_len;
-  lf
+  List.init ntrees (fun _ -> rd_tree r)
 
 (* ---------- scalars, names, destinations ---------- *)
 
@@ -459,17 +414,12 @@ let rd_notify r =
    an expression as one tree blob of its XML view, a query as its
    surface syntax (both have exact parse round-trips). *)
 
-let expr_blob e =
+let expr_tree e =
   let gen = Node_id.Gen.create ~namespace:"wire-expr" in
-  encode_tree_blob (Axml_algebra.Expr_xml.to_tree ~gen e)
+  Axml_algebra.Expr_xml.to_tree ~gen e
 
 let rd_expr r =
-  let len = rd_len r in
-  let sub = { buf = r.buf; pos = r.pos; limit = r.pos + len } in
-  rd_skip r len;
-  let t = decode_tree_blob sub in
-  if sub.pos <> sub.limit then malformed "trailing bytes in expression blob";
-  match Axml_algebra.Expr_xml.of_tree t with
+  match Axml_algebra.Expr_xml.of_tree (rd_tree r) with
   | Ok e -> e
   | Error m -> malformed ("invalid expression: " ^ m)
 
@@ -504,7 +454,7 @@ let rec buf_payload b ~forests p =
       buf_bool b final;
       (match forests with `Inline -> buf_forest b forest | `Omit -> ())
   | Message.Eval_request { expr; replies; ack } ->
-      let blob = expr_blob expr in
+      let blob = encode_tree_blob (expr_tree expr) in
       buf_uv b (Bytes.length blob);
       Buffer.add_bytes b blob;
       buf_dests b replies;
@@ -570,7 +520,10 @@ and payload_size ~forests p =
         | `Inline -> forest_section_size forest
         | `Omit -> 0)
   | Message.Eval_request { expr; replies; ack } ->
-      let blen = Bytes.length (expr_blob expr) in
+      (* Not [tree_blob_len]: every expression tree reuses the
+         [wire-expr] node ids and would evict forest entries from the
+         direct-mapped cache. *)
+      let blen = tree_blob_size (expr_tree expr) in
       uv_size blen + blen + dests_size replies + notify_size ack
   | Message.Invoke { service; params; replies } ->
       str_size (Names.Service_name.to_string service)
@@ -696,27 +649,27 @@ let rec rd_payload r ~forest_src =
       let nitems = rd_count r ~per:2 in
       (* Maps an item's sequence number to its shareable forest, for
          resolving back-references.  Sharing is reconstructed exactly:
-         a [Shared] item's payload holds the {e same} lazy forest as
-         its referent, so forcing either decodes once. *)
-      let shared : (int, Message.lforest) Hashtbl.t = Hashtbl.create 8 in
+         a [Shared] item's payload holds the {e same} decoded forest as
+         its referent. *)
+      let shared : (int, Axml_xml.Forest.t) Hashtbl.t = Hashtbl.create 8 in
       let items =
         List.init nitems (fun _ ->
             match rd_byte r with
             | 0 ->
                 let m = rd_subitem r ~forest_src:`Inline in
                 (match Message.shareable_forest m.Message.payload with
-                | Some lf -> Hashtbl.replace shared m.Message.seq lf
+                | Some f -> Hashtbl.replace shared m.Message.seq f
                 | None -> ());
                 Message.Full m
             | 1 ->
                 let of_seq = rd_zv r in
                 let saved = rd_uv r in
-                let lf =
+                let f =
                   match Hashtbl.find_opt shared of_seq with
-                  | Some lf -> lf
+                  | Some f -> f
                   | None -> malformed "dangling batch back-reference"
                 in
-                let msg = rd_subitem r ~forest_src:(`Ref lf) in
+                let msg = rd_subitem r ~forest_src:(`Ref f) in
                 Message.Shared { msg; of_seq; saved }
             | k -> malformed (Printf.sprintf "unknown batch item tag %#x" k))
       in
@@ -725,7 +678,7 @@ let rec rd_payload r ~forest_src =
 
 and rd_forest_or_ref r = function
   | `Inline -> rd_forest r
-  | `Ref lf -> lf
+  | `Ref f -> f
 
 and rd_subitem r ~forest_src =
   let sublen = rd_len r in
@@ -756,114 +709,7 @@ let decode buf =
   | Err e -> Error e
   | Invalid_argument m -> Error (Malformed m)
 
-(* Forces every forest a message carries (including batch items);
-   used by strict decoding and tests. *)
-let rec force_all (m : Message.t) =
-  match m.payload with
-  | Message.Stream { forest; _ }
-  | Message.Insert { forest; _ }
-  | Message.Install_doc { forest; _ }
-  | Message.Migrate_doc { forest; _ } ->
-      ignore (Message.force forest)
-  | Message.Invoke { params; _ } ->
-      List.iter (fun lf -> ignore (Message.force lf)) params
-  | Message.Batch { items; _ } ->
-      List.iter (fun item -> force_all (Message.item_message item)) items
-  | Message.Eval_request _ | Message.Deploy _ | Message.Query_shipped _
-  | Message.Ack _ | Message.Retract_doc _ ->
-      ()
-
-let decode_strict buf =
-  match decode buf with
-  | Error _ as e -> e
-  | Ok m -> (
-      match force_all m with
-      | () -> Ok m
-      | exception Err e -> Error e
-      | exception Invalid_argument s -> Error (Malformed s))
-
 let roundtrip m =
   match decode (encode m) with
   | Ok m' -> m'
   | Error e -> invalid_arg (Format.asprintf "Codec.roundtrip: %a" pp_error e)
-
-(* ---------- zero-parse relay slicing ----------
-
-   A relay (the paper's rule (12) intermediary) re-batches frames
-   without interpreting payloads: it slices a batch frame along the
-   per-item length prefixes, reads only the scalar headers it routes
-   on, and blits the slices into a fresh frame.  No forest blob is
-   ever parsed — Message.payload_decodes stays flat. *)
-
-module Relay = struct
-  type item = {
-    src : Bytes.t;
-    off : int;  (** item start: the tag byte *)
-    len : int;  (** full item extent, tag byte included *)
-    seq : int;  (** sequence number read from the item header *)
-    of_seq : int;  (** back-reference target, [-1] for full items *)
-  }
-
-  let item_seq it = it.seq
-  let item_of_seq it = it.of_seq
-  let is_shared it = it.of_seq >= 0
-
-  let parse_batch buf =
-    try
-      let r = { buf; pos = 0; limit = Bytes.length buf } in
-      let blen = rd_uv r in
-      if blen < 0 || blen > r.limit - r.pos then truncated ();
-      if blen < r.limit - r.pos then malformed "over-length frame";
-      if rd_byte r <> magic then malformed "bad magic";
-      if rd_byte r <> version then malformed "unsupported version";
-      let _corr = rd_zv r in
-      let _seq = rd_zv r in
-      let _op = rd_zv r in
-      if rd_byte r <> 8 then malformed "not a batch frame";
-      let ack = rd_zv r in
-      let nitems = rd_count r ~per:2 in
-      let items =
-        List.init nitems (fun _ ->
-            let off = r.pos in
-            let of_seq =
-              match rd_byte r with
-              | 0 -> -1
-              | 1 ->
-                  let of_seq = rd_zv r in
-                  let _saved = rd_uv r in
-                  of_seq
-              | k -> malformed (Printf.sprintf "unknown batch item tag %#x" k)
-            in
-            let sublen = rd_len r in
-            let hdr = { buf; pos = r.pos; limit = r.pos + sublen } in
-            let _corr = rd_zv hdr in
-            let seq = rd_zv hdr in
-            rd_skip r sublen;
-            { src = buf; off; len = r.pos - off; seq; of_seq })
-      in
-      if r.pos <> r.limit then malformed "trailing payload bytes";
-      Ok (ack, items)
-    with
-    | Err e -> Error e
-    | Invalid_argument m -> Error (Malformed m)
-
-  let rebatch ?(corr = 0) ?(seq = 0) ?(op = -1) ~ack items =
-    let b = Buffer.create 256 in
-    Buffer.add_char b '\x08';
-    buf_zv b ack;
-    buf_uv b (List.length items);
-    List.iter (fun it -> Buffer.add_subbytes b it.src it.off it.len) items;
-    let payload = Buffer.to_bytes b in
-    let body =
-      2 + zv_size corr + zv_size seq + zv_size op + Bytes.length payload
-    in
-    let out = Buffer.create (uv_size body + body) in
-    buf_uv out body;
-    Buffer.add_char out (Char.chr magic);
-    Buffer.add_char out (Char.chr version);
-    buf_zv out corr;
-    buf_zv out seq;
-    buf_zv out op;
-    Buffer.add_bytes out payload;
-    Buffer.to_bytes out
-end

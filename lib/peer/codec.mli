@@ -10,23 +10,15 @@
     blob   := string table (labels, attr names, id namespaces) + nodes
     v}
 
-    Three properties the rest of the stack builds on:
+    Two properties the rest of the stack builds on:
 
     - {b Exact sizing without encoding.}  {!frame_bytes} computes the
       encoded length arithmetically from cached per-tree blob lengths;
       a qcheck property pins it to [Bytes.length (encode m)].
-    - {b Lazy decode.}  {!decode} materializes scalars eagerly but
-      leaves every forest as a {!Message.lforest} thunk backed by the
-      frame buffer; nothing is parsed until first touch
-      ({!Message.force}), and {!Message.payload_decodes} counts
-      touches.
-    - {b Zero-parse relaying.}  {!Relay} slices batch frames along
-      their length prefixes and re-batches by blitting — a rule (12)
-      intermediary never decodes the payloads it forwards.
-
-    Per-tree blobs are cached in a weak pointer-keyed table: a tree
-    shared by many messages is encoded once, and sizing it again is a
-    length lookup. *)
+    - {b A validating eager round trip.}  {!decode} rebuilds every
+      carried forest as a plain {!Axml_xml.Forest.t} and checks each
+      length prefix against what it covers: a frame, batch item or
+      tree blob with trailing bytes is rejected. *)
 
 type error = Truncated | Malformed of string
 
@@ -37,46 +29,14 @@ val frame_bytes : Message.t -> int
     frame.  The binary-wire byte charge ({!System.wire}). *)
 
 val encode : Message.t -> Bytes.t
-(** Never forces a lazy forest: an undecoded forest section is blitted
-    from the originating frame. *)
 
 val decode : Bytes.t -> (Message.t, error) result
-(** Checks framing, lengths and scalar fields eagerly; forests decode
-    lazily on first {!Message.force}.  A corrupt forest blob therefore
-    surfaces at force time (as {!decode_strict} observes), never as a
-    crash.  Rejects truncated, over-length and malformed frames. *)
-
-val decode_strict : Bytes.t -> (Message.t, error) result
-(** {!decode}, then force every carried forest, converting deferred
-    blob errors into [Error]. *)
+(** Decodes the whole frame, forests included.  Rejects truncated,
+    over-length and malformed frames — a tree blob must end exactly at
+    its declared length — with [Error], never an exception. *)
 
 val roundtrip : Message.t -> Message.t
-(** [decode (encode m)], lazily.  The strict wire mode routes every
-    send through this so the whole stack exercises the codec.
+(** [decode (encode m)].  The strict wire mode routes every send
+    through this so the whole stack exercises the codec.
     @raise Invalid_argument if decoding fails (encode/decode mismatch
     — a codec bug, not an input condition). *)
-
-(** Zero-parse slicing and re-batching of encoded batch frames. *)
-module Relay : sig
-  type item
-  (** A slice of an encoded batch frame covering one item, tag byte
-      included.  Only the scalar item header has been read. *)
-
-  val item_seq : item -> int
-  val item_of_seq : item -> int
-  (** Back-reference target of a shared item, [-1] for full items. *)
-
-  val is_shared : item -> bool
-  (** A shared item's forest lives in the item {!item_of_seq} points
-      at; dropping the referent from a re-batched frame would dangle
-      the reference. *)
-
-  val parse_batch : Bytes.t -> (int * item list, error) result
-  (** The frame's cumulative ack and its item slices.  No payload —
-      in particular no forest blob — is parsed. *)
-
-  val rebatch :
-    ?corr:int -> ?seq:int -> ?op:int -> ack:int -> item list -> Bytes.t
-  (** A fresh batch frame carrying the given item slices verbatim
-      (blitted, not re-encoded) under a new envelope and ack. *)
-end

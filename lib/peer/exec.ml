@@ -372,11 +372,7 @@ and eval_query_app sys ~ctx query args ~emit =
 
 and eval_sc sys ~ctx (sc : Axml_doc.Sc.t) ~emit =
   let self = System.peer sys ctx in
-  let params =
-    List.map
-      (fun f -> Message.now (Forest.copy ~gen:self.Peer.gen f))
-      sc.params
-  in
+  let params = List.map (Forest.copy ~gen:self.Peer.gen) sc.params in
   let invoke provider service =
     let replies, finish_now =
       match sc.forward with
@@ -525,7 +521,7 @@ let run_to_quiescence ?(reset_stats = true) ?max_events sys ~ctx expr =
   if Trace.enabled () then Trace.with_corr (Trace.fresh_corr ()) go else go ()
 
 (* Cross-plan rule (13): rewrite every subplan matching a live cache
-   entry into a literal read of the cached lforest.  Probes run with
+   entry into a literal read of the cached forest.  Probes run with
    hit/miss accounting suppressed ([Qcache.probe]) because a missed
    subplan is probed again by [eval] — only the hits, whose subtrees
    [eval] never sees, are recorded here. *)

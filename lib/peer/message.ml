@@ -7,50 +7,8 @@ type reply_dest =
   | Node of Names.Node_ref.t
   | Install of { peer : Peer_id.t; name : string }
 
-(* A forest as carried by a message: either materialized ([Done]) or
-   still sitting encoded in a received frame ([Todo]).  The binary
-   codec builds [Todo] values whose [decode] thunk parses the frame
-   slice on first touch; [enc] keeps the slice itself so the forest
-   can be re-encoded (relay forwarding, retransmission) without ever
-   being parsed.  [wire] caches the encoded-section length and [dig]
-   the structural digest — both are per-message scratch owned by the
-   codec and the batch dedup; neither affects equality of the carried
-   forest. *)
-type lforest = { mutable st : lstate; mutable wire : int; mutable dig : int }
-
-and lstate =
-  | Done of Forest.t
-  | Todo of {
-      trees : int;
-      decode : unit -> Forest.t;
-      enc : Bytes.t * int * int;
-    }
-
-let now f = { st = Done f; wire = -1; dig = 0 }
-let delay ~trees ~enc decode = { st = Todo { trees; decode; enc }; wire = -1; dig = 0 }
-
-(* Count of lazy payload decodes since the last reset — the
-   observable that proves relays and the transport layer never touch
-   forest content (they slice frames instead). *)
-let decodes = ref 0
-let payload_decodes () = !decodes
-let reset_payload_decodes () = decodes := 0
-
-let force lf =
-  match lf.st with
-  | Done f -> f
-  | Todo { decode; _ } ->
-      incr decodes;
-      let f = decode () in
-      lf.st <- Done f;
-      f
-
-let peek lf = match lf.st with Done f -> Some f | Todo _ -> None
-let trees lf = match lf.st with Done f -> List.length f | Todo { trees; _ } -> trees
-let is_forced lf = match lf.st with Done _ -> true | Todo _ -> false
-
 type payload =
-  | Stream of { key : int; forest : lforest; final : bool }
+  | Stream of { key : int; forest : Forest.t; final : bool }
   | Eval_request of {
       expr : Axml_algebra.Expr.t;
       replies : reply_dest list;
@@ -58,28 +16,28 @@ type payload =
     }
   | Invoke of {
       service : Names.Service_name.t;
-      params : lforest list;
+      params : Forest.t list;
       replies : reply_dest list;
     }
   | Insert of {
       node : Axml_xml.Node_id.t;
-      forest : lforest;
+      forest : Forest.t;
       notify : (Peer_id.t * int) option;
     }
   | Install_doc of {
       name : string;
-      forest : lforest;
+      forest : Forest.t;
       notify : (Peer_id.t * int) option;
     }
   | Migrate_doc of {
       name : string;
-      forest : lforest;
+      forest : Forest.t;
       notify : (Peer_id.t * int) option;
     }
       (** Placement handoff: install-or-replace a replica of [name] at
           the destination, {e preserving} the shipped node ids (the
-          codec and [now] forests both carry them), so queries resolve
-          the same ids on every replica. *)
+          codec carries them), so queries resolve the same ids on every
+          replica. *)
   | Retract_doc of { name : string; notify : (Peer_id.t * int) option }
       (** Placement cleanup: drop the replica of [name] at the
           destination (idempotent). *)
@@ -114,20 +72,15 @@ let item_header = 16
 let backref_bytes = 4
 (* A dedup back-reference: "same forest as item #n of this batch". *)
 
-(* XML-model size of a carried forest.  Forces a lazy forest: the XML
-   size model needs the trees.  (The binary wire never calls this —
-   it charges encoded frame lengths from Codec, which reads cached
-   slice lengths instead.) *)
-let lf_bytes lf = Forest.byte_size_cached (force lf)
-
 let rec bytes = function
-  | Stream { forest; _ } -> envelope + lf_bytes forest
+  | Stream { forest; _ } -> envelope + Forest.byte_size_cached forest
   | Eval_request { expr; _ } -> envelope + Axml_algebra.Expr_xml.byte_size expr
   | Invoke { params; _ } ->
-      envelope + List.fold_left (fun acc f -> acc + lf_bytes f) 0 params
+      envelope
+      + List.fold_left (fun acc f -> acc + Forest.byte_size_cached f) 0 params
   | Insert { forest; _ } | Install_doc { forest; _ } | Migrate_doc { forest; _ }
     ->
-      envelope + lf_bytes forest
+      envelope + Forest.byte_size_cached forest
   | Retract_doc _ -> envelope
   | Deploy { query; _ } | Query_shipped { query; _ } ->
       envelope + String.length (Axml_query.Ast.to_string query)
@@ -149,35 +102,25 @@ let shareable_forest = function
   | Insert { forest; _ }
   | Install_doc { forest; _ }
   | Migrate_doc { forest; _ } ->
-      if trees forest = 0 then None else Some forest
+      if forest = [] then None else Some forest
   | Eval_request _ | Invoke _ | Deploy _ | Query_shipped _ | Ack _ | Batch _
   | Retract_doc _ ->
       None
 
-(* Structural digest of the carried forest, cached per message.  0 is
-   the unset sentinel; Forest.shape_hash never returns 0. *)
-let shape_digest lf =
-  if lf.dig <> 0 then lf.dig
-  else begin
-    let d = Forest.shape_hash (force lf) in
-    lf.dig <- d;
-    d
-  end
-
 let batch ~ack msgs =
-  (* Dedup within the frame.  Key: the cached structural digest (an
-     int — no serialization).  Buckets verify candidates first by
-     pointer, then by [Forest.equal_shape], so the sharing decision
-     is exactly "same serialized forest" as before, without the
+  (* Dedup within the frame.  Key: the structural digest (an int,
+     memoized per tree — no serialization).  Buckets verify candidates
+     first by pointer, then by [Forest.equal_shape], so the sharing
+     decision is exactly "same serialized forest" without the
      serializer. *)
-  let seen : (int, (lforest * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  let seen : (int, (Forest.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   let items =
     List.map
       (fun (m : t) ->
         match shareable_forest m.payload with
         | None -> Full m
-        | Some lf -> (
-            let d = shape_digest lf in
+        | Some f -> (
+            let d = Forest.shape_hash f in
             let bucket =
               match Hashtbl.find_opt seen d with
               | Some b -> b
@@ -186,15 +129,12 @@ let batch ~ack msgs =
                   Hashtbl.add seen d b;
                   b
             in
-            let same (lf0, _) =
-              lf0 == lf
-              || Forest.equal_shape (force lf0) (force lf)
-            in
+            let same (f0, _) = f0 == f || Forest.equal_shape f0 f in
             match List.find_opt same !bucket with
             | Some (_, of_seq) ->
-                Shared { msg = m; of_seq; saved = lf_bytes lf }
+                Shared { msg = m; of_seq; saved = Forest.byte_size_cached f }
             | None ->
-                bucket := (lf, m.seq) :: !bucket;
+                bucket := (f, m.seq) :: !bucket;
                 Full m))
       msgs
   in
@@ -231,17 +171,11 @@ let tag = function
   | Ack _ -> "ack"
   | Batch _ -> "batch"
 
-(* Printing must not force a lazy forest — tracing a relayed frame
-   would otherwise defeat zero-parse forwarding.  An undecoded forest
-   prints its encoded-slice length instead. *)
-let pp_lf_bytes fmt lf =
-  match lf.st with
-  | Done f -> Format.fprintf fmt "%dB" (Forest.byte_size_cached f)
-  | Todo { enc = _, _, len; _ } -> Format.fprintf fmt "%dB-enc" len
+let pp_forest_bytes fmt f = Format.fprintf fmt "%dB" (Forest.byte_size_cached f)
 
 let rec pp fmt = function
   | Stream { key; forest; final } ->
-      Format.fprintf fmt "stream[%d] %a%s" key pp_lf_bytes forest
+      Format.fprintf fmt "stream[%d] %a%s" key pp_forest_bytes forest
         (if final then " (final)" else "")
   | Eval_request { expr; _ } ->
       Format.fprintf fmt "eval-request %a" Axml_algebra.Expr.pp expr
@@ -249,12 +183,12 @@ let rec pp fmt = function
       Format.fprintf fmt "invoke %a/%d" Names.Service_name.pp service
         (List.length params)
   | Insert { node; forest; _ } ->
-      Format.fprintf fmt "insert %a under %a" pp_lf_bytes forest
+      Format.fprintf fmt "insert %a under %a" pp_forest_bytes forest
         Axml_xml.Node_id.pp node
   | Install_doc { name; forest; _ } ->
-      Format.fprintf fmt "install %s (%a)" name pp_lf_bytes forest
+      Format.fprintf fmt "install %s (%a)" name pp_forest_bytes forest
   | Migrate_doc { name; forest; _ } ->
-      Format.fprintf fmt "migrate %s (%a)" name pp_lf_bytes forest
+      Format.fprintf fmt "migrate %s (%a)" name pp_forest_bytes forest
   | Retract_doc { name; _ } -> Format.fprintf fmt "retract %s" name
   | Deploy { prefix; _ } -> Format.fprintf fmt "deploy %s_*" prefix
   | Query_shipped { key; _ } -> Format.fprintf fmt "query-shipped[%d]" key

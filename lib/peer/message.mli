@@ -6,6 +6,10 @@
     call activation), node/document installations (definitions (4) and
     (8)) and query shipping.
 
+    Every payload forest is a plain, materialized
+    {!Axml_xml.Forest.t}, as in the paper: the binary decoder
+    ({!Codec.decode}) rebuilds it eagerly.
+
     Byte sizes under the XML wire are computed from the XML
     serializations — the simulator charges what the wire would carry.
     Under the binary wire ({!Codec}), the charge is the actual encoded
@@ -13,55 +17,6 @@
 
 module Peer_id = Axml_net.Peer_id
 module Names = Axml_doc.Names
-
-(** {1 Lazily decoded forests}
-
-    A forest carried by a message is either materialized or still
-    encoded inside a received binary frame.  Producers build
-    materialized forests with {!now}; the binary decoder builds lazy
-    ones with {!delay}, whose thunk parses the frame slice on first
-    touch.  Transport-layer code (batching, relaying, retransmission,
-    byte accounting under the binary wire) never needs the trees and
-    so never forces — {!payload_decodes} counts forcings to make that
-    claim checkable. *)
-
-type lforest = { mutable st : lstate; mutable wire : int; mutable dig : int }
-(** [wire] caches the binary-encoded forest-section length
-    ([-1] = unknown); [dig] caches the structural digest
-    ([0] = unknown).  Both are scratch: they never affect the carried
-    forest's value. *)
-
-and lstate =
-  | Done of Axml_xml.Forest.t
-  | Todo of {
-      trees : int;  (** tree count, readable without decoding *)
-      decode : unit -> Axml_xml.Forest.t;
-      enc : Bytes.t * int * int;
-          (** the encoded forest section ([buf], [offset], [length]) —
-              re-encoding blits this slice, no parse *)
-    }
-
-val now : Axml_xml.Forest.t -> lforest
-val delay : trees:int -> enc:Bytes.t * int * int -> (unit -> Axml_xml.Forest.t) -> lforest
-
-val force : lforest -> Axml_xml.Forest.t
-(** Materialize (and cache) the forest; counts toward
-    {!payload_decodes} if a decode actually runs. *)
-
-val peek : lforest -> Axml_xml.Forest.t option
-(** The forest if already materialized; never decodes. *)
-
-val trees : lforest -> int
-(** Number of trees; never decodes. *)
-
-val is_forced : lforest -> bool
-
-val payload_decodes : unit -> int
-(** Global count of lazy forest decodes since the last
-    {!reset_payload_decodes} — the counter that verifies zero-parse
-    relay forwarding. *)
-
-val reset_payload_decodes : unit -> unit
 
 (** {1 Messages} *)
 
@@ -75,7 +30,7 @@ type reply_dest =
       (** Install as a new document there. *)
 
 type payload =
-  | Stream of { key : int; forest : lforest; final : bool }
+  | Stream of { key : int; forest : Axml_xml.Forest.t; final : bool }
       (** One batch of a response stream. *)
   | Eval_request of {
       expr : Axml_algebra.Expr.t;
@@ -87,12 +42,12 @@ type payload =
     }
   | Invoke of {
       service : Names.Service_name.t;
-      params : lforest list;
+      params : Axml_xml.Forest.t list;
       replies : reply_dest list;
     }
   | Insert of {
       node : Axml_xml.Node_id.t;
-      forest : lforest;
+      forest : Axml_xml.Forest.t;
       notify : (Peer_id.t * int) option;
           (** Destination-side acknowledgement: after applying the
               insert, ping this continuation.  Carried by the last
@@ -102,12 +57,12 @@ type payload =
     }
   | Install_doc of {
       name : string;
-      forest : lforest;
+      forest : Axml_xml.Forest.t;
       notify : (Peer_id.t * int) option;
     }
   | Migrate_doc of {
       name : string;
-      forest : lforest;
+      forest : Axml_xml.Forest.t;
       notify : (Peer_id.t * int) option;
     }
       (** Placement handoff (DESIGN.md §17): install-or-replace a
@@ -178,9 +133,8 @@ val bytes : payload -> int
     correlation id rides inside the fixed envelope budget).  A [Batch]
     charges one envelope for the frame plus a small per-item header —
     coalescing n messages saves [(n-1) * (envelope - item_header)]
-    bytes of fixed cost before any dedup sharing.  Forces lazy
-    forests (only the XML wire uses this model; the binary wire
-    charges {!Codec.frame_bytes}). *)
+    bytes of fixed cost before any dedup sharing.  Only the XML wire
+    uses this model; the binary wire charges {!Codec.frame_bytes}. *)
 
 val envelope : int
 (** Fixed per-message framing cost in bytes (XML wire model). *)
@@ -192,18 +146,13 @@ val backref_bytes : int
 (** Wire cost of a dedup back-reference inside a [Batch] (XML wire
     model). *)
 
-val shape_digest : lforest -> int
-(** Structural digest of the carried forest
-    ({!Axml_xml.Forest.shape_hash}), cached in the message.  Forces on
-    first call. *)
-
 val batch : ack:int -> t list -> payload
 (** Build a [Batch] frame from sequenced messages (given in send
     order) with the cumulative reverse-direction acknowledgement
     [ack].  Items whose forest structurally duplicates an earlier item
     of the same frame become [Shared] back-references; candidates are
-    matched by cached digest, then verified by pointer equality or
-    {!Axml_xml.Forest.equal_shape} — no serialization. *)
+    matched by {!Axml_xml.Forest.shape_hash}, then verified by pointer
+    equality or {!Axml_xml.Forest.equal_shape} — no serialization. *)
 
 val item_message : batch_item -> t
 (** The enclosed message (back-references carry their full payload). *)
@@ -222,9 +171,7 @@ val tag : payload -> string
     metric keys. *)
 
 val pp : Format.formatter -> payload -> unit
-(** Never forces a lazy forest: an undecoded forest prints its
-    encoded-slice length as ["<n>B-enc"]. *)
 
-val shareable_forest : payload -> lforest option
+val shareable_forest : payload -> Axml_xml.Forest.t option
 (** The forest a payload materializes at the destination, if non-empty
-    — the dedup candidate inside a batch.  Never decodes. *)
+    — the dedup candidate inside a batch. *)

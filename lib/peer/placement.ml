@@ -354,7 +354,7 @@ let start_migration t d =
             (Message.Migrate_doc
                {
                  name = d.d_doc;
-                 forest = Message.now [ root ];
+                 forest = [ root ];
                  notify = Some (d.d_src, key);
                }))
 

@@ -25,10 +25,10 @@ type transport = Raw | Reliable
    [Binary_strict], actually runs).  [Xml] is the original model:
    bytes = XML serialization size plus a fixed envelope.  [Binary]
    charges the exact encoded frame length computed by {!Codec} without
-   materializing frames.  [Binary_strict] additionally encodes and
-   lazily re-decodes every physical transmission, so the whole stack
-   (transport, chaos plans, dispatch) exercises the codec end to
-   end. *)
+   materializing frames.  [Binary_strict] charges what [Binary] does
+   and additionally encodes and decodes every physical transmission,
+   so the whole stack (transport, chaos plans, dispatch) exercises
+   the codec end to end. *)
 type wire = Xml | Binary | Binary_strict
 
 (* Reliable-transport state: one connection record per ordered peer
@@ -267,9 +267,8 @@ let raw_send t ~src ~dst (msg : Message.t) =
   (* The charged size is the wire's: the XML model walks the payload
      (memoized per tree), the binary wire reads cached encoded-frame
      lengths.  Strict mode then replaces the in-flight message with
-     its encode→lazy-decode round trip, so the receiver works off the
-     frame exactly as a real network peer would — forests decode on
-     first touch, and transport-layer handling decodes nothing. *)
+     its encode→decode round trip, so the receiver works off what the
+     decoder rebuilt from a real frame. *)
   let bytes =
     match t.wire with
     | Xml -> Message.bytes msg.Message.payload
@@ -571,21 +570,14 @@ let route ?notify t ~src dest forest ~final =
   match dest with
   | Message.Cont { peer; key } ->
       if forest <> [] || final then
-        send t ~src ~dst:peer
-          (Message.Stream { key; forest = Message.now forest; final })
+        send t ~src ~dst:peer (Message.Stream { key; forest; final })
   | Message.Node r ->
       if forest <> [] || notify <> None then
         send t ~src ~dst:r.Names.Node_ref.peer
-          (Message.Insert
-             {
-               node = r.Names.Node_ref.node;
-               forest = Message.now forest;
-               notify;
-             })
+          (Message.Insert { node = r.Names.Node_ref.node; forest; notify })
   | Message.Install { peer; name } ->
       if forest <> [] || notify <> None then
-        send t ~src ~dst:peer
-          (Message.Install_doc { name; forest = Message.now forest; notify })
+        send t ~src ~dst:peer (Message.Install_doc { name; forest; notify })
 
 (* Notify doc-feed watchers that a document has grown. *)
 let notify_watchers t self doc_name forest =
@@ -660,7 +652,7 @@ let ping t (self : Peer.t) = function
   | None -> ()
   | Some (peer, key) ->
       send t ~src:self.Peer.id ~dst:peer
-        (Message.Stream { key; forest = Message.now []; final = true })
+        (Message.Stream { key; forest = []; final = true })
 
 (* Placement forwarding (DESIGN.md §17): an append applied to a
    document with registered replica links is re-shipped verbatim to
@@ -675,8 +667,7 @@ let forward_to_replicas t (self : Peer.t) name ~node forest =
       List.iter
         (fun dst ->
           send t ~src:self.Peer.id ~dst
-            (Message.Insert
-               { node; forest = Message.now forest; notify = None }))
+            (Message.Insert { node; forest; notify = None }))
         targets
 
 let handle_insert t (self : Peer.t) node forest notify =
@@ -766,9 +757,6 @@ let dispatch_payload t (self : Peer.t) ~src payload =
               m "peer %a: stream for dead continuation %d" Peer_id.pp
                 self.Peer.id key)
       | Some entry ->
-          (* First (and only) touch of a lazily-decoded forest: the
-             application is about to consume it. *)
-          let forest = Message.force forest in
           entry.batches <- entry.batches + 1;
           if final then begin
             entry.remaining_finals <- entry.remaining_finals - 1;
@@ -805,21 +793,20 @@ let dispatch_payload t (self : Peer.t) ~src payload =
             match ack with
             | Some (peer, key) when side_dests = [] ->
                 send t ~src:self.Peer.id ~dst:peer
-                  (Message.Stream
-                     { key; forest = Message.now []; final = true })
+                  (Message.Stream { key; forest = []; final = true })
             | Some _ | None -> ()
           end
         end
       in
       !eval_hook t ~ctx:self.Peer.id expr ~emit
   | Message.Invoke { service; params; replies } ->
-      run_service t self service (List.map Message.force params) replies
+      run_service t self service params replies
   | Message.Insert { node; forest; notify } ->
-      handle_insert t self node (Message.force forest) notify
+      handle_insert t self node forest notify
   | Message.Install_doc { name; forest; notify } ->
-      handle_install t self name (Message.force forest) notify
+      handle_install t self name forest notify
   | Message.Migrate_doc { name; forest; notify } ->
-      handle_migrate t self name (Message.force forest) notify
+      handle_migrate t self name forest notify
   | Message.Retract_doc { name; notify } -> handle_retract t self name notify
   | Message.Deploy { prefix; query; reply } ->
       let name =
@@ -984,7 +971,7 @@ let reship_replica t ~src ~dst doc_name =
             (Message.Migrate_doc
                {
                  name = Names.Doc_name.to_string doc_name;
-                 forest = Message.now [ root ];
+                 forest = [ root ];
                  notify = None;
                })
       | Tree.Text _ -> ())
@@ -1138,10 +1125,7 @@ let activate_call_now t ~owner ~doc ~node =
                 | fw -> List.map (fun r -> Message.Node r) fw
               in
               let params =
-                List.map
-                  (fun f ->
-                    Message.now (Forest.copy ~gen:self.Peer.gen f))
-                  sc.Axml_doc.Sc.params
+                List.map (Forest.copy ~gen:self.Peer.gen) sc.Axml_doc.Sc.params
               in
               match sc.Axml_doc.Sc.provider with
               | Names.At provider ->

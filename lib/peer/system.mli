@@ -38,11 +38,10 @@ type wire =
           ({!Codec.frame_bytes}), computed from cached per-tree blob
           lengths without materializing frames. *)
   | Binary_strict
-      (** [Binary], and every physical transmission is additionally
-          encoded and lazily re-decoded ({!Codec.roundtrip}), so the
-          receiver consumes real frames: forests decode on first
-          application touch, transport-layer handling decodes nothing
-          (observable via {!Message.payload_decodes}). *)
+      (** A codec test harness mode: charges exactly what [Binary]
+          charges, and every physical transmission is additionally
+          encoded and decoded ({!Codec.roundtrip}), so the receiver
+          consumes what the decoder rebuilt from a real frame. *)
 
 val create :
   ?response_delay_ms:float ->

@@ -4,7 +4,7 @@
     results; rules (12)/(13) are the algebraic version of the same
     idea, but within a single plan.  This cache extends the sharing
     across plans: an entry maps a planner expression fingerprint to
-    the lforest the expression evaluated to, so a later plan — from
+    the forest the expression evaluated to, so a later plan — from
     the same peer, possibly a different query — whose subplan matches
     a live entry reads the materialized result instead of
     re-evaluating (and, for remote subplans, instead of re-shipping).

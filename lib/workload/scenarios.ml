@@ -180,15 +180,12 @@ let flash_crowd ?(mirrors = 8) ?(subscribers = 64) ?(requests_per_subscriber = 4
            {
              name = "release";
              forest =
-               Axml_peer.Message.now
-                 [
-                   Tree.element ~gen:pgen (l "release")
-                     ~attrs:
-                       [
-                         ("version", "2.0"); ("packages", string_of_int packages);
-                       ]
-                     [];
-                 ];
+               [
+                 Tree.element ~gen:pgen (l "release")
+                   ~attrs:
+                     [ ("version", "2.0"); ("packages", string_of_int packages) ]
+                   [];
+               ];
              notify = None;
            }))
     mirror_ids;
@@ -249,7 +246,7 @@ let flash_crowd ?(mirrors = 8) ?(subscribers = 64) ?(requests_per_subscriber = 4
           (Axml_peer.Message.Invoke
              {
                service;
-               params = [ Axml_peer.Message.now [ req ] ];
+               params = [ [ req ] ];
                replies = [ Axml_peer.Message.Cont { peer = sub; key } ];
              })
   in
@@ -398,7 +395,7 @@ let hotspot ?(owners = 8) ?(spares = 4) ?(readers = 24) ?(docs = 50)
           (fun () ->
             System.send sys ~src:writer ~dst:owner
               (Axml_peer.Message.Insert
-                 { node; forest = Axml_peer.Message.now forest; notify = None }))
+                 { node; forest; notify = None }))
       done)
     hot_names;
   (* Readers: a closed loop of generic reads, [hot_share] of them
@@ -773,4 +770,4 @@ let publish sub ~source ~headline =
              feed's watchers fire. *)
           System.send sys ~src:source ~dst:source
             (Axml_peer.Message.Insert
-               { node; forest = Axml_peer.Message.now [ item ]; notify = None }))
+               { node; forest = [ item ]; notify = None }))

@@ -1,20 +1,17 @@
 (* Binary wire codec suite (DESIGN.md §16).
 
-   Three layers of properties:
+   Two layers of properties:
 
    - the codec itself: encode/decode round-trips every payload variant
      (including batch frames with dedup back-references), [frame_bytes]
      is exactly [Bytes.length (encode m)] without materializing the
-     frame, and truncated/corrupt/over-length frames are rejected with
-     [Error], never an exception;
-
-   - laziness: receiving and re-encoding a frame parses no forest blob
-     ([Message.payload_decodes] stays flat), and the {!Codec.Relay}
-     slicer re-batches whole frames with zero payload decodes;
+     frame, and truncated/corrupt/over-length/padded frames are
+     rejected with [Error], never an exception;
 
    - the system: chaos replays and the flash-crowd scenario reach the
      same canonical results and Σ fingerprint under the XML, binary
-     and strict-binary wires — the wire changes costs, never answers. *)
+     and strict-binary wires — the wire changes costs, never answers —
+     and the strict wire charges exactly what the binary wire does. *)
 
 open Axml
 open Helpers
@@ -49,8 +46,6 @@ let rec rand_tree ~gen rng depth =
     Xml.Tree.element_of_string ~attrs ~gen labels.(Rng.int rng 5) children
 
 let rand_forest ~gen rng = List.init (Rng.int rng 4) (fun _ -> rand_tree ~gen rng 3)
-
-let rand_lforest ~gen rng = Message.now (rand_forest ~gen rng)
 
 let peers = [| "p1"; "p2"; "mirror007" |]
 
@@ -102,8 +97,8 @@ let queries =
    (from a shared pool) exercise the dedup back-reference path. *)
 let rand_batchable ~gen ~pool rng seq =
   let forest =
-    if Rng.int rng 2 = 0 then Message.now pool.(Rng.int rng (Array.length pool))
-    else rand_lforest ~gen rng
+    if Rng.int rng 2 = 0 then pool.(Rng.int rng (Array.length pool))
+    else rand_forest ~gen rng
   in
   let payload =
     match Rng.int rng 3 with
@@ -127,7 +122,7 @@ let rand_payload ~gen rng =
       Message.Stream
         {
           key = Rng.int rng 10_000;
-          forest = rand_lforest ~gen rng;
+          forest = rand_forest ~gen rng;
           final = Rng.bool rng;
         }
   | 1 ->
@@ -141,21 +136,21 @@ let rand_payload ~gen rng =
       Message.Invoke
         {
           service = Names.Service_name.of_string "fetch";
-          params = List.init (Rng.int rng 3) (fun _ -> rand_lforest ~gen rng);
+          params = List.init (Rng.int rng 3) (fun _ -> rand_forest ~gen rng);
           replies = rand_dests ~gen rng;
         }
   | 3 ->
       Message.Insert
         {
           node = rand_node_id ~gen rng;
-          forest = rand_lforest ~gen rng;
+          forest = rand_forest ~gen rng;
           notify = rand_notify rng;
         }
   | 4 ->
       Message.Install_doc
         {
           name = "d" ^ string_of_int (Rng.int rng 50);
-          forest = rand_lforest ~gen rng;
+          forest = rand_forest ~gen rng;
           notify = rand_notify rng;
         }
   | 5 ->
@@ -173,7 +168,7 @@ let rand_payload ~gen rng =
       Message.Migrate_doc
         {
           name = "hot" ^ string_of_int (Rng.int rng 20);
-          forest = rand_lforest ~gen rng;
+          forest = rand_forest ~gen rng;
           notify = rand_notify rng;
         }
   | 9 ->
@@ -210,26 +205,24 @@ let rec tree_identical a b =
 let forest_identical a b =
   List.length a = List.length b && List.for_all2 tree_identical a b
 
-let lf_identical a b = forest_identical (Message.force a) (Message.force b)
-
 let rec payload_equal p p' =
   match (p, p') with
   | Message.Stream a, Message.Stream b ->
-      a.key = b.key && a.final = b.final && lf_identical a.forest b.forest
+      a.key = b.key && a.final = b.final && forest_identical a.forest b.forest
   | Message.Eval_request a, Message.Eval_request b ->
       Expr.equal a.expr b.expr && a.replies = b.replies && a.ack = b.ack
   | Message.Invoke a, Message.Invoke b ->
       Names.Service_name.equal a.service b.service
       && a.replies = b.replies
       && List.length a.params = List.length b.params
-      && List.for_all2 lf_identical a.params b.params
+      && List.for_all2 forest_identical a.params b.params
   | Message.Insert a, Message.Insert b ->
       Xml.Node_id.equal a.node b.node
       && a.notify = b.notify
-      && lf_identical a.forest b.forest
+      && forest_identical a.forest b.forest
   | Message.Install_doc a, Message.Install_doc b ->
       String.equal a.name b.name && a.notify = b.notify
-      && lf_identical a.forest b.forest
+      && forest_identical a.forest b.forest
   | Message.Deploy a, Message.Deploy b ->
       String.equal a.prefix b.prefix
       && Query.Ast.equal a.query b.query
@@ -239,7 +232,7 @@ let rec payload_equal p p' =
   | Message.Ack a, Message.Ack b -> a.seq = b.seq
   | Message.Migrate_doc a, Message.Migrate_doc b ->
       String.equal a.name b.name && a.notify = b.notify
-      && lf_identical a.forest b.forest
+      && forest_identical a.forest b.forest
   | Message.Retract_doc a, Message.Retract_doc b ->
       String.equal a.name b.name && a.notify = b.notify
   | Message.Batch a, Message.Batch b ->
@@ -263,19 +256,17 @@ and item_equal a b =
   | _ -> false
 
 and payload_shape_equal p p' =
-  let lf_shape a b =
-    Xml.Forest.equal_shape (Message.force a) (Message.force b)
-  in
   match (p, p') with
   | Message.Stream a, Message.Stream b ->
-      a.key = b.key && a.final = b.final && lf_shape a.forest b.forest
+      a.key = b.key && a.final = b.final
+      && Xml.Forest.equal_shape a.forest b.forest
   | Message.Insert a, Message.Insert b ->
       Xml.Node_id.equal a.node b.node
       && a.notify = b.notify
-      && lf_shape a.forest b.forest
+      && Xml.Forest.equal_shape a.forest b.forest
   | Message.Install_doc a, Message.Install_doc b ->
       String.equal a.name b.name && a.notify = b.notify
-      && lf_shape a.forest b.forest
+      && Xml.Forest.equal_shape a.forest b.forest
   | _ -> payload_equal p p'
 
 and msg_equal (m : Message.t) (m' : Message.t) =
@@ -292,7 +283,7 @@ let prop ?(count = 300) name p =
 let roundtrip_prop =
   prop "decode (encode m) reconstructs m exactly" (fun seed ->
       let m = rand_message seed in
-      match Codec.decode_strict (Codec.encode m) with
+      match Codec.decode (Codec.encode m) with
       | Ok m' -> msg_equal m m'
       | Error e -> QCheck.Test.fail_reportf "decode: %a" Codec.pp_error e)
 
@@ -302,10 +293,10 @@ let frame_bytes_prop =
       let predicted = Codec.frame_bytes m in
       predicted = Bytes.length (Codec.encode m))
 
-(* Sizing a *received* (still lazy) message must also be exact: the
-   relay path re-charges undecoded frames on retransmission. *)
-let lazy_frame_bytes_prop =
-  prop "frame_bytes is exact on lazily decoded messages" (fun seed ->
+(* Sizing a decoded message must also be exact, and re-encoding it
+   must reproduce the frame it came from. *)
+let decoded_frame_bytes_prop =
+  prop "frame_bytes is exact on decoded messages" (fun seed ->
       let m = rand_message seed in
       let frame = Codec.encode m in
       match Codec.decode frame with
@@ -364,7 +355,28 @@ let corruption_prop =
       Bytes.set frame pos (Char.chr (Rng.int rng 256));
       (* Either rejected or decoded into some message — the only wrong
          outcome is an escaped exception. *)
-      match Codec.decode_strict frame with Ok _ | Error _ -> true)
+      match Codec.decode frame with Ok _ | Error _ -> true)
+
+(* A one-tree [Stream] frame (31 B) with 3 junk bytes padded inside its
+   tree blob, both length prefixes grown to cover them (34 B).  Every
+   other prefix and field is intact, so only the blob-extent check can
+   reject it; accepted, it would decode to a message whose
+   [frame_bytes] is 31, not the 34 that arrived. *)
+let padded_blob_frame () =
+  let g = gen () in
+  let frame =
+    Codec.encode
+      (Message.make
+         (Message.Stream { key = 1; forest = [ parse ~g "<a>text</a>" ]; final = true }))
+  in
+  (* uv(body) magic version corr seq op kind key final ntrees uv(blob):
+     one byte each at this size, so the blob starts at offset 11. *)
+  let blob_len = Char.code (Bytes.get frame 10) in
+  Alcotest.(check int) "blob ends the frame" (Bytes.length frame) (11 + blob_len);
+  let padded = Bytes.cat frame (Bytes.of_string "\x00\x00\x00") in
+  Bytes.set padded 0 (Char.chr (Char.code (Bytes.get frame 0) + 3));
+  Bytes.set padded 10 (Char.chr (blob_len + 3));
+  Bytes.to_string padded
 
 let test_garbage_rejected () =
   List.iter
@@ -372,128 +384,56 @@ let test_garbage_rejected () =
       match Codec.decode (Bytes.of_string bytes) with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted garbage %S" bytes)
-    [ ""; "\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"; "\x05hello" ]
-
-(* --- laziness ------------------------------------------------------ *)
-
-let stream_with ~g xml ~seq =
-  Message.make ~seq
-    (Message.Stream { key = 1; forest = Message.now [ parse ~g xml ]; final = true })
-
-let test_lazy_decode_counts () =
-  let g = gen () in
-  let m = stream_with ~g "<a><b>payload</b><c k=\"v\"/></a>" ~seq:3 in
-  let frame = Codec.encode m in
-  let d0 = Message.payload_decodes () in
-  let m' = Result.get_ok (Codec.decode frame) in
-  (* Receiving, sizing and re-encoding all leave the forest encoded. *)
-  Alcotest.(check int) "decode parses nothing" d0 (Message.payload_decodes ());
-  Alcotest.(check int) "sizing parses nothing"
-    (Bytes.length frame) (Codec.frame_bytes m');
-  Alcotest.(check bool) "re-encode blits the slice" true
-    (Bytes.equal frame (Codec.encode m'));
-  Alcotest.(check int) "still nothing" d0 (Message.payload_decodes ());
-  (match m'.Message.payload with
-  | Message.Stream { forest; _ } ->
-      Alcotest.(check bool) "not forced yet" false (Message.is_forced forest);
-      Alcotest.(check int) "tree count readable without decode" 1
-        (Message.trees forest);
-      let f = Message.force forest in
-      Alcotest.(check int) "first touch decodes once" (d0 + 1)
-        (Message.payload_decodes ());
-      ignore (Message.force forest);
-      Alcotest.(check int) "second touch is cached" (d0 + 1)
-        (Message.payload_decodes ());
-      Alcotest.(check bool) "decoded content" true
-        (Xml.Forest.equal_shape f
-           [ parse ~g "<a><b>payload</b><c k=\"v\"/></a>" ])
-  | _ -> Alcotest.fail "expected a stream")
-
-let test_relay_zero_parse () =
-  let g = gen () in
-  let xml = "<pkg name=\"alpha\"><blob>xxxxxxxxxx</blob></pkg>" in
-  let msgs =
     [
-      stream_with ~g xml ~seq:1;
-      stream_with ~g xml ~seq:2;
-      (* structural duplicate -> Shared *)
-      stream_with ~g "<other/>" ~seq:3;
+      ""; "\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"; "\x05hello";
+      padded_blob_frame ();
     ]
-  in
-  let batch = Message.make (Message.batch ~ack:5 msgs) in
-  let frame = Codec.encode batch in
-  let d0 = Message.payload_decodes () in
-  let ack, items =
-    match Codec.Relay.parse_batch frame with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "parse_batch: %a" Codec.pp_error e
-  in
-  Alcotest.(check int) "cumulative ack recovered" 5 ack;
-  Alcotest.(check (list int)) "item sequence numbers" [ 1; 2; 3 ]
-    (List.map Codec.Relay.item_seq items);
-  Alcotest.(check (list bool)) "dedup shape visible to the relay"
-    [ false; true; false ]
-    (List.map Codec.Relay.is_shared items);
-  Alcotest.(check int) "back-reference target" 1
-    (Codec.Relay.item_of_seq (List.nth items 1));
-  (* Re-batch everything under a new ack: pure slicing. *)
-  let reframed = Codec.Relay.rebatch ~ack:9 items in
-  Alcotest.(check int) "relaying decoded zero payloads" d0
-    (Message.payload_decodes ());
-  (match Codec.decode_strict reframed with
-  | Ok m -> (
-      match m.Message.payload with
-      | Message.Batch { items = its; ack } ->
-          Alcotest.(check int) "new ack" 9 ack;
-          Alcotest.(check bool) "items survive re-framing" true
-            (List.for_all2 item_equal
-               (match batch.Message.payload with
-               | Message.Batch b -> b.items
-               | _ -> assert false)
-               its)
-      | _ -> Alcotest.fail "expected a batch")
-  | Error e -> Alcotest.failf "re-batched frame invalid: %a" Codec.pp_error e);
-  (* Dropping a non-referent item keeps the frame decodable; the
-     slicing itself still parses nothing (the decode_strict checks
-     above forced forests, so checkpoint the counter afresh). *)
-  let dropped = [ List.nth items 0; List.nth items 1 ] in
-  let d1 = Message.payload_decodes () in
-  let subset = Codec.Relay.rebatch ~ack:9 dropped in
-  Alcotest.(check int) "subset relaying still parses nothing" d1
-    (Message.payload_decodes ());
-  match Codec.decode_strict subset with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "subset re-batch invalid: %a" Codec.pp_error e
 
 (* --- the system under the binary wire ------------------------------ *)
 
 let wires = [ ("xml", System.Xml); ("binary", System.Binary);
               ("binary-strict", System.Binary_strict) ]
 
-let test_chaos_cross_wire () =
-  let plans =
-    let _, inbox_id = Test_rules_exec.build_system () in
-    Test_rules_exec.base_plans inbox_id
+let chaos_plans () =
+  let _, inbox_id = Test_rules_exec.build_system () in
+  Test_rules_exec.base_plans inbox_id
+
+let chaos_seeds = [ 1; 7; 4242 ]
+
+(* One chaos replay of [plan] on [wire]: results, Σ and traffic. *)
+let chaos_run ?seed plan wire =
+  let sys, _ = Test_rules_exec.build_system ~transport:System.Reliable ~wire () in
+  Option.iter
+    (fun seed ->
+      System.inject_faults sys (Fault.random ~seed (List.map peer [ "p1"; "p2"; "p3" ])))
+    seed;
+  let out = Exec.run_to_quiescence sys ~ctx:(peer "p1") plan in
+  (out, System.fingerprint sys, System.stats sys)
+
+(* The small batched flash crowd on [wire]: Σ, completions, traffic. *)
+let crowd_run wire =
+  let fc =
+    Workload.Scenarios.flash_crowd ~mirrors:3 ~subscribers:8
+      ~requests_per_subscriber:2 ~transport:System.Reliable ~wire
+      ~flush_ms:2.0 ~ack_delay_ms:8.0 ~seed:11 ()
   in
-  let all = List.map peer [ "p1"; "p2"; "p3" ] in
+  let outcome, _ =
+    System.run ~max_events:200_000 fc.Workload.Scenarios.fc_system
+  in
+  Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
+  ( System.fingerprint fc.Workload.Scenarios.fc_system,
+    !(fc.Workload.Scenarios.fc_completed),
+    System.stats fc.Workload.Scenarios.fc_system )
+
+let test_chaos_cross_wire () =
   List.iter
     (fun (name, plan) ->
-      let run ?fault wire =
-        let sys, _ =
-          Test_rules_exec.build_system ~transport:System.Reliable ~wire ()
-        in
-        Option.iter (System.inject_faults sys) fault;
-        let out = Exec.run_to_quiescence sys ~ctx:(peer "p1") plan in
-        (out, System.fingerprint sys)
-      in
-      let ref_out, ref_fp = run System.Xml in
+      let ref_out, ref_fp, _ = chaos_run plan System.Xml in
       List.iter
         (fun (wname, wire) ->
           List.iter
             (fun seed ->
-              let out, fp =
-                run ~fault:(Fault.random ~seed all) wire
-              in
+              let out, fp, _ = chaos_run ~seed plan wire in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/seed %d: quiescent" name wname seed)
                 true
@@ -504,29 +444,15 @@ let test_chaos_cross_wire () =
               Alcotest.(check string)
                 (Printf.sprintf "%s/%s/seed %d: same Σ" name wname seed)
                 ref_fp fp)
-            [ 1; 7; 4242 ])
+            chaos_seeds)
         wires)
-    plans
+    (chaos_plans ())
 
 let test_flash_crowd_cross_wire () =
-  let build wire =
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors:3 ~subscribers:8
-        ~requests_per_subscriber:2 ~transport:System.Reliable ~wire
-        ~flush_ms:2.0 ~ack_delay_ms:8.0 ~seed:11 ()
-    in
-    let outcome, _ =
-      System.run ~max_events:200_000 fc.Workload.Scenarios.fc_system
-    in
-    Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
-    ( System.fingerprint fc.Workload.Scenarios.fc_system,
-      !(fc.Workload.Scenarios.fc_completed),
-      System.stats fc.Workload.Scenarios.fc_system )
-  in
-  let fp_xml, done_xml, stats_xml = build System.Xml in
+  let fp_xml, done_xml, stats_xml = crowd_run System.Xml in
   List.iter
     (fun (wname, wire) ->
-      let fp, done_, stats = build wire in
+      let fp, done_, stats = crowd_run wire in
       Alcotest.(check string) (wname ^ ": same Σ as the XML wire") fp_xml fp;
       Alcotest.(check int) (wname ^ ": same completions") done_xml done_;
       Alcotest.(check int) (wname ^ ": same physical message count")
@@ -539,43 +465,56 @@ let test_flash_crowd_cross_wire () =
           (stats.Net.Stats.bytes < stats_xml.Net.Stats.bytes))
     wires
 
-(* Under the strict wire every transmission really crosses the codec,
-   yet transport-layer handling decodes nothing: only deliveries that
-   touch payloads do. *)
-let test_strict_wire_decodes_bounded () =
-  let fc =
-    Workload.Scenarios.flash_crowd ~mirrors:2 ~subscribers:4
-      ~requests_per_subscriber:2 ~wire:System.Binary_strict ~seed:3 ()
+let check_same_stats label (a : Net.Stats.snapshot) (b : Net.Stats.snapshot) =
+  let field f x y = Alcotest.(check int) (label ^ ": " ^ f) x y in
+  field "messages" a.messages b.messages;
+  field "payload messages" a.payload_messages b.payload_messages;
+  field "bytes" a.bytes b.bytes;
+  field "local messages" a.local_messages b.local_messages;
+  field "drops" a.drops b.drops;
+  Alcotest.(check (float 0.0)) (label ^ ": completion") a.completion_ms b.completion_ms;
+  let links s =
+    List.map
+      (fun ((src, dst), mb) -> ((Net.Peer_id.to_string src, Net.Peer_id.to_string dst), mb))
+      s.Net.Stats.per_link
   in
-  let d0 = Message.payload_decodes () in
-  let outcome, _ = System.run ~max_events:50_000 fc.Workload.Scenarios.fc_system in
-  Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
-  let decodes = Message.payload_decodes () - d0 in
-  let logical =
-    (System.stats fc.Workload.Scenarios.fc_system).Net.Stats.payload_messages
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "decodes (%d) bounded by logical messages (%d)" decodes
-       logical)
-    true
-    (decodes > 0 && decodes <= logical)
+  Alcotest.(check (list (pair (pair string string) (pair int int))))
+    (label ^ ": per-link") (links a) (links b)
+
+(* The strict wire round-trips every transmission through the codec;
+   what it charges must be exactly the binary wire's charge, traffic
+   and timing included, not just the same Σ. *)
+let test_strict_wire_charges_binary () =
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun seed ->
+          let label = Printf.sprintf "%s/seed %d" name seed in
+          let _, fp, stats = chaos_run ~seed plan System.Binary in
+          let _, fp', stats' = chaos_run ~seed plan System.Binary_strict in
+          check_same_stats label stats stats';
+          Alcotest.(check string) (label ^ ": same Σ") fp fp')
+        chaos_seeds)
+    (chaos_plans ());
+  let fp, done_, stats = crowd_run System.Binary in
+  let fp', done', stats' = crowd_run System.Binary_strict in
+  check_same_stats "flash crowd" stats stats';
+  Alcotest.(check int) "flash crowd: same completions" done_ done';
+  Alcotest.(check string) "flash crowd: same Σ" fp fp'
 
 let suite =
   [
     roundtrip_prop;
     frame_bytes_prop;
-    lazy_frame_bytes_prop;
+    decoded_frame_bytes_prop;
     xml_sizing_prop;
     shape_hash_prop;
     truncation_prop;
     corruption_prop;
     ("garbage frames rejected", `Quick, test_garbage_rejected);
-    ("lazy decode: first touch pays, transport never does", `Quick,
-     test_lazy_decode_counts);
-    ("relay re-batches with zero payload decodes", `Quick, test_relay_zero_parse);
     ("chaos replay: wires agree on results and Σ", `Quick, test_chaos_cross_wire);
     ("flash crowd: wires agree, binary is smaller", `Quick,
      test_flash_crowd_cross_wire);
-    ("strict wire: decodes bounded by deliveries", `Quick,
-     test_strict_wire_decodes_bounded);
+    ("strict wire: charges exactly what binary charges", `Quick,
+     test_strict_wire_charges_binary);
   ]

@@ -281,7 +281,7 @@ let run_handoff ~migrate =
       ~delay_ms:(5.0 +. (30.0 *. float_of_int j))
       (fun () ->
         System.send sys ~src:p3 ~dst:p1
-          (Message.Insert { node; forest = Message.now forest; notify = None }))
+          (Message.Insert { node; forest; notify = None }))
   done;
   let committed = ref false in
   if migrate then
@@ -300,7 +300,7 @@ let run_handoff ~migrate =
               (Message.Migrate_doc
                  {
                    name = "d";
-                   forest = Message.now [ Doc.Document.root doc ];
+                   forest = [ Doc.Document.root doc ];
                    notify = Some (p1, key);
                  }));
   let outcome, _ = System.run sys in

@@ -234,7 +234,7 @@ let test_migrate_retract_versions () =
     | `Migrate forest ->
         System.send sys ~src:p1 ~dst:p2
           (Message.Migrate_doc
-             { name = "m"; forest = Message.now forest; notify = Some (p1, key) })
+             { name = "m"; forest; notify = Some (p1, key) })
     | `Retract ->
         System.send sys ~src:p1 ~dst:p2
           (Message.Retract_doc { name = "m"; notify = Some (p1, key) }));
@@ -535,12 +535,11 @@ let run_chain sys ~root2 ~results ops k =
              {
                node = root2;
                forest =
-                 Message.now
-                   [
-                     elt g "item"
-                       ~attrs:[ ("cat", "c0") ]
-                       [ txt (Printf.sprintf "add%d" tag) ];
-                   ];
+                 [
+                   elt g "item"
+                     ~attrs:[ ("cat", "c0") ]
+                     [ txt (Printf.sprintf "add%d" tag) ];
+                 ];
                notify = Some (p1, key);
              })
   in

@@ -109,9 +109,7 @@ let test_doc_feed_subscription () =
     (Runtime.Message.Insert
        {
          node = root_id;
-         forest =
-           Runtime.Message.now
-             [ Xml.Tree.element_of_string ~gen:g2 "n" [ txt "second" ] ];
+         forest = [ Xml.Tree.element_of_string ~gen:g2 "n" [ txt "second" ] ];
          notify = None;
        });
   ignore (System.run sys);
@@ -157,14 +155,14 @@ let test_install_doc_accumulates () =
     (Runtime.Message.Install_doc
        {
          name = "log";
-         forest = Runtime.Message.now [ parse "<entry>1</entry>" ];
+         forest = [ parse "<entry>1</entry>" ];
          notify = None;
        });
   System.send sys ~src:p1 ~dst:p2
     (Runtime.Message.Install_doc
        {
          name = "log";
-         forest = Runtime.Message.now [ parse "<entry>2</entry>" ];
+         forest = [ parse "<entry>2</entry>" ];
          notify = None;
        });
   ignore (System.run sys);

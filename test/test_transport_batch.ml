@@ -24,7 +24,7 @@ let p2 = peer "p2"
 (* --- Message.Batch accounting (pure) ------------------------------- *)
 
 let stream_msg ?(g = gen ()) ~seq xml =
-  let forest = Message.now [ parse ~g xml ] in
+  let forest = [ parse ~g xml ] in
   Message.make ~seq (Message.Stream { key = 7; forest; final = false })
 
 let test_batch_bytes () =
@@ -55,7 +55,7 @@ let test_batch_dedup () =
   let payload = Message.batch ~ack:0 [ m1; m2; m3 ] in
   let forest_bytes =
     match m1.Message.payload with
-    | Message.Stream { forest; _ } -> Xml.Forest.byte_size (Message.force forest)
+    | Message.Stream { forest; _ } -> Xml.Forest.byte_size forest
     | _ -> assert false
   in
   Alcotest.(check int) "second copy shipped as a back-reference"
@@ -156,7 +156,7 @@ let test_ack_before_dispatch () =
     (Message.Invoke
        {
          service = Names.Service_name.of_string "pick";
-         params = [ Message.now param ];
+         params = [ param ];
          replies = [ Message.Cont { peer = p1; key } ];
        });
   let outcome, _ = System.run sys in
