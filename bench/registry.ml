@@ -918,22 +918,10 @@ let top_run t arms =
       (fun acc w -> if w.Obs.Timeseries.w_count > 0 then Float.max acc w.w_max else acc)
       0.0
   in
-  let keys = Obs.Timeseries.keys reg in
   let peer_row (p, role) =
     let name = Net.Peer_id.to_string p in
     let k suffix = "peer/" ^ name ^ "/" ^ suffix in
     let q quant = Obs.Timeseries.quantile reg (k "latency_ms") ~now ~windows ~q:quant in
-    (* Peak of the per-link in-flight gauges departing this peer
-       (recorded by the Reliable transport; 0 under Raw). *)
-    let prefix = "net/link/" ^ name ^ "->" in
-    let inflight =
-      List.fold_left
-        (fun acc key ->
-          if String.starts_with ~prefix key && String.ends_with ~suffix:"/inflight" key
-          then Float.max acc (peak key)
-          else acc)
-        0.0 keys
-    in
     let counter n =
       Obs.Metrics.counter_value Obs.Metrics.default ~peer:name ~subsystem:"net" n
     in
@@ -943,7 +931,10 @@ let top_run t arms =
         num "%.1f" (Obs.Timeseries.rate reg (k "tx") ~now ~windows:(windows - 1)) );
       ("kb_per_s", num "%.2f" (sum_rate (k "tx") /. 1024.0));
       ("p95_ms", num "%.2f" (q 0.95)); ("p99_ms", num "%.2f" (q 0.99));
-      ("inflight", num "%.0f" inflight); ("retransmits", int (counter "retransmits"));
+      (* Peak over the peer's outgoing connections (recorded by the
+         Reliable transport; 0 under Raw). *)
+      ("inflight", num "%.0f" (peak (k "inflight")));
+      ("retransmits", int (counter "retransmits"));
       ("drops", int (counter "drops"));
     ]
   in
@@ -988,7 +979,8 @@ let top =
     id = "top"; title = "per-peer telemetry over a flash crowd";
     about =
       "the flash crowd under metrics, windowed timeseries and sampled\n\
-       tracing; the busiest peers by transmit rate";
+       tracing; the busiest peers by transmit rate (in-flight reads 0\n\
+       under the Raw transport)";
     smoke = Some { crowd = { points = [ (9, 30, 3) ]; seed = 5 }; shown = 12 };
     full = { crowd = { points = [ (19, 80, 4) ]; seed = 1 }; shown = 12 };
     arms =

@@ -569,7 +569,8 @@ let top_cmd =
          "Run the flash-crowd scenario with the full observability stack on \
           (metrics, windowed telemetry, sampled tracing) and print a \
           per-peer load table: transmit rates, latency quantiles, in-flight \
-          windows, retransmits and drops")
+          peaks (the peer's fullest outgoing window; 0 without \
+          $(b,--reliable)), retransmits and drops")
     Term.(
       const run $ crowd_term
       $ opt Arg.float [ "interval-ms" ] 100.0 "MS"

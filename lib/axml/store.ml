@@ -6,10 +6,9 @@ type t = {
   indexes : (Names.Doc_name.t, Index.t) Hashtbl.t;
       (* Lazily built, dropped on any mutation the index can't absorb
          incrementally; [index_of] rebuilds on demand. *)
-  series : (Names.Doc_name.t, Timeseries.handle * Timeseries.handle) Hashtbl.t;
-      (* Per-document load series ([doc/<name>/reads],
-         [doc/<name>/write_bytes]), bound lazily so stores created
-         with telemetry off pay nothing. *)
+  reads : (Names.Doc_name.t, Timeseries.handle) Hashtbl.t;
+      (* Per-document [doc/<name>/reads] series, bound lazily so
+         stores created with telemetry off pay nothing. *)
   versions : (Names.Doc_name.t, int) Hashtbl.t;
       (* Per-document version stamps — see [next_stamp]. *)
   mutable on_mutate : Names.Doc_name.t -> unit;
@@ -32,7 +31,7 @@ let create () =
   {
     docs = Hashtbl.create 16;
     indexes = Hashtbl.create 16;
-    series = Hashtbl.create 16;
+    reads = Hashtbl.create 16;
     versions = Hashtbl.create 16;
     on_mutate = ignore;
   }
@@ -44,34 +43,26 @@ let bump t name =
 let version_of t name = Hashtbl.find_opt t.versions name
 let set_on_mutate t f = t.on_mutate <- f
 
-(* Per-document load accounting: lookups and written bytes, windowed
-   by {!Axml_obs.Timeseries} under the simulator's clock — the demand
-   signal a placement controller would watch to decide replication or
-   migration.  All sites guard on [Timeseries.is_on]: disabled, the
-   cost is one boolean load. *)
-let doc_series t name =
-  match Hashtbl.find_opt t.series name with
-  | Some hs -> hs
-  | None ->
-      let n = Names.Doc_name.to_string name in
-      let hs =
-        ( Timeseries.handle Timeseries.default ("doc/" ^ n ^ "/reads"),
-          Timeseries.handle Timeseries.default ("doc/" ^ n ^ "/write_bytes") )
-      in
-      Hashtbl.replace t.series name hs;
-      hs
-
+(* Per-document read load, windowed by {!Axml_obs.Timeseries} under
+   the simulator's clock — the demand signal the placement controller
+   reads to decide migration.  Guarded on [Timeseries.is_on]: disabled,
+   the cost is one boolean load. *)
 let note_read t name =
   if Timeseries.is_on Timeseries.default then begin
-    let reads, _ = doc_series t name in
-    Timeseries.record reads 1.0
+    let h =
+      match Hashtbl.find_opt t.reads name with
+      | Some h -> h
+      | None ->
+          let h =
+            Timeseries.handle Timeseries.default
+              ("doc/" ^ Names.Doc_name.to_string name ^ "/reads")
+          in
+          Hashtbl.replace t.reads name h;
+          h
+    in
+    Timeseries.record h 1.0
   end
 
-let note_write t name bytes =
-  if bytes > 0 && Timeseries.is_on Timeseries.default then begin
-    let _, writes = doc_series t name in
-    Timeseries.record writes (float_of_int bytes)
-  end
 let invalidate t name = Hashtbl.remove t.indexes name
 
 let add t doc =
@@ -95,7 +86,6 @@ let install t ~name root =
   let doc = Document.make ~name:(Names.Doc_name.to_string dn) root in
   Hashtbl.replace t.docs dn doc;
   bump t dn;
-  note_write t dn (Document.byte_size doc);
   dn
 
 let find t name =
@@ -182,7 +172,6 @@ let insert_under t name ~node forest =
       | Some doc' ->
           Hashtbl.replace t.docs name doc';
           bump t name;
-          note_write t name (Axml_xml.Forest.byte_size forest);
           (match Hashtbl.find_opt t.indexes name with
           | None -> ()
           | Some ix ->

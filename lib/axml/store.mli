@@ -5,11 +5,9 @@
     mutable — it is the piece of system state Σ owned by a peer.
 
     When {!Axml_obs.Timeseries} telemetry is enabled, the store feeds
-    per-document load series: [doc/<name>/reads] counts one per
-    {!find} hit, [doc/<name>/write_bytes] accumulates the bytes of
-    {!install} and {!insert_under} — the demand signals a placement
-    controller would watch.  Disabled, each site costs one boolean
-    load. *)
+    one per-document load series: [doc/<name>/reads] counts one per
+    {!find} hit — the demand signal the placement controller reads.
+    Disabled, the site costs one boolean load. *)
 
 type t
 

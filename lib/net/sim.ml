@@ -21,19 +21,13 @@ type net_handles = {
   h_cpu : Metrics.hist_handle;
 }
 
-(* Per-peer windowed series behind [axmlctl top]: transmitted bytes
-   (one observation per remote transmission, value = bytes) and the
-   modelled link latency of each transmission. *)
+(* Per-peer windowed series: transmitted bytes (one observation per
+   remote transmission, value = bytes), the load signal placement and
+   [axmlctl top] read, and the modelled link latency of each
+   transmission, with buckets for top's p95/p99. *)
 type ts_handles = {
   t_tx : Timeseries.handle;
   t_lat : Timeseries.handle;
-}
-
-(* Per-directed-link series ([net/link/<src>-><dst>/*]) — the
-   observed-load signal a placement controller reads per link. *)
-type link_handles = {
-  l_bytes : Timeseries.handle;
-  l_lat : Timeseries.handle;
 }
 
 (* All per-peer state, reached by one array load from the peer's dense
@@ -61,7 +55,6 @@ type 'a t = {
   mutable on_restart : Peer_id.t -> unit;
   h_events : Metrics.counter_handle;
   h_qdepth : Metrics.gauge_handle;
-  ts_links : (int, link_handles) Hashtbl.t;  (* packed (src, dst) indexes *)
 }
 
 type outcome = [ `Quiescent | `Budget_exhausted ]
@@ -101,7 +94,6 @@ let create topology =
       h_events = Metrics.counter_handle Metrics.default ~subsystem:"sim" "events";
       h_qdepth =
         Metrics.gauge_handle Metrics.default ~subsystem:"sim" "queue_depth";
-      ts_links = Hashtbl.create 64;
     }
   in
   (* The most recently created simulator drives the default windowed
@@ -162,28 +154,11 @@ let ts_handles s =
         {
           t_tx = Timeseries.handle Timeseries.default ("peer/" ^ peer ^ "/tx");
           t_lat =
-            Timeseries.handle Timeseries.default ("peer/" ^ peer ^ "/latency_ms");
+            Timeseries.handle ~hist:true Timeseries.default
+              ("peer/" ^ peer ^ "/latency_ms");
         }
       in
       s.ts <- Some h;
-      h
-
-let link_series t ~src ~dst =
-  let key = (Peer_id.index src lsl 31) lor Peer_id.index dst in
-  match Hashtbl.find_opt t.ts_links key with
-  | Some h -> h
-  | None ->
-      let name = Peer_id.to_string src ^ "->" ^ Peer_id.to_string dst in
-      let h =
-        {
-          l_bytes =
-            Timeseries.handle Timeseries.default ("net/link/" ^ name ^ "/bytes");
-          l_lat =
-            Timeseries.handle Timeseries.default
-              ("net/link/" ^ name ^ "/latency_ms");
-        }
-      in
-      Hashtbl.add t.ts_links key h;
       h
 
 let topology t = t.topology
@@ -310,13 +285,9 @@ let transmit ?note ?(msgs = 1) t ~link ~departure ~jitter_ms ~src ~dst ~bytes
      benches); tracing additionally gates on the sampling decision,
      so a sampled-out transmission allocates nothing either. *)
   (if Timeseries.is_on Timeseries.default && not (Peer_id.equal src dst) then begin
-     let lat = arrival -. departure in
      let ph = ts_handles (slot t src) in
      Timeseries.record_at ph.t_tx ~ts:departure (float_of_int bytes);
-     Timeseries.record_at ph.t_lat ~ts:departure lat;
-     let lh = link_series t ~src ~dst in
-     Timeseries.record_at lh.l_bytes ~ts:departure (float_of_int bytes);
-     Timeseries.record_at lh.l_lat ~ts:departure lat
+     Timeseries.record_at ph.t_lat ~ts:departure (arrival -. departure)
    end);
   if Trace.sampled () then begin
     let args =

@@ -11,16 +11,29 @@ let bucket_bound i =
 let bounds = Array.init hist_buckets bucket_bound
 
 let bucket_index v =
-  let rec find i =
-    if i >= hist_buckets - 1 then hist_buckets - 1
-    else if v <= Array.unsafe_get bounds i then i
-    else find (i + 1)
-  in
-  find 0
+  (* A loop, not a local recursive function: one capturing [v] would
+     allocate a closure per observation.  [not (v <= _)] sends NaN to
+     the overflow bucket. *)
+  let i = ref 0 in
+  while !i < hist_buckets - 1 && not (v <= Array.unsafe_get bounds !i) do
+    incr i
+  done;
+  !i
 
 type counter = { mutable count : int }
 type gauge = { mutable value : float; mutable max_value : float }
-type hist = { mutable n : int; mutable sum : float; buckets : int array }
+
+(* [sum] is a one-cell float array so an observation adds to it in
+   place: a float field of this mixed record would box on every add. *)
+type hist = { mutable n : int; sum : float array; buckets : int array }
+
+let new_hist () = { n = 0; sum = [| 0.0 |]; buckets = Array.make hist_buckets 0 }
+
+let add_observation d v =
+  d.n <- d.n + 1;
+  d.sum.(0) <- d.sum.(0) +. v;
+  let i = bucket_index v in
+  d.buckets.(i) <- d.buckets.(i) + 1
 
 type value = Vcounter of counter | Vgauge of gauge | Vhist of hist
 
@@ -140,17 +153,14 @@ type hist_handle = {
   mutable hcell : hist;
 }
 
-let hist_sink = { n = 0; sum = 0.0; buckets = [||] }
+let hist_sink = { n = 0; sum = [| 0.0 |]; buckets = [||] }
 
 let hist_handle t ?(peer = "") ~subsystem name =
   { hreg = t; hkey = (peer, subsystem, name); hgen = -1; hcell = hist_sink }
 
 let resolve_hist h =
   let t = h.hreg in
-  (match
-     find_or_add t h.hkey (fun () ->
-         Vhist { n = 0; sum = 0.0; buckets = Array.make hist_buckets 0 })
-   with
+  (match find_or_add t h.hkey (fun () -> Vhist (new_hist ())) with
   | Vhist d -> h.hcell <- d
   | Vcounter _ | Vgauge _ -> h.hcell <- hist_sink);
   h.hgen <- t.gen
@@ -159,12 +169,7 @@ let observe_h h v =
   if h.hreg.enabled then begin
     if h.hgen <> h.hreg.gen then resolve_hist h;
     let d = h.hcell in
-    if Array.length d.buckets > 0 then begin
-      d.n <- d.n + 1;
-      d.sum <- d.sum +. v;
-      let i = bucket_index v in
-      d.buckets.(i) <- d.buckets.(i) + 1
-    end
+    if Array.length d.buckets > 0 then add_observation d v
   end
 
 let gauge_set t ?(peer = "") ~subsystem name v =
@@ -193,15 +198,8 @@ let gauge_max t ?(peer = "") ~subsystem name v =
 
 let observe t ?(peer = "") ~subsystem name v =
   if t.enabled then
-    match
-      find_or_add t (peer, subsystem, name) (fun () ->
-          Vhist { n = 0; sum = 0.0; buckets = Array.make hist_buckets 0 })
-    with
-    | Vhist h ->
-        h.n <- h.n + 1;
-        h.sum <- h.sum +. v;
-        let i = bucket_index v in
-        h.buckets.(i) <- h.buckets.(i) + 1
+    match find_or_add t (peer, subsystem, name) (fun () -> Vhist (new_hist ())) with
+    | Vhist d -> add_observation d v
     | Vcounter _ | Vgauge _ -> ()
 
 type sample =
@@ -224,7 +222,7 @@ let snapshot t =
               if buckets.(i) > 0 then
                 filled := (bucket_bound i, buckets.(i)) :: !filled
             done;
-            Dist { count = n; sum; buckets = !filled }
+            Dist { count = n; sum = sum.(0); buckets = !filled }
       in
       { peer; subsystem; name; sample } :: acc)
     t.tbl []
@@ -245,7 +243,7 @@ let total t ~subsystem name =
         match v with
         | Vcounter { count } -> float_of_int count
         | Vgauge { value; _ } -> value
-        | Vhist { sum; _ } -> sum
+        | Vhist { sum; _ } -> sum.(0)
       else acc)
     t.tbl 0.0
 

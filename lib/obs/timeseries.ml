@@ -2,11 +2,17 @@
 
    Each registered key owns a fixed ring of windows; a window covers
    [epoch * window_ms, (epoch + 1) * window_ms) of the driving clock
-   (virtual sim time in the runtime) and aggregates count/sum/min/max
-   plus a mergeable log-scale histogram (the {!Metrics} bucket
-   geometry), so p50/p95/p99 over any span of recent windows come from
-   merging bucket counts.  Overwriting on wrap-around keeps memory
-   fixed per key regardless of run length.
+   (virtual sim time in the runtime) and aggregates count/sum/min/max,
+   plus — for a series whose recording site asked for one — a
+   mergeable log-scale histogram (the {!Metrics} bucket geometry), so
+   p50/p95/p99 over any span of recent windows come from merging
+   bucket counts.  Overwriting on wrap-around keeps memory fixed per
+   key regardless of run length.
+
+   A ring is stored as parallel arrays indexed by slot: the float
+   aggregates live in flat float arrays, so recording updates them in
+   place and allocates nothing (a float field of a mixed record would
+   box on every update).
 
    Everything is deterministic: windows are keyed by the virtual
    clock, not wall time, and {!snapshot} orders keys lexicographically
@@ -14,16 +20,16 @@
    disabled hot path is one boolean load and allocates nothing (the
    E16 invariant), mirroring the pre-resolved {!Metrics} handles. *)
 
-type window = {
-  mutable epoch : int;  (* -1 = slot never filled *)
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
+type series = {
+  epochs : int array;  (* per slot; -1 = never filled *)
+  counts : int array;
+  sums : float array;
+  mins : float array;
+  maxs : float array;
   buckets : int array;
+      (* [Metrics.hist_buckets] counts per slot, slot-major; [||] for a
+         series recorded without a histogram. *)
 }
-
-type series = { skey : string; ring : window array }
 
 type t = {
   tbl : (string, series) Hashtbl.t;
@@ -34,16 +40,6 @@ type t = {
   ring_size : int;
   mutable clock : unit -> float;
 }
-
-let fresh_window () =
-  {
-    epoch = -1;
-    count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
-    buckets = Array.make Metrics.hist_buckets 0;
-  }
 
 let create ?(window_ms = 100.0) ?(ring = 64) () =
   if window_ms <= 0.0 then invalid_arg "Timeseries.create: window_ms <= 0";
@@ -87,12 +83,20 @@ let set_window t ms =
 let epoch_of t ts = int_of_float (Float.max 0.0 ts /. t.window_ms)
 let window_start t epoch = float_of_int epoch *. t.window_ms
 
-let series t key =
+let series ~hist t key =
   match Hashtbl.find_opt t.tbl key with
   | Some s -> s
   | None ->
+      let n = t.ring_size in
       let s =
-        { skey = key; ring = Array.init t.ring_size (fun _ -> fresh_window ()) }
+        {
+          epochs = Array.make n (-1);
+          counts = Array.make n 0;
+          sums = Array.make n 0.0;
+          mins = Array.make n infinity;
+          maxs = Array.make n neg_infinity;
+          buckets = (if hist then Array.make (n * Metrics.hist_buckets) 0 else [||]);
+        }
       in
       Hashtbl.replace t.tbl key s;
       s
@@ -102,51 +106,50 @@ let series t key =
 type handle = {
   hreg : t;
   hkey : string;
+  hhist : bool;
   mutable hgen : int;  (* generation [hcell] was resolved under; -1 = never *)
   mutable hcell : series;
 }
 
-let sink = { skey = ""; ring = [||] }
-let handle t key = { hreg = t; hkey = key; hgen = -1; hcell = sink }
+let sink =
+  { epochs = [||]; counts = [||]; sums = [||]; mins = [||]; maxs = [||]; buckets = [||] }
+
+let handle ?(hist = false) t key =
+  { hreg = t; hkey = key; hhist = hist; hgen = -1; hcell = sink }
 
 let resolve h =
-  h.hcell <- series h.hreg h.hkey;
+  h.hcell <- series ~hist:h.hhist h.hreg h.hkey;
   h.hgen <- h.hreg.gen
 
-let observe_window (w : window) epoch v =
-  if w.epoch <> epoch then begin
-    w.epoch <- epoch;
-    w.count <- 0;
-    w.sum <- 0.0;
-    w.min_v <- infinity;
-    w.max_v <- neg_infinity;
-    Array.fill w.buckets 0 (Array.length w.buckets) 0
-  end;
-  w.count <- w.count + 1;
-  w.sum <- w.sum +. v;
-  if v < w.min_v then w.min_v <- v;
-  if v > w.max_v then w.max_v <- v;
-  let i = Metrics.bucket_index v in
-  w.buckets.(i) <- w.buckets.(i) + 1
+(* Slot [i] starts over as window [epoch]. *)
+let clear_slot s i epoch =
+  s.epochs.(i) <- epoch;
+  s.counts.(i) <- 0;
+  s.sums.(i) <- 0.0;
+  s.mins.(i) <- infinity;
+  s.maxs.(i) <- neg_infinity;
+  if Array.length s.buckets > 0 then
+    Array.fill s.buckets (i * Metrics.hist_buckets) Metrics.hist_buckets 0
 
 let record_at h ~ts v =
-  if h.hreg.enabled then begin
-    if h.hgen <> h.hreg.gen then resolve h;
+  let reg = h.hreg in
+  if reg.enabled then begin
+    if h.hgen <> reg.gen then resolve h;
     let s = h.hcell in
-    let n = Array.length s.ring in
-    if n > 0 then begin
-      let epoch = epoch_of h.hreg ts in
-      observe_window s.ring.(epoch mod n) epoch v
+    let epoch = epoch_of reg ts in
+    let i = epoch mod reg.ring_size in
+    if s.epochs.(i) <> epoch then clear_slot s i epoch;
+    s.counts.(i) <- s.counts.(i) + 1;
+    s.sums.(i) <- s.sums.(i) +. v;
+    if v < s.mins.(i) then s.mins.(i) <- v;
+    if v > s.maxs.(i) then s.maxs.(i) <- v;
+    if Array.length s.buckets > 0 then begin
+      let b = (i * Metrics.hist_buckets) + Metrics.bucket_index v in
+      s.buckets.(b) <- s.buckets.(b) + 1
     end
   end
 
 let record h v = record_at h ~ts:(h.hreg.clock ()) v
-
-let observe t key ~ts v =
-  if t.enabled then begin
-    let s = series t key in
-    observe_window s.ring.(epoch_of t ts mod Array.length s.ring) (epoch_of t ts) v
-  end
 
 (* --- reading ------------------------------------------------------ *)
 
@@ -157,80 +160,83 @@ type agg = {
   w_sum : float;
   w_min : float;
   w_max : float;
-  w_buckets : int array;  (* a copy; mutation-safe *)
 }
 
-let agg_of t (w : window) =
+let agg_of t s i =
   {
-    w_epoch = w.epoch;
-    w_start_ms = window_start t w.epoch;
-    w_count = w.count;
-    w_sum = w.sum;
-    w_min = w.min_v;
-    w_max = w.max_v;
-    w_buckets = Array.copy w.buckets;
+    w_epoch = s.epochs.(i);
+    w_start_ms = window_start t s.epochs.(i);
+    w_count = s.counts.(i);
+    w_sum = s.sums.(i);
+    w_min = s.mins.(i);
+    w_max = s.maxs.(i);
   }
 
 let read_window t key ~epoch =
   match Hashtbl.find_opt t.tbl key with
   | None -> None
   | Some s ->
-      let w = s.ring.(epoch mod Array.length s.ring) in
-      if w.epoch = epoch then Some (agg_of t w) else None
+      let i = epoch mod t.ring_size in
+      if s.epochs.(i) = epoch then Some (agg_of t s i) else None
 
-(* The windows of [key] still live in the ring whose epoch falls in
-   [lo, hi], ascending. *)
-let windows_in t key ~lo ~hi =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> []
-  | Some s ->
-      let n = Array.length s.ring in
-      let acc = ref [] in
-      for e = hi downto max 0 lo do
-        let w = s.ring.(e mod n) in
-        if w.epoch = e then acc := w :: !acc
-      done;
-      !acc
+(* Fold [f] over the slots of [s] still holding a window whose epoch
+   falls in [lo, hi]. *)
+let fold_live t s ~lo ~hi f init =
+  let acc = ref init in
+  for e = max 0 lo to hi do
+    let i = e mod t.ring_size in
+    if s.epochs.(i) = e then acc := f !acc i
+  done;
+  !acc
 
 (* Events per second over the [windows] complete windows preceding the
    one containing [now] (the current window is excluded: it is still
    filling and would bias the rate down). *)
 let rate t key ~now ~windows =
-  if windows <= 0 then 0.0
-  else
-    let cur = epoch_of t now in
-    let ws = windows_in t key ~lo:(cur - windows) ~hi:(cur - 1) in
-    let total = List.fold_left (fun acc (w : window) -> acc + w.count) 0 ws in
-    float_of_int total /. (float_of_int windows *. t.window_ms /. 1000.0)
+  match Hashtbl.find_opt t.tbl key with
+  | Some s when windows > 0 ->
+      let cur = epoch_of t now in
+      let total =
+        fold_live t s ~lo:(cur - windows) ~hi:(cur - 1)
+          (fun acc i -> acc + s.counts.(i)) 0
+      in
+      float_of_int total /. (float_of_int windows *. t.window_ms /. 1000.0)
+  | Some _ | None -> 0.0
 
 (* Merged log-histogram quantile over the last [windows] windows up to
    and including the one containing [now].  Returns the inclusive
    upper bound of the bucket holding the q-th observation — the same
    resolution Metrics distributions have — or 0 with no data. *)
 let quantile t key ~now ~windows ~q =
-  let q = Float.min 1.0 (Float.max 0.0 q) in
-  let cur = epoch_of t now in
-  let ws = windows_in t key ~lo:(cur - windows + 1) ~hi:cur in
-  let merged = Array.make Metrics.hist_buckets 0 in
-  let total = ref 0 in
-  List.iter
-    (fun (w : window) ->
-      total := !total + w.count;
-      Array.iteri (fun i n -> merged.(i) <- merged.(i) + n) w.buckets)
-    ws;
-  if !total = 0 then 0.0
-  else begin
-    let target =
-      max 1 (int_of_float (Float.round (q *. float_of_int !total)))
-    in
-    let rec walk i seen =
-      if i >= Metrics.hist_buckets then Metrics.bucket_bound (Metrics.hist_buckets - 1)
-      else
-        let seen = seen + merged.(i) in
-        if seen >= target then Metrics.bucket_bound i else walk (i + 1) seen
-    in
-    walk 0 0
-  end
+  match Hashtbl.find_opt t.tbl key with
+  | None -> 0.0
+  | Some s when Array.length s.buckets = 0 ->
+      invalid_arg
+        (Printf.sprintf "Timeseries.quantile: %S was recorded without buckets" key)
+  | Some s ->
+      let q = Float.min 1.0 (Float.max 0.0 q) in
+      let cur = epoch_of t now in
+      let merged = Array.make Metrics.hist_buckets 0 in
+      let total =
+        fold_live t s ~lo:(cur - windows + 1) ~hi:cur
+          (fun acc i ->
+            for b = 0 to Metrics.hist_buckets - 1 do
+              merged.(b) <- merged.(b) + s.buckets.((i * Metrics.hist_buckets) + b)
+            done;
+            acc + s.counts.(i))
+          0
+      in
+      if total = 0 then 0.0
+      else begin
+        let target = max 1 (int_of_float (Float.round (q *. float_of_int total))) in
+        let rec walk i seen =
+          if i >= Metrics.hist_buckets then Metrics.bucket_bound (Metrics.hist_buckets - 1)
+          else
+            let seen = seen + merged.(i) in
+            if seen >= target then Metrics.bucket_bound i else walk (i + 1) seen
+        in
+        walk 0 0
+      end
 
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] |> List.sort compare
@@ -240,16 +246,13 @@ let keys t =
 let snapshot t =
   List.map
     (fun key ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> (key, [])
-      | Some s ->
-          let ws =
-            Array.to_list s.ring
-            |> List.filter (fun (w : window) -> w.epoch >= 0)
-            |> List.sort (fun (a : window) b -> compare a.epoch b.epoch)
-            |> List.map (agg_of t)
-          in
-          (key, ws))
+      let s = Hashtbl.find t.tbl key in
+      let live = List.filter (fun i -> s.epochs.(i) >= 0) (List.init t.ring_size Fun.id) in
+      let ws =
+        List.sort (fun a b -> compare s.epochs.(a) s.epochs.(b)) live
+        |> List.map (agg_of t s)
+      in
+      (key, ws))
     (keys t)
 
 (* A compact deterministic rendering of a snapshot, for fingerprint

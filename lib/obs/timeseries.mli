@@ -4,24 +4,37 @@
     run, a timeseries keeps the recent past: each key owns a fixed
     ring of windows, each covering [window_ms] of the driving clock
     (virtual sim time in the runtime) and aggregating
-    count/sum/min/max plus a mergeable log-scale histogram in the
-    {!Metrics} bucket geometry.  The pull API ({!read_window},
-    {!rate}, {!quantile}) answers "what happened to this document /
-    link / peer over the last N windows" — the observed-load signal a
-    placement controller consumes.
+    count/sum/min/max.  The pull API ({!read_window}, {!rate},
+    {!quantile}) answers "what happened to this document / peer over
+    the last N windows" — the observed-load signal the placement
+    controller and the load-steered pick policy consume.
 
-    Conventions for keys wired into the runtime:
-    - [doc/<name>/reads], [doc/<name>/write_bytes] — per-document load
-      (recorded by [Axml_doc.Store]);
-    - [net/link/<src>-><dst>/bytes], [net/link/<src>-><dst>/latency_ms]
-      — per-directed-link load (recorded by [Axml_net.Sim]);
-    - [peer/<p>/tx], [peer/<p>/latency_ms], [peer/<p>/inflight] — the
-      per-peer view behind [axmlctl top].
+    A series is recorded only at the granularity some reader uses.
+    Keys wired into the runtime, each with its reader:
+    - [doc/<name>/reads] — per-document read load (recorded by
+      [Axml_doc.Store]; read by the placement controller);
+    - [peer/<p>/tx] — per-peer transmitted bytes (recorded by
+      [Axml_net.Sim]; read by the placement controller, the
+      load-steered pick policy and [axmlctl top]);
+    - [peer/<p>/latency_ms] — per-peer modelled link latency of each
+      transmission (recorded by [Axml_net.Sim], with buckets; read by
+      [axmlctl top]'s p95/p99);
+    - [peer/<p>/inflight] — sequenced messages in flight on the
+      sending connection when a new one joins it, so a window's max is
+      the peak over the peer's outgoing connections (recorded by the
+      Reliable transport; read by [axmlctl top]).
+
+    Buckets: a series carries a log-scale histogram in the {!Metrics}
+    bucket geometry only when the handle that creates it asks for one
+    ([handle ~hist:true]) — only [peer/<p>/latency_ms] does, since it
+    is the one key anything calls {!quantile} on.
 
     Determinism: windows are keyed by the virtual clock; {!snapshot}
     sorts keys; same-seed runs produce byte-identical snapshots.
     Collection is {b off by default}; the disabled path is one boolean
-    load and allocates nothing (E16/E21 invariant). *)
+    load and allocates nothing (E16/E21 invariant), and an enabled
+    record allocates nothing either (the [telemetry] suite checks
+    both shapes of series). *)
 
 type t
 
@@ -65,13 +78,15 @@ type handle
     check plus in-place mutation — no hashing, no allocation.  Held
     over a disabled registry it creates no table entry. *)
 
-val handle : t -> string -> handle
+val handle : ?hist:bool -> t -> string -> handle
+(** [hist] (default [false]): the series keeps per-window histogram
+    buckets, so {!quantile} can read it.  The handle that first
+    records to a key fixes its shape. *)
+
 val record : handle -> float -> unit
 (** Record at the clock's current time. *)
 
 val record_at : handle -> ts:float -> float -> unit
-val observe : t -> string -> ts:float -> float -> unit
-(** One-shot (non-handle) record, for cold paths. *)
 
 (** {1 Reading} *)
 
@@ -82,7 +97,6 @@ type agg = {
   w_sum : float;
   w_min : float;  (** [infinity] when the window is empty. *)
   w_max : float;
-  w_buckets : int array;  (** Log-histogram counts (a copy). *)
 }
 
 val read_window : t -> string -> epoch:int -> agg option
@@ -96,7 +110,8 @@ val rate : t -> string -> now:float -> windows:int -> float
 val quantile : t -> string -> now:float -> windows:int -> q:float -> float
 (** Merged-histogram quantile over the last [windows] windows up to
     and including [now]'s: the inclusive upper bound of the bucket
-    holding the q-th observation; [0.] with no data. *)
+    holding the q-th observation; [0.] with no data or an unknown key.
+    @raise Invalid_argument on a series recorded without buckets. *)
 
 val keys : t -> string list
 (** Sorted. *)

@@ -142,13 +142,6 @@ let doc_read_rate ~windows sys name =
   let v = Timeseries.rate reg ("doc/" ^ name ^ "/reads") ~now ~windows in
   if Float.is_finite v then v else 0.0
 
-let peer_serve_p95 ~windows sys p =
-  let reg = Timeseries.default in
-  let now = Sim.now (System.sim sys) in
-  Timeseries.quantile reg
-    ("peer/" ^ Peer_id.to_string p ^ "/latency_ms")
-    ~now ~windows ~q:0.95
-
 let signals_of t =
   let sys = t.sys in
   let sim = System.sim sys in

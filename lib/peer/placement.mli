@@ -113,9 +113,6 @@ val steered_policy : ?windows:int -> seed:int -> System.t -> Axml_doc.Generic.po
 (** A {!Axml_doc.Generic.policy.Load_steered} fed by {!load_gauge}. *)
 
 val doc_read_rate : windows:int -> System.t -> string -> float
-val peer_serve_p95 : windows:int -> System.t -> Peer_id.t -> float
-(** p95 of the peer's send-latency distribution over recent windows
-    (0 with no data) — observability for [axmlctl place]. *)
 
 (** {1 Observing} *)
 

@@ -60,10 +60,6 @@ type conn = {
   buffer : (int, Message.t) Hashtbl.t;  (* seq -> early arrival from b *)
   mutable ack_due : bool;  (* a standalone ack timer is armed *)
   mutable cancel_ack : unit -> unit;
-  mutable ts_inflight : Timeseries.handle option;
-      (* Lazily-bound [net/link/a->b/inflight] series (see
-         {!Axml_obs.Timeseries}); [None] until the first send with
-         telemetry enabled. *)
 }
 
 type rel = {
@@ -81,10 +77,12 @@ type rel = {
 
 (* Pre-resolved per-peer metric handles for the routing/stream hot
    path — a keyed [Metrics.incr] allocates a key tuple and hashes
-   three strings per call, which showed up at the E21 1000-peer tier. *)
+   three strings per call, which showed up at the E21 1000-peer tier —
+   and the peer's [peer/<p>/inflight] series. *)
 type peer_metrics = {
   m_routed : Metrics.counter_handle;
   m_stream_batches : Metrics.hist_handle;
+  t_inflight : Timeseries.handle;
 }
 
 type t = {
@@ -180,6 +178,8 @@ let peer_metrics t p =
           m_stream_batches =
             Metrics.hist_handle Metrics.default ~peer ~subsystem:"stream"
               "batches";
+          t_inflight =
+            Timeseries.handle Timeseries.default ("peer/" ^ peer ^ "/inflight");
         }
       in
       t.pmetrics.(i) <- Some h;
@@ -309,7 +309,6 @@ let conn t a b =
           buffer = Hashtbl.create 8;
           ack_due = false;
           cancel_ack = ignore;
-          ts_inflight = None;
         }
       in
       Hashtbl.add t.rel.conns key c;
@@ -460,24 +459,13 @@ let handle_cum_ack t ~at ~from upto =
 
 (* Sender-side congestion telemetry: how many sequenced messages to
    [c.c_dst] are in flight (unacked window plus the unflushed queue)
-   the moment a new send joins them — the signal a placement
-   controller would watch for a saturating link. *)
-let note_inflight (c : conn) =
-  let h =
-    match c.ts_inflight with
-    | Some h -> h
-    | None ->
-        let h =
-          Timeseries.handle Timeseries.default
-            ("net/link/" ^ Peer_id.to_string c.c_src ^ "->"
-           ^ Peer_id.to_string c.c_dst ^ "/inflight")
-        in
-        c.ts_inflight <- Some h;
-        h
-  in
-  (* [+ 1] counts the joining message itself: a quiet link reads 1,
-     a saturating one reads its whole outstanding window. *)
-  Timeseries.record h
+   the moment a new send joins them, recorded per sending peer — a
+   window's max is the peak over the peer's outgoing connections,
+   which is what [axmlctl top] shows. *)
+let note_inflight t (c : conn) =
+  (* [+ 1] counts the joining message itself: a quiet connection
+     reads 1, a saturating one its whole outstanding window. *)
+  Timeseries.record (peer_metrics t c.c_src).t_inflight
     (float_of_int (1 + List.length c.unacked + List.length c.queue))
 
 let send t ~src ~dst payload =
@@ -498,7 +486,7 @@ let send t ~src ~dst payload =
     let seq = c.next_seq + 1 in
     c.next_seq <- seq;
     let msg = Message.make ~corr ~seq ~op payload in
-    if Timeseries.is_on Timeseries.default then note_inflight c;
+    if Timeseries.is_on Timeseries.default then note_inflight t c;
     c.queue <- msg :: c.queue;
     if t.flush_ms <= 0.0 then flush t ~src ~dst c
     else if not c.flush_pending then begin

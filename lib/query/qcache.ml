@@ -1,5 +1,4 @@
 module Metrics = Axml_obs.Metrics
-module Timeseries = Axml_obs.Timeseries
 
 type fingerprint = { hash : int; size : int; depth : int }
 
@@ -67,7 +66,6 @@ type 'e t = {
   m_invalidations : Metrics.counter_handle option;
   m_installs : Metrics.counter_handle option;
   m_evictions : Metrics.counter_handle option;
-  ts_key : string option;  (* "qcache/<owner>/hits" etc. *)
 }
 
 let create ?(capacity = 256) ?owner ~equal () =
@@ -93,30 +91,19 @@ let create ?(capacity = 256) ?owner ~equal () =
     m_invalidations = handle "invalidations";
     m_installs = handle "installs";
     m_evictions = handle "evictions";
-    ts_key = Option.map (fun o -> "qcache/" ^ o ^ "/") owner;
   }
 
 let bump h =
   if Metrics.is_on Metrics.default then
     Option.iter (fun h -> Metrics.incr_h h ~by:1) h
 
-let series t name =
-  match t.ts_key with
-  | Some prefix when Timeseries.is_on Timeseries.default ->
-      Timeseries.record
-        (Timeseries.handle Timeseries.default (prefix ^ name))
-        1.0
-  | _ -> ()
-
 let note_hit t =
   t.s <- { t.s with hits = t.s.hits + 1 };
-  bump t.m_hits;
-  series t "hits"
+  bump t.m_hits
 
 let note_miss t =
   t.s <- { t.s with misses = t.s.misses + 1 };
-  bump t.m_misses;
-  series t "misses"
+  bump t.m_misses
 
 let record_hit t = note_hit t
 
@@ -144,8 +131,7 @@ let unlink t e =
 let drop_stale t e =
   unlink t e;
   t.s <- { t.s with stale_drops = t.s.stale_drops + 1 };
-  bump t.m_stale;
-  series t "stale_drops"
+  bump t.m_stale
 
 let fresh e ~current =
   Array.for_all
@@ -164,7 +150,6 @@ let find_entry t ~fp ~expr ~current =
             else if not (t.equal e.e_expr expr) then begin
               t.s <- { t.s with collisions = t.s.collisions + 1 };
               bump t.m_collisions;
-              series t "collisions";
               scan rest
             end
             else if fresh e ~current then begin
@@ -207,8 +192,7 @@ let evict_lru t =
   | Some e ->
       unlink t e;
       t.s <- { t.s with evictions = t.s.evictions + 1 };
-      bump t.m_evictions;
-      series t "evictions"
+      bump t.m_evictions
 
 let install t ~fp ~expr ~deps ~forest =
   (* Replace any existing entry for the same expression. *)
@@ -247,7 +231,6 @@ let install t ~fp ~expr ~deps ~forest =
   t.entries <- t.entries + 1;
   t.s <- { t.s with installs = t.s.installs + 1 };
   bump t.m_installs;
-  series t "installs";
   while t.entries > t.capacity do
     evict_lru t
   done
@@ -261,8 +244,7 @@ let invalidate_dep t ~peer ~doc =
         (fun e ->
           unlink t e;
           t.s <- { t.s with invalidations = t.s.invalidations + 1 };
-          bump t.m_invalidations;
-          series t "invalidations")
+          bump t.m_invalidations)
         victims
 
 let clear t =

@@ -47,8 +47,8 @@ val create :
   ?capacity:int -> ?owner:string -> equal:('e -> 'e -> bool) -> unit -> 'e t
 (** [capacity] bounds live entries (default 256); beyond it the
     least-recently-probed entry is evicted.  [owner] names the peer in
-    {!Axml_obs.Metrics} / {!Axml_obs.Timeseries} emission (subsystem
-    ["qcache"]); omitted, the cache stays telemetry-silent. *)
+    {!Axml_obs.Metrics} emission (subsystem ["qcache"]); omitted, the
+    cache stays telemetry-silent. *)
 
 val find :
   'e t ->

@@ -79,7 +79,7 @@ let test_ring_eviction () =
 let test_rate_and_quantile () =
   let t = Timeseries.create ~window_ms:100.0 ~ring:8 () in
   Timeseries.set_enabled t true;
-  let h = Timeseries.handle t "lat" in
+  let h = Timeseries.handle ~hist:true t "lat" in
   (* 10 observations in [0,100), 20 in [100,200); now = 250 so both are
      complete windows and the (empty) current one is excluded. *)
   for i = 0 to 9 do
@@ -98,7 +98,63 @@ let test_rate_and_quantile () =
   Alcotest.(check (float 1e-9)) "p25 bucket" 4.0 (q 0.25);
   Alcotest.(check (float 1e-9)) "p95 bucket" 64.0 (q 0.95);
   Alcotest.(check (float 1e-9)) "no data" 0.0
-    (Timeseries.quantile t "none" ~now:250.0 ~windows:8 ~q:0.5)
+    (Timeseries.quantile t "none" ~now:250.0 ~windows:8 ~q:0.5);
+  (* A series recorded without buckets has no distribution to read. *)
+  Timeseries.record_at (Timeseries.handle t "plain") ~ts:10.0 4.0;
+  Alcotest.(check bool) "quantile without buckets raises" true
+    (match Timeseries.quantile t "plain" ~now:250.0 ~windows:8 ~q:0.5 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Recording allocates nothing on an enabled registry.  The arguments
+   are boxed before the bracket (a list of floats), so the bracket
+   counts only what the recording call itself allocates. *)
+let rec record_all h = function
+  | [] -> ()
+  | ts :: rest ->
+      Timeseries.record_at h ~ts 3.0;
+      record_all h rest
+
+let rec observe_all h = function
+  | [] -> ()
+  | v :: rest ->
+      Metrics.observe_h h v;
+      observe_all h rest
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_recording_allocates_nothing () =
+  with_telemetry (fun () ->
+      let t = Timeseries.create ~window_ms:10.0 ~ring:4 () in
+      Timeseries.set_enabled t true;
+      (* 1000 timestamps over 70 windows: every slot is reused. *)
+      let tss = List.init 1000 (fun i -> float_of_int i *. 0.7) in
+      (* What the bracket itself costs, if anything. *)
+      let empty = minor_words ignore in
+      List.iter
+        (fun (label, h) ->
+          Timeseries.record_at h ~ts:0.0 1.0;
+          Alcotest.(check (float 0.0))
+            (label ^ ": 1000 records allocate nothing")
+            empty
+            (minor_words (fun () -> record_all h tss)))
+        [
+          ("histogram series", Timeseries.handle ~hist:true t "hist");
+          ("plain series", Timeseries.handle t "plain");
+        ];
+      Metrics.set_enabled Metrics.default true;
+      let h = Metrics.hist_handle Metrics.default ~subsystem:"test" "obs" in
+      (* Values spanning the bucket range, overflow and NaN included. *)
+      let vs =
+        Float.nan :: List.init 999 (fun i -> Float.pow 2.0 (float_of_int ((i mod 40) - 8)))
+      in
+      Metrics.observe_h h 1.0;
+      Alcotest.(check (float 0.0))
+        "1000 Metrics.observe_h allocate nothing" empty
+        (minor_words (fun () -> observe_all h vs)))
 
 let test_set_window_resets () =
   let t = Timeseries.create ~window_ms:10.0 ~ring:4 () in
@@ -119,7 +175,6 @@ let test_disabled_records_nothing () =
   let t = Timeseries.create () in
   let h = Timeseries.handle t "k" in
   Timeseries.record_at h ~ts:1.0 1.0;
-  Timeseries.observe t "k2" ~ts:1.0 1.0;
   Alcotest.(check bool) "no keys" true (Timeseries.keys t = []);
   Alcotest.(check string)
     "empty fingerprint is stable" (Timeseries.fingerprint t)
@@ -229,16 +284,70 @@ let test_fingerprint_deterministic_under_faults () =
         "faulty run differs from clean run" true
         (fp1 <> snd (crowd_run ~scenario_seed:9 ~keep:4 ())))
 
-let test_doc_and_link_series_recorded () =
+let test_doc_and_peer_series_recorded () =
   with_telemetry (fun () ->
-      let _, _ = crowd_run ~scenario_seed:3 ~keep:1 () in
-      let keys = Timeseries.keys Timeseries.default in
       let has prefix =
-        List.exists (fun k -> String.starts_with ~prefix k) keys
+        List.exists
+          (fun k -> String.starts_with ~prefix k)
+          (Timeseries.keys Timeseries.default)
       in
+      let _, _ = crowd_run ~scenario_seed:3 ~keep:1 () in
       Alcotest.(check bool) "per-peer tx" true (has "peer/");
-      Alcotest.(check bool) "per-link load" true (has "net/link/");
-      Alcotest.(check bool) "per-doc load" true (has "doc/"))
+      Alcotest.(check bool) "no per-link series" false (has "net/link/");
+      (* The crowd's mirrors serve a service, not a stored document; a
+         hotspot's readers read documents. *)
+      let hs =
+        Workload.Scenarios.hotspot ~owners:2 ~spares:1 ~readers:4 ~docs:4
+          ~reads_per_reader:5 ~seed:3 ()
+      in
+      let outcome, _ =
+        System.run ~max_events:50_000 hs.Workload.Scenarios.hs_system
+      in
+      Alcotest.(check bool) "hotspot quiescent" true (outcome = `Quiescent);
+      Alcotest.(check bool) "per-doc load" true (has "doc/");
+      Alcotest.(check bool) "still no per-link series" false (has "net/link/"))
+
+(* A small crowd under [transport] with telemetry on: the peers that
+   sent a sequenced (non-ack) message while the Stats trace was on, and
+   the peers owning a [peer/<p>/inflight] series. *)
+let inflight_run transport =
+  with_telemetry (fun () ->
+      Timeseries.set_enabled Timeseries.default true;
+      let fc =
+        Workload.Scenarios.flash_crowd ~mirrors:3 ~subscribers:6
+          ~requests_per_subscriber:3 ~transport ~seed:3 ()
+      in
+      let sys = fc.Workload.Scenarios.fc_system in
+      let stats = Net.Sim.stats (System.sim sys) in
+      Net.Stats.set_tracing stats true;
+      let outcome, _ = System.run ~max_events:50_000 sys in
+      Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
+      let senders =
+        List.filter_map
+          (fun (e : Net.Stats.trace_entry) ->
+            if String.starts_with ~prefix:"ack[" e.Net.Stats.note then None
+            else Some (Net.Peer_id.to_string e.Net.Stats.src))
+          (Net.Stats.trace stats)
+        |> List.sort_uniq compare
+      in
+      let with_inflight =
+        List.filter_map
+          (fun k ->
+            match String.split_on_char '/' k with
+            | [ "peer"; p; "inflight" ] -> Some p
+            | _ -> None)
+          (Timeseries.keys Timeseries.default)
+      in
+      (senders, with_inflight))
+
+let test_inflight_per_sending_peer () =
+  let senders, with_inflight = inflight_run System.Reliable in
+  Alcotest.(check bool) "some peer sent sequenced messages" true (senders <> []);
+  Alcotest.(check (list string))
+    "Reliable: every sender of a sequenced message has an in-flight series" []
+    (List.filter (fun p -> not (List.mem p with_inflight)) senders);
+  let _, with_inflight = inflight_run System.Raw in
+  Alcotest.(check (list string)) "Raw: no in-flight series" [] with_inflight
 
 (* --- profiler ------------------------------------------------------ *)
 
@@ -359,6 +468,8 @@ let suite =
       test_set_window_resets;
     Alcotest.test_case "timeseries: disabled records nothing" `Quick
       test_disabled_records_nothing;
+    Alcotest.test_case "timeseries: recording allocates nothing" `Quick
+      test_recording_allocates_nothing;
     Alcotest.test_case "sampling: sampled trace is the keep_corr subset"
       `Quick test_sampled_subset;
     QCheck_alcotest.to_alcotest qcheck_sampled_subset;
@@ -366,8 +477,10 @@ let suite =
       test_fingerprint_deterministic;
     Alcotest.test_case "fingerprint: deterministic under faults + crash"
       `Quick test_fingerprint_deterministic_under_faults;
-    Alcotest.test_case "series: doc, link and peer keys recorded" `Quick
-      test_doc_and_link_series_recorded;
+    Alcotest.test_case "series: doc and peer keys, none per link" `Quick
+      test_doc_and_peer_series_recorded;
+    Alcotest.test_case "series: in-flight per sending peer" `Quick
+      test_inflight_per_sending_peer;
     Alcotest.test_case "profiler: exclusive times sum to root" `Quick
       test_profiler_sums_to_root;
     Alcotest.test_case "profiler: restores sampling state" `Quick
