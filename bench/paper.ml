@@ -572,10 +572,10 @@ let e9 =
 (* --- E10: optimizer end-to-end ----------------------------------- *)
 
 let e10 =
-  claim "E10" "Optimizer: naive vs greedy vs exhaustive (+ablation)"
+  claim "E10" "Optimizer: naive vs best-first plan"
     ~about:
       "the E1 plan under the cost model; estimated cost, plans explored, and\n\
-       the simulator-measured bytes of each strategy's chosen plan"
+       the simulator-measured bytes of the naive and the searched plan"
   @@ fun () ->
   let q = Workload.Xml_gen.selection_query () in
   let naive = Expr.query_at q ~at:p1 ~args:[ Expr.doc "cat" ~at:"p2" ] in
@@ -589,11 +589,7 @@ let e10 =
   let strategies =
     [
       ("naive (no search)", None);
-      ("greedy(5)", Some (Algebra.Optimizer.Greedy { max_steps = 5 }));
-      ("exhaustive(1)", Some (Algebra.Optimizer.Exhaustive { depth = 1 }));
-      ("exhaustive(2)", Some (Algebra.Optimizer.Exhaustive { depth = 2 }));
       ("best-first(24)", Some (Algebra.Optimizer.Best_first { max_expansions = 24 }));
-      ("beam(4,2)", Some (Algebra.Optimizer.Beam { width = 4; depth = 2 }));
     ]
   in
   let reference = ref [] in
@@ -622,8 +618,8 @@ let e10 =
          ])
        strategies);
   Printf.printf
-    "\nshape: both strategies find the pushed plan; exhaustive explores far\n\
-     more plans for the same answer — greedy is the practical default\n"
+    "\nshape: the searched plan ships a fraction of the naive bytes for the\n\
+     same answer\n"
 
 (* --- E11: lazy vs eager call activation -------------------------- *)
 
@@ -893,19 +889,16 @@ let e14 =
 (* --- E15: the unified planner ------------------------------------ *)
 
 let e15 =
-  claim "E15" "Planner: fingerprint memo ablation and search strategies"
+  claim "E15" "Planner: best-first search and optimize-then-execute"
     ~gates:
       [
-        gate ~table:"memo" "memo and list scans explore the same plans at the same cost"
-          (every "agree");
         gate ~table:"execute" "the planned plan reproduces the naive answer"
           (every "same");
       ]
     ~about:
-      "part A — the visited set: exhaustive(2) with the seed's O(n^2) list\n\
-       scan vs the fingerprint-bucketed memo.  Same plan space, same best\n\
-       cost; the memo pays for structural Expr.equal only on hash-bucket\n\
-       collisions."
+      "part A — best-first search on three fixtures over 60 kB documents:\n\
+       expansions, plans explored and the structural Expr.equal calls the\n\
+       fingerprint-bucketed visited set pays (only on hash collisions)."
   @@ fun () ->
   let q = Workload.Xml_gen.selection_query () in
   let join =
@@ -929,78 +922,25 @@ let e15 =
       ~doc_bytes:(fun _ -> 60_000)
       (Net.Topology.full_mesh ~link:default_link [ p1; p2; p3 ])
   in
-  let timed_search ~visited strategy plan =
-    let eq0 = Expr.equal_calls () in
-    let r, wall =
-      cpu_ms (fun () -> Algebra.Optimizer.optimize ~env ~ctx:p1 ~visited strategy plan)
-    in
-    (wall, Expr.equal_calls () - eq0, r)
-  in
-  let search_row name visited (wall, eq, (r : Algebra.Optimizer.result)) =
-    [
-      ("plan", str name); ("visited", str visited); ("explored", int r.explored);
-      ("Expr.equal", int eq); ("search ms", ms wall);
-      ("best cost", num "%.0f" (Algebra.Cost.weighted r.cost));
-    ]
-  in
-  table ~name:"memo"
-    (List.concat_map
+  let strategy = Algebra.Optimizer.Best_first { max_expansions = 8 } in
+  table ~name:"search"
+    (List.map
        (fun (name, plan) ->
-         let strategy = Algebra.Optimizer.Exhaustive { depth = 2 } in
-         let ((_, _, r_l) as l) = timed_search ~visited:`List strategy plan in
-         let ((_, _, r_f) as f) = timed_search ~visited:`Fingerprint strategy plan in
-         let agree =
-           ( "agree",
-             flag
-               (r_l.explored = r_f.explored
-               && Algebra.Cost.weighted r_l.cost = Algebra.Cost.weighted r_f.cost) )
+         let eq0 = Expr.equal_calls () in
+         let r, wall =
+           cpu_ms (fun () -> Algebra.Optimizer.optimize ~env ~ctx:p1 strategy plan)
          in
          [
-           search_row name "list" l @ [ agree ];
-           search_row name "fingerprint" f @ [ agree ];
+           ("plan", str name);
+           ("strategy", str (Algebra.Optimizer.strategy_name strategy));
+           ("expansions", int r.Algebra.Optimizer.expansions);
+           ("explored", int r.Algebra.Optimizer.explored);
+           ("Expr.equal", int (Expr.equal_calls () - eq0)); ("ms", ms wall);
+           ("cost", num "%.0f" (Algebra.Cost.weighted r.cost));
          ])
        fixtures);
   Printf.printf
-    "\npart B — strategies on the same space: expansions and plans explored\n\
-     to reach (or approach) the exhaustive-optimal cost.\n\n";
-  let strategies =
-    [
-      Algebra.Optimizer.Exhaustive { depth = 2 };
-      Algebra.Optimizer.Greedy { max_steps = 4 };
-      Algebra.Optimizer.Best_first { max_expansions = 8 };
-      Algebra.Optimizer.Beam { width = 4; depth = 2 };
-    ]
-  in
-  table ~name:"strategies"
-    (List.concat_map
-       (fun (name, plan) ->
-         let optimum =
-           (Algebra.Optimizer.optimize ~env ~ctx:p1
-              (Algebra.Optimizer.Exhaustive { depth = 2 })
-              plan)
-             .Algebra.Optimizer.cost
-         in
-         List.map
-           (fun strategy ->
-             let wall, _, r = timed_search ~visited:`Fingerprint strategy plan in
-             [
-               ("plan", str name);
-               ("strategy", str (Algebra.Optimizer.strategy_name strategy));
-               ("expansions", int r.Algebra.Optimizer.expansions);
-               ("explored", int r.Algebra.Optimizer.explored); ("ms", ms wall);
-               ("cost", num "%.0f" (Algebra.Cost.weighted r.cost));
-               ( "optimal?",
-                 str
-                   (if
-                      Algebra.Cost.weighted r.cost
-                      <= Algebra.Cost.weighted optimum +. 1e-9
-                    then "yes"
-                    else "no") );
-             ])
-           strategies)
-       fixtures);
-  Printf.printf
-    "\npart C — optimize-then-execute: the naive plan vs the planner's\n\
+    "\npart B — optimize-then-execute: the naive plan vs the planner's\n\
      choice (Exec.run_optimized against the live system's cost oracles),\n\
      simulator-measured.\n\n";
   table ~name:"execute"
@@ -1027,10 +967,9 @@ let e15 =
          ])
        [ 200; 1000; 4000 ]);
   Printf.printf
-    "\nshape: the memo explores the identical plan set for a fraction of the\n\
-     structural comparisons; best-first reaches the exhaustive optimum\n\
-     with a fraction of the expansions; the executed planned plan ships\n\
-     a fraction of the naive bytes\n"
+    "\nshape: eight expansions reach the exhaustive depth-2 optimum on every\n\
+     fixture (test_planner checks it against an exhaustive oracle); the\n\
+     executed planned plan ships a fraction of the naive bytes\n"
 
 (* --- E16: observability ------------------------------------------ *)
 

@@ -205,30 +205,6 @@ let rules_cmd =
 
 (* --- optimize / explain ------------------------------------------ *)
 
-let strategy_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("greedy", "greedy");
-             ("exhaustive", "exhaustive");
-             ("best-first", "best-first");
-             ("beam", "beam");
-           ])
-        "greedy"
-    & info [ "strategy" ]
-        ~docv:"greedy|exhaustive|best-first|beam"
-        ~doc:"Search strategy")
-
-let depth_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "depth" ] ~doc:"Exhaustive/beam depth, greedy steps")
-
-let width_arg =
-  Arg.(value & opt int 4 & info [ "width" ] ~doc:"Beam width")
-
 let expansions_arg =
   Arg.(
     value & opt int 64
@@ -245,12 +221,6 @@ let doc_bytes_arg =
   Arg.(
     value & opt int 16384
     & info [ "doc-bytes" ] ~doc:"Assumed size of referenced documents")
-
-let parse_strategy ~depth ~width ~expansions = function
-  | "exhaustive" -> Algebra.Optimizer.Exhaustive { depth }
-  | "best-first" -> Algebra.Optimizer.Best_first { max_expansions = expansions }
-  | "beam" -> Algebra.Optimizer.Beam { width; depth }
-  | _ -> Algebra.Optimizer.Greedy { max_steps = depth }
 
 (* The synthetic mesh always covers the peers the plan itself
    mentions — a plan referencing a peer missing from --peers would
@@ -270,19 +240,18 @@ let mesh_env ~plan ~peers ~latency ~bandwidth ~doc_bytes =
   Algebra.Cost.default_env ~doc_bytes:(fun _ -> doc_bytes) topo
 
 (* The plan, its synthetic-mesh cost environment, the driver peer and
-   the search strategy: what optimize and explain both start from. *)
+   the best-first search: what optimize and explain both start from. *)
 let search_term =
-  let setup plan peers ctx strategy depth width expansions latency bandwidth
-      doc_bytes =
+  let setup plan peers ctx expansions latency bandwidth doc_bytes =
     let e = load_plan plan in
     ( e,
       mesh_env ~plan:e ~peers:(ctx :: peers) ~latency ~bandwidth ~doc_bytes,
       Net.Peer_id.of_string ctx,
-      parse_strategy ~depth ~width ~expansions strategy )
+      Algebra.Optimizer.Best_first { max_expansions = expansions } )
   in
   Term.(
-    const setup $ plan_arg $ peers_arg $ ctx_arg $ strategy_arg $ depth_arg
-    $ width_arg $ expansions_arg $ latency_arg $ bandwidth_arg $ doc_bytes_arg)
+    const setup $ plan_arg $ peers_arg $ ctx_arg $ expansions_arg $ latency_arg
+    $ bandwidth_arg $ doc_bytes_arg)
 
 let optimize_cmd =
   let run (e, env, ctx, strategy) =

@@ -128,7 +128,7 @@ let () =
   | _ -> assert false);
 
   (* --- Full optimizer ------------------------------------------- *)
-  Format.printf "@.Optimizer (greedy, cost-model driven) on the naive plan:@.";
+  Format.printf "@.Optimizer (best-first, cost-model driven) on the naive plan:@.";
   let sys = build () in
   let env =
     Algebra.Cost.default_env
@@ -141,7 +141,7 @@ let () =
   in
   let result =
     Algebra.Optimizer.optimize ~env ~ctx:p1
-      (Algebra.Optimizer.Greedy { max_steps = 6 })
+      (Algebra.Optimizer.Best_first { max_expansions = 4 })
       naive
   in
   Format.printf "%a@." Algebra.Optimizer.pp_result result;

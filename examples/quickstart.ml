@@ -76,7 +76,7 @@ let () =
   in
   let result =
     Algebra.Optimizer.optimize ~env ~ctx:alice
-      (Algebra.Optimizer.Greedy { max_steps = 4 })
+      (Algebra.Optimizer.Best_first { max_expansions = 4 })
       plan
   in
   Format.printf "@.naive plan:     %a@." Algebra.Expr.pp plan;

@@ -124,7 +124,7 @@ val equal_calls : unit -> int
 (** Number of {!equal} invocations since program start.  Structural
     comparison is the inner loop of plan search; the planner
     benchmarks difference this counter to report how many comparisons
-    a search strategy paid for. *)
+    a search paid for. *)
 
 (** {1 Fingerprints}
 

@@ -1,13 +1,7 @@
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
 
-type strategy =
-  | Exhaustive of { depth : int }
-  | Greedy of { max_steps : int }
-  | Best_first of { max_expansions : int }
-  | Beam of { width : int; depth : int }
-
-type visited_impl = [ `Fingerprint | `List ]
+type strategy = Best_first of { max_expansions : int }
 
 type step = { rule : string; cost : Cost.t }
 
@@ -20,18 +14,14 @@ type result = {
   trace : step list;
 }
 
-let strategy_name = function
-  | Exhaustive { depth } -> Printf.sprintf "exhaustive(depth=%d)" depth
-  | Greedy { max_steps } -> Printf.sprintf "greedy(steps=%d)" max_steps
-  | Best_first { max_expansions } ->
-      Printf.sprintf "best-first(expansions=%d)" max_expansions
-  | Beam { width; depth } -> Printf.sprintf "beam(width=%d,depth=%d)" width depth
+let strategy_name (Best_first { max_expansions }) =
+  Printf.sprintf "best-first(expansions=%d)" max_expansions
 
 (* Auxiliary materializations introduced by rules (10) and (13) need
    fresh names.  Deriving the name from the *parent* expression's
    fingerprint (rather than a search-global counter) makes the name a
    function of the rewrite performed, not of the order in which the
-   search happened to visit plans — so every strategy reconstructs the
+   search happened to visit plans — so any search reconstructs the
    same plan for the same rewrite path, and re-running an optimization
    is reproducible.  The "_tmp" prefix keeps them out of the runtime's
    Σ fingerprint (System.fingerprint). *)
@@ -42,49 +32,31 @@ let fresh_for parent =
     incr k;
     Printf.sprintf "_tmp_s%06x_%d" h !k
 
-(* The visited set over plans.  [`Fingerprint] buckets candidates by
-   {!Expr.fingerprint} in a hashtable and runs the full structural
-   {!Expr.equal} only against same-fingerprint bucket members;
-   [`List] is the seed's O(n²) scan, kept for the planner ablation
-   benchmark (E15). *)
-module Visited = struct
-  type t =
-    | List of Expr.t list ref
-    | Table of (int, (Expr.Fingerprint.t * Expr.t) list) Hashtbl.t
+let rewrites ~peers e = Rewrite.everywhere ~peers ~fresh:(fresh_for e) e
 
-  let create = function
-    | `List -> List (ref [])
-    | `Fingerprint -> Table (Hashtbl.create 64)
-
-  (* [add t e] is true when [e] was not seen before (and records it). *)
-  let add t e =
-    match t with
-    | List seen ->
-        if List.exists (Expr.equal e) !seen then false
-        else begin
-          seen := e :: !seen;
-          true
-        end
-    | Table tbl ->
-        let fp = Expr.fingerprint e in
-        let bucket =
-          Option.value ~default:[] (Hashtbl.find_opt tbl fp.Expr.Fingerprint.hash)
-        in
-        if
-          List.exists
-            (fun (fp', e') -> Expr.Fingerprint.equal fp fp' && Expr.equal e e')
-            bucket
-        then false
-        else begin
-          Hashtbl.replace tbl fp.Expr.Fingerprint.hash ((fp, e) :: bucket);
-          true
-        end
-end
+(* The visited set over plans: candidates bucketed by
+   {!Expr.fingerprint}, the full structural {!Expr.equal} run only
+   against same-fingerprint bucket members.  [add seen e] is true when
+   [e] was not seen before (and records it). *)
+let add seen e =
+  let fp = Expr.fingerprint e in
+  let bucket =
+    Option.value ~default:[] (Hashtbl.find_opt seen fp.Expr.Fingerprint.hash)
+  in
+  if
+    List.exists
+      (fun (fp', e') -> Expr.Fingerprint.equal fp fp' && Expr.equal e e')
+      bucket
+  then false
+  else begin
+    Hashtbl.replace seen fp.Expr.Fingerprint.hash ((fp, e) :: bucket);
+    true
+  end
 
 let default_objective c = Cost.weighted c
 
-let optimize ~env ~ctx ?(objective = default_objective)
-    ?(visited : visited_impl = `Fingerprint) ?peers strategy expr =
+let optimize ~env ~ctx ?(objective = default_objective) ?peers
+    (Best_first { max_expansions }) expr =
   let peers =
     match peers with
     | Some ps -> ps
@@ -94,10 +66,6 @@ let optimize ~env ~ctx ?(objective = default_objective)
   let initial_cost = cost_of expr in
   let explored = ref 1 in
   let expansions = ref 0 in
-  let expand e =
-    incr expansions;
-    Rewrite.everywhere ~peers ~fresh:(fresh_for e) e
-  in
   (* Paths accumulate reversed (cons per step); reversed once when a
      result is built — the seed's [trace @ [step]] was quadratic. *)
   let finish (plan, cost, rev_trace) =
@@ -138,149 +106,56 @@ let optimize ~env ~ctx ?(objective = default_objective)
     end;
     r
   in
-  match strategy with
-  | Greedy { max_steps } ->
-      let rec descend current current_cost rev_trace steps =
-        if steps >= max_steps then (current, current_cost, rev_trace)
-        else begin
-          let candidates = expand current in
-          explored := !explored + List.length candidates;
-          let best =
-            List.fold_left
-              (fun acc (r : Rewrite.rewrite) ->
-                let c = cost_of r.result in
-                match acc with
-                | Some (_, _, best_c) when objective c >= objective best_c ->
-                    acc
-                | Some _ | None ->
-                    if objective c < objective current_cost then
-                      Some (r.rule, r.result, c)
-                    else acc)
-              None candidates
-          in
-          match best with
-          | None -> (current, current_cost, rev_trace)
-          | Some (rule, next, c) ->
-              descend next c ({ rule; cost = c } :: rev_trace) (steps + 1)
-        end
-      in
-      finish (descend expr initial_cost [] 0)
-  | Exhaustive { depth } ->
-      (* Breadth-first enumeration of the rewrite closure; remember
-         the cheapest plan and the rule path that produced it. *)
-      let seen = Visited.create visited in
-      ignore (Visited.add seen expr);
-      let best = ref (expr, initial_cost, []) in
-      let frontier = ref [ (expr, []) ] in
-      let level = ref 0 in
-      while !level < depth && !frontier <> [] do
-        incr level;
-        let next_frontier = ref [] in
-        List.iter
-          (fun (e, rev_path) ->
-            List.iter
-              (fun (r : Rewrite.rewrite) ->
-                if Visited.add seen r.result then begin
-                  incr explored;
-                  let c = cost_of r.result in
-                  let rev_path = { rule = r.rule; cost = c } :: rev_path in
-                  let _, best_c, _ = !best in
-                  if objective c < objective best_c then
-                    best := (r.result, c, rev_path);
-                  next_frontier := (r.result, rev_path) :: !next_frontier
-                end)
-              (expand e))
-          !frontier;
-        frontier := !next_frontier
-      done;
-      finish !best
-  | Best_first { max_expansions } ->
-      (* Cheapest-first search on the cost objective: pop the best
-         unexpanded plan, generate its rewrites, push the unseen ones.
-         The priority queue is the simulator's pairing heap
-         ({!Axml_net.Pqueue}); insertion order breaks objective ties,
-         which keeps runs deterministic.
+  (* Cheapest-first search on the cost objective: pop the best
+     unexpanded plan, generate its rewrites, push the unseen ones.
+     The priority queue is the simulator's pairing heap
+     ({!Axml_net.Pqueue}); insertion order breaks objective ties,
+     which keeps runs deterministic.
 
-         Pure cheapest-first starves on this rewrite system: rules
-         like (14) with the evaluating peer itself are cost-neutral,
-         so the closure contains unbounded plateaus at the current
-         minimum, and a marginally costlier plan whose children hold
-         the real optimum is never popped no matter the budget.  Each
-         queue entry therefore carries a slack counter — reset on
-         strict improvement over the parent, decremented on plateau or
-         uphill steps — and chains that fail to improve for
-         [plateau_limit] consecutive steps are not re-enqueued (their
-         costs still count toward the best plan found). *)
-      let plateau_limit = 4 in
-      let seen = Visited.create visited in
-      ignore (Visited.add seen expr);
-      let queue = Axml_net.Pqueue.create () in
-      Axml_net.Pqueue.push queue
-        ~time:(objective initial_cost)
-        (expr, initial_cost, [], plateau_limit);
-      let best = ref (expr, initial_cost, []) in
-      let continue = ref true in
-      while !continue && !expansions < max_expansions do
-        match Axml_net.Pqueue.pop queue with
-        | None -> continue := false
-        | Some (_, (e, e_cost, rev_path, slack)) ->
-            List.iter
-              (fun (r : Rewrite.rewrite) ->
-                if Visited.add seen r.result then begin
-                  incr explored;
-                  let c = cost_of r.result in
-                  let rev_path = { rule = r.rule; cost = c } :: rev_path in
-                  let _, best_c, _ = !best in
-                  if objective c < objective best_c then
-                    best := (r.result, c, rev_path);
-                  let slack =
-                    if objective c < objective e_cost then plateau_limit
-                    else slack - 1
-                  in
-                  if slack >= 0 then
-                    Axml_net.Pqueue.push queue ~time:(objective c)
-                      (r.result, c, rev_path, slack)
-                end)
-              (expand e)
-      done;
-      finish !best
-  | Beam { width; depth } ->
-      (* Level-synchronous like Exhaustive, but each level keeps only
-         the [width] cheapest new plans as the next frontier. *)
-      let seen = Visited.create visited in
-      ignore (Visited.add seen expr);
-      let best = ref (expr, initial_cost, []) in
-      let frontier = ref [ (expr, []) ] in
-      let level = ref 0 in
-      while !level < depth && !frontier <> [] do
-        incr level;
-        let next = ref [] in
+     Pure cheapest-first starves on this rewrite system: rules like
+     (14) with the evaluating peer itself are cost-neutral, so the
+     closure contains unbounded plateaus at the current minimum, and a
+     marginally costlier plan whose children hold the real optimum is
+     never popped no matter the budget.  Each queue entry therefore
+     carries a slack counter — reset on strict improvement over the
+     parent, decremented on plateau or uphill steps — and chains that
+     fail to improve for [plateau_limit] consecutive steps are not
+     re-enqueued (their costs still count toward the best plan
+     found). *)
+  let plateau_limit = 4 in
+  let seen = Hashtbl.create 64 in
+  ignore (add seen expr);
+  let queue = Axml_net.Pqueue.create () in
+  Axml_net.Pqueue.push queue
+    ~time:(objective initial_cost)
+    (expr, initial_cost, [], plateau_limit);
+  let best = ref (expr, initial_cost, []) in
+  let continue = ref true in
+  while !continue && !expansions < max_expansions do
+    match Axml_net.Pqueue.pop queue with
+    | None -> continue := false
+    | Some (_, (e, e_cost, rev_path, slack)) ->
+        incr expansions;
         List.iter
-          (fun (e, rev_path) ->
-            List.iter
-              (fun (r : Rewrite.rewrite) ->
-                if Visited.add seen r.result then begin
-                  incr explored;
-                  let c = cost_of r.result in
-                  let rev_path = { rule = r.rule; cost = c } :: rev_path in
-                  let _, best_c, _ = !best in
-                  if objective c < objective best_c then
-                    best := (r.result, c, rev_path);
-                  next := (objective c, (r.result, rev_path)) :: !next
-                end)
-              (expand e))
-          !frontier;
-        (* Stable sort on the generation-ordered list: among equal
-           objectives, earlier-generated plans win — deterministic. *)
-        let ranked =
-          List.stable_sort
-            (fun (a, _) (b, _) -> Float.compare a b)
-            (List.rev !next)
-        in
-        frontier :=
-          List.filteri (fun i _ -> i < width) ranked |> List.map snd
-      done;
-      finish !best
+          (fun (r : Rewrite.rewrite) ->
+            if add seen r.result then begin
+              incr explored;
+              let c = cost_of r.result in
+              let rev_path = { rule = r.rule; cost = c } :: rev_path in
+              let _, best_c, _ = !best in
+              if objective c < objective best_c then
+                best := (r.result, c, rev_path);
+              let slack =
+                if objective c < objective e_cost then plateau_limit
+                else slack - 1
+              in
+              if slack >= 0 then
+                Axml_net.Pqueue.push queue ~time:(objective c)
+                  (r.result, c, rev_path, slack)
+            end)
+          (rewrites ~peers e)
+  done;
+  finish !best
 
 let pp_result fmt r =
   Format.fprintf fmt

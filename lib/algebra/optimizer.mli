@@ -1,40 +1,22 @@
 (** Plan optimizer.
 
     Searches the space of equivalent expressions generated by
-    {!module:Rewrite} for a plan with minimal estimated {!module:Cost}.
-    Four strategies, ablated in experiments E10 and E15:
+    {!module:Rewrite} for a plan with minimal estimated {!module:Cost},
+    cheapest-first: the best unexpanded plan is expanded next, on a
+    priority queue bounded by an expansion budget.  Plans that stop
+    improving for a few steps are not re-enqueued, so cost-neutral
+    plateaus cannot starve the search.  E15 shows it reaching the
+    exhaustive optimum on every fixture; the test suite keeps an
+    exhaustive closure as its optimality oracle.
 
-    - {!Exhaustive}: breadth-first closure of the rewrite relation up
-      to a depth bound; optimal within the bound, exponential in it.
-    - {!Greedy}: steepest-descent — apply the single rewrite that most
-      improves the objective until a local optimum.
-    - {!Best_first}: cheapest-first expansion on a priority queue of
-      unexpanded plans, bounded by an expansion budget; reaches the
-      exhaustive optimum with far fewer expansions when the objective
-      is informative.
-    - {!Beam}: level-synchronous like {!Exhaustive}, but only the
-      [width] cheapest plans of each level seed the next — bounded
-      memory at bounded regret.
-
-    All strategies deduplicate plans through a fingerprint-bucketed
+    The search deduplicates plans through a fingerprint-bucketed
     visited set ({!Expr.fingerprint}): the full structural
     {!Expr.equal} runs only on hash collisions. *)
 
 type strategy =
-  | Exhaustive of { depth : int }
-  | Greedy of { max_steps : int }
   | Best_first of { max_expansions : int }
       (** Expand at most [max_expansions] plans, always the cheapest
           unexpanded one first. *)
-  | Beam of { width : int; depth : int }
-      (** Keep the [width] cheapest new plans per level, for [depth]
-          levels. *)
-
-type visited_impl = [ `Fingerprint | `List ]
-(** Visited-set implementation: [`Fingerprint] (default) is the
-    hashtable memo keyed on {!Expr.fingerprint}; [`List] is the seed's
-    linear scan with full structural comparison, kept for the E15
-    ablation. *)
 
 type step = { rule : string; cost : Cost.t }
 
@@ -50,23 +32,24 @@ type result = {
 val strategy_name : strategy -> string
 (** Short human/machine-readable tag, e.g. ["best-first(expansions=64)"]. *)
 
+val rewrites : peers:Expr.Peer_id.t list -> Expr.t -> Rewrite.rewrite list
+(** One expansion step: {!Rewrite.everywhere} with auxiliary names
+    (rules (10), (13)) derived from the expanded plan's fingerprint.
+    The same rewrite path therefore yields the same plan in any search
+    built on it — plans are reproducible across runs, and the tests'
+    exhaustive oracle rebuilds the plans {!optimize} finds. *)
+
 val optimize :
   env:Cost.env ->
   ctx:Expr.Peer_id.t ->
   ?objective:(Cost.t -> float) ->
-  ?visited:visited_impl ->
   ?peers:Expr.Peer_id.t list ->
   strategy ->
   Expr.t ->
   result
 (** [optimize ~env ~ctx strategy e] searches from [e], driven from
-    peer [ctx].  [objective] defaults to {!Cost.weighted}; [peers]
-    defaults to the topology's peer list (the candidate delegates and
-    relays).
-
-    Auxiliary names introduced by rewrites (rules (10), (13)) are
-    derived from the rewritten expression's fingerprint, so the same
-    rewrite path yields the same plan under every strategy — plans are
-    reproducible across strategies and runs. *)
+    peer [ctx], expanding plans with {!rewrites}.  [objective] defaults
+    to {!Cost.weighted}; [peers] defaults to the topology's peer list
+    (the candidate delegates and relays). *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -37,11 +37,11 @@ let optimize_queries ?stats expr =
   let e' = walk expr in
   (e', !changed)
 
-let plan ~env ~ctx ?objective ?visited ?peers ?stats strategy expr =
+let plan ~env ~ctx ?objective ?peers ?stats strategy expr =
   let metering = Metrics.is_on Metrics.default in
   let t0 = if metering then Trace.wall_ms () else 0.0 in
   let equal_before = Expr.equal_calls () in
-  let search = Optimizer.optimize ~env ~ctx ?objective ?visited ?peers strategy expr in
+  let search = Optimizer.optimize ~env ~ctx ?objective ?peers strategy expr in
   let equal_calls = Expr.equal_calls () - equal_before in
   let plan, queries_optimized = optimize_queries ?stats search.Optimizer.plan in
   if metering then begin

@@ -27,8 +27,8 @@ type result = {
   queries_optimized : int;
       (** Embedded queries changed by the site-local pass. *)
   equal_calls : int;
-      (** {!Expr.equal} invocations the search paid for — the
-          planner's visited-set ablation metric. *)
+      (** {!Expr.equal} invocations the search paid for: the visited
+          set's cost, one per same-fingerprint bucket member compared. *)
   strategy : string;  (** {!Optimizer.strategy_name} of the search. *)
 }
 
@@ -36,7 +36,6 @@ val plan :
   env:Cost.env ->
   ctx:Expr.Peer_id.t ->
   ?objective:(Cost.t -> float) ->
-  ?visited:Optimizer.visited_impl ->
   ?peers:Expr.Peer_id.t list ->
   ?stats:Axml_query.Selectivity.Stats.t list ->
   Optimizer.strategy ->

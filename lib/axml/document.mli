@@ -17,6 +17,11 @@ val calls : t -> (Axml_xml.Node_id.t * Sc.t) list
 val has_calls : t -> bool
 
 val byte_size : t -> int
+(** {!Axml_xml.Tree.byte_size} of the root, read from
+    {!Axml_xml.Tree.byte_size_cached}: updates path-copy the root, so
+    a document's size is computed once, not per cost estimate, serve
+    or store total. *)
+
 val size : t -> int
 
 val insert_under :

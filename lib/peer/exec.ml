@@ -558,11 +558,11 @@ let apply_qcache_rewrites sys ~ctx plan =
 
 let run_optimized ?reset_stats ?max_events
     ?(strategy = Axml_algebra.Optimizer.Best_first { max_expansions = 32 })
-    ?objective ?visited ?stats sys ~ctx expr =
+    ?objective ?stats sys ~ctx expr =
   let env = System.cost_env sys in
   let wall0 = Trace.wall_ms () in
   let planned =
-    Axml_algebra.Planner.plan ~env ~ctx ?objective ?visited ?stats strategy expr
+    Axml_algebra.Planner.plan ~env ~ctx ?objective ?stats strategy expr
   in
   let rewritten, qcache_rewrites =
     apply_qcache_rewrites sys ~ctx planned.Axml_algebra.Planner.plan

@@ -85,7 +85,6 @@ val run_optimized :
   ?max_events:int ->
   ?strategy:Axml_algebra.Optimizer.strategy ->
   ?objective:(Axml_algebra.Cost.t -> float) ->
-  ?visited:Axml_algebra.Optimizer.visited_impl ->
   ?stats:Axml_query.Selectivity.Stats.t list ->
   System.t ->
   ctx:Axml_net.Peer_id.t ->

@@ -1286,9 +1286,11 @@ let find_document t p name =
 let cost_env t =
   let topology = Sim.topology t.sim in
   let all_peer_ids = Axml_net.Topology.peers topology in
+  (* Planning is not demand: [peek] keeps cost estimates out of the
+     doc/<n>/reads series the placement controller reads. *)
   let find_doc p (r : Names.Doc_ref.t) =
     Option.bind (peer_slot t p) (fun peer ->
-        Axml_doc.Store.find peer.Peer.store r.Names.Doc_ref.name)
+        Axml_doc.Store.peek peer.Peer.store r.Names.Doc_ref.name)
   in
   let doc_bytes (r : Names.Doc_ref.t) =
     let doc =

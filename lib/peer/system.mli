@@ -284,7 +284,8 @@ val cost_env : t -> Axml_algebra.Cost.env
     document sizes from the peers' stores, declarative-service queries
     from their registries, topology and CPU pricing from the
     simulator.  The entry point of optimize-before-evaluate — see
-    {!Exec.run_optimized}. *)
+    {!Exec.run_optimized}.  Its lookups are {!Axml_doc.Store.peek}s:
+    planning records no [doc/<n>/reads] demand. *)
 
 val pp_state : Format.formatter -> t -> unit
 

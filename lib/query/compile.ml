@@ -45,6 +45,12 @@ type flwr = {
       (** [schedule.(k)]: conjuncts checked once the first [k]
           bindings are set — same assignment as
           [Eval.conjunct_schedule]. *)
+  joins : (operand * operand) option array;
+      (** [joins.(k)], for an input-sourced binding [k]: the first
+          equality of [schedule.(k + 1)] between an operand reading
+          only binding [k] and one reading only earlier bindings, as
+          (inner, outer).  Binding [k]'s values are hashed on the
+          inner operand and probed with the outer. *)
   wants_index : bool;
   return_ : construct;
 }
@@ -93,6 +99,21 @@ let rec pred_descends = function
   | Ast.And (a, b) | Ast.Or (a, b) -> pred_descends a || pred_descends b
   | Ast.Not p -> pred_descends p
 
+let binding_read = function
+  | Const _ -> None
+  | Text_of i | Attr_of (i, _) -> Some i
+
+let join_of position conjuncts =
+  List.find_map
+    (function
+      | Cmp (a, Ast.Eq, b) -> (
+          match (binding_read a, binding_read b) with
+          | Some i, Some j when i = position && j < position -> Some (a, b)
+          | Some i, Some j when j = position && i < position -> Some (b, a)
+          | _ -> None)
+      | _ -> None)
+    conjuncts
+
 let compile_flwr (q : Ast.flwr) =
   let positions =
     List.mapi (fun i (b : Ast.binding) -> (b.var, i)) q.bindings
@@ -128,6 +149,14 @@ let compile_flwr (q : Ast.flwr) =
       schedule.(s) <- compile_pred positions conjunct :: schedule.(s))
     (Ast.conjuncts q.where);
   let schedule = Array.map List.rev schedule in
+  let joins =
+    Array.mapi
+      (fun k (src, _) ->
+        match src with
+        | Input _ -> join_of k schedule.(k + 1)
+        | Var _ -> None)
+      bindings
+  in
   let wants_index =
     List.exists (fun (b : Ast.binding) -> path_descends b.path) q.bindings
     || pred_descends q.where
@@ -137,6 +166,7 @@ let compile_flwr (q : Ast.flwr) =
     nvars = n;
     bindings;
     schedule;
+    joins;
     wants_index;
     return_ = compile_construct positions q.return_;
   }
@@ -278,30 +308,75 @@ let rec instantiate ~gen env = function
 
 let dummy = { node = Tree.text ""; info = None }
 
+module Key_tbl = Hashtbl.Make (Eval.Eq_key)
+
+(* An input-sourced binding's values, prepared once per evaluation:
+   scanned whole, or hashed for an equality join. *)
+type access =
+  | Scan of v list
+  | Probe of { table : v Key_tbl.t; count : int; outer : operand }
+
 let eval_flwr ~gen cnt (f : flwr) (inputs : (Forest.t * Index.t option) array) =
   let tuples = ref 0 in
   let env = Array.make (max 1 f.nvars) dummy in
   let nb = Array.length f.bindings in
+  (* An input-sourced binding does not depend on earlier bindings, so
+     it is selected (and hashed) once, when first reached. *)
+  let accesses = Array.make nb None in
+  let access position i path =
+    match accesses.(position) with
+    | Some a -> a
+    | None ->
+        let forest, idx = inputs.(i) in
+        let values = path_select cnt path (List.map (value_in idx) forest) in
+        let a =
+          match f.joins.(position) with
+          | None -> Scan values
+          | Some (inner, outer) ->
+              let table = Key_tbl.create 64 in
+              (* Added last to first: [find_all] returns the latest
+                 binding first, so each bucket is in document order. *)
+              List.iter
+                (fun v ->
+                  env.(position) <- v;
+                  match operand_value env inner with
+                  | Some s -> Key_tbl.add table (Eval.Eq_key.of_value s) v
+                  | None -> ())
+                (List.rev values);
+              Probe { table; count = List.length values; outer }
+        in
+        accesses.(position) <- Some a;
+        a
+  in
   let rec bind position =
     if position = nb then instantiate ~gen env f.return_
     else begin
-      let src, path = f.bindings.(position) in
-      let roots =
-        match src with
-        | Input i ->
-            let forest, idx = inputs.(i) in
-            List.map (value_in idx) forest
-        | Var j -> [ env.(j) ]
+      let extend v =
+        env.(position) <- v;
+        if List.for_all (holds cnt env) f.schedule.(position + 1) then
+          bind (position + 1)
+        else []
       in
-      let values = path_select cnt path roots in
-      List.concat_map
-        (fun v ->
-          incr tuples;
-          env.(position) <- v;
-          if List.for_all (holds cnt env) f.schedule.(position + 1) then
-            bind (position + 1)
-          else [])
-        values
+      let enumerate values =
+        List.concat_map
+          (fun v ->
+            incr tuples;
+            extend v)
+          values
+      in
+      match f.bindings.(position) with
+      | Var j, path -> enumerate (path_select cnt path [ env.(j) ])
+      | Input i, path -> (
+          match access position i path with
+          | Scan values -> enumerate values
+          | Probe { table; count; outer } -> (
+              (* Counted as the nested loop enumerates: every value. *)
+              tuples := !tuples + count;
+              match operand_value env outer with
+              | None -> []
+              | Some s ->
+                  List.concat_map extend
+                    (Key_tbl.find_all table (Eval.Eq_key.of_value s))))
     end
   in
   let out =

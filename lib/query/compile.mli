@@ -7,12 +7,28 @@
     pre-rendered — and evaluates descendant steps against a
     structural index ({!Axml_xml.Index}) when one is available, so
     the cost of a step scales with its matches instead of the
-    document.  Results, enumeration order and tuple counts are
-    exactly those of {!Eval.eval} (property-tested); the interpreter
-    stays as the testing oracle.
+    document.
+
+    A binding whose source is an input ([$k]) does not depend on
+    earlier bindings, so its values are selected once per evaluation,
+    when first reached, not once per earlier tuple.  When such a
+    binding's conjuncts include an equality between an operand of
+    that binding alone and one of earlier bindings alone (a join,
+    [attr($a, "item") = attr($i, "id")]), its values are hashed on
+    their operand by {!Eval.Eq_key} — the classes of
+    {!Eval.compare_values}' equality — and each earlier tuple probes
+    the table instead of scanning.  Every scheduled conjunct is
+    re-checked on the matches, which are emitted in document order,
+    as the nested loop would.  The tuple count stays the nested
+    loop's: each probe counts every value of the hashed binding.
+
+    Results, enumeration order and tuple counts are exactly those of
+    {!Eval.eval} (property-tested); the interpreter stays as the
+    testing oracle.
 
     Metrics (on {!Axml_obs.Metrics.default}, subsystem [query]):
-    [index_hits] (descendant steps served from postings),
+    [index_hits] (descendant steps served from postings; an input
+    binding's selection counts once per evaluation),
     [index_builds], [fallback] (steps that had to traverse),
     [compile_ms] (histogram, compile-cache misses only). *)
 
@@ -49,7 +65,8 @@ val eval_counted :
   Axml_xml.Forest.t list ->
   Axml_xml.Forest.t * int
 (** Like {!Eval.eval_counted}: also returns the number of binding
-    extensions enumerated (identical to the interpreter's count). *)
+    extensions enumerated (identical to the interpreter's count — a
+    hashed join counts what the nested loop would enumerate). *)
 
 val eval_over :
   gen:Axml_xml.Node_id.Gen.t ->

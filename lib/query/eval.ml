@@ -42,14 +42,16 @@ let operand_value env = function
   | Ast.Attr_of (v, a) ->
       Option.bind (List.assoc_opt v env) (fun t -> Tree.attr t a)
 
+(* A value read as a number: its trimmed text, when that parses. *)
+let number s = float_of_string_opt (String.trim s)
+
 (* Comparison follows the weak-typing convention of XPath 1.0: if both
    sides parse as numbers, compare numerically, otherwise as strings.
    The numeric parse only happens for ordering operators — [Contains]
    is a pure string operation and skips it. *)
 let compare_values op a b =
   let ord () =
-    let num s = float_of_string_opt (String.trim s) in
-    match (num a, num b) with
+    match (number a, number b) with
     | Some x, Some y -> Float.compare x y
     | (Some _ | None), _ -> String.compare a b
   in
@@ -64,6 +66,26 @@ let compare_values op a b =
       let la = String.length a and lb = String.length b in
       let rec scan i = i + lb <= la && (String.sub a i lb = b || scan (i + 1)) in
       lb = 0 || scan 0
+
+(* The classes of [compare_values Eq]: a value that parses is its
+   float, any other value its raw string.  Numbers meet by
+   [Float.equal], so -0 meets 0 and every NaN meets every NaN; strings
+   meet byte for byte; a number never meets a string, since a string
+   equal to a parsing one would parse too.  [Hashtbl.hash] maps -0 and
+   0, and all NaNs, to one hash each, so it agrees with [equal]. *)
+module Eq_key = struct
+  type t = Num of float | Str of string
+
+  let of_value s = match number s with Some f -> Num f | None -> Str s
+
+  let equal a b =
+    match (a, b) with
+    | Num x, Num y -> Float.equal x y
+    | Str x, Str y -> String.equal x y
+    | (Num _ | Str _), _ -> false
+
+  let hash = function Num f -> Hashtbl.hash f | Str s -> Hashtbl.hash s
+end
 
 let rec holds pred env =
   match pred with

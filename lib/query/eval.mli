@@ -30,6 +30,18 @@ val compare_values : Ast.cmp -> string -> string -> bool
     {!Compile}, so the compiled path agrees exactly with this
     reference interpreter. *)
 
+module Eq_key : sig
+  include Hashtbl.HashedType
+
+  val of_value : string -> t
+  (** The value's equality class under {!compare_values} [Eq]: its
+      float when the trimmed string parses as a number, the raw
+      string otherwise.  [compare_values Eq a b] holds exactly when
+      [equal (of_value a) (of_value b)]: ["1"], ["1.0"] and [" 1"]
+      meet, as do ["-0"] and ["0"], and ["nan"] and ["-nan"].
+      {!Compile} hashes equality joins on it. *)
+end
+
 val holds : Ast.pred -> (string * Axml_xml.Tree.t) list -> bool
 (** Predicate evaluation under an environment binding variables to
     nodes.  Exposed for tests and for the optimizer's selectivity

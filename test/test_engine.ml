@@ -93,6 +93,72 @@ let errors_agree seed =
     ((arity_mismatch, [ [] ])
     :: List.map (fun q -> (q, [ [] ])) bad_queries)
 
+(* --- hashed equality joins ----------------------------------------- *)
+
+(* Keys that meet only as numbers ("1", "1.0", " 1" and "1e0"; "1_0"
+   and "10"; "0x10" and "16"; "-0" and "0"; "nan" and "-nan") beside
+   keys that meet only as strings; [None] leaves the attribute out. *)
+let key_pool =
+  [
+    Some "1"; Some "1.0"; Some " 1"; Some "1e0"; Some "1_0"; Some "10";
+    Some "0x10"; Some "16"; Some "-0"; Some "0"; Some "nan"; Some "-nan";
+    Some "inf"; Some "abc"; Some ""; None;
+  ]
+
+(* <r><v i k t>KEY<w/></v>...</r>: [k] and the text both carry the key,
+   [t] feeds a second conjunct, [w] a variable-sourced binding. *)
+let keyed_forest ~rng =
+  let g = fresh_gen () in
+  let label = Xml.Label.of_string in
+  let v i =
+    let key = Rng.pick rng key_pool in
+    let attrs =
+      [ ("i", string_of_int i); ("t", Rng.pick rng [ "x"; "y" ]) ]
+      @ Option.fold ~none:[] ~some:(fun k -> [ ("k", k) ]) key
+    in
+    Xml.Tree.element ~gen:g ~attrs (label "v")
+      [
+        Xml.Tree.text (Option.value ~default:"" key);
+        Xml.Tree.element ~gen:g (label "w") [];
+      ]
+  in
+  [ Xml.Tree.element ~gen:g (label "r") (List.init (1 + Rng.int rng 10) v) ]
+
+(* Two-input equality joins, the shape Compile hashes: either operand
+   order, attr and text() operands, with and without a second
+   conjunct, and with a variable-sourced binding after the joined one.
+   Results, order and tuple counts must be the interpreter's. *)
+let hashed_join_agrees seed =
+  let rng = Rng.create ~seed in
+  let side v =
+    Rng.pick rng [ Printf.sprintf {|attr($%s, "k")|} v; "text($" ^ v ^ ")" ]
+  in
+  let a = side "a" and b = side "b" in
+  let join = if Rng.bool rng then a ^ " = " ^ b else b ^ " = " ^ a in
+  let conjuncts =
+    join
+    :: Rng.pick rng
+         [
+           []; [ {|attr($b, "t") = "x"|} ]; [ {|attr($a, "t") != attr($b, "t")|} ];
+         ]
+  in
+  let var = Rng.bool rng in
+  let q =
+    Query.Parser.parse_exn
+      (Printf.sprintf
+         "query(2) for $a in $0//v, $b in $1//v%s where %s \
+          return <p>{$a}{$b}%s</p>"
+         (if var then ", $c in $b/w" else "")
+         (String.concat " and " (Rng.shuffle rng conjuncts))
+         (if var then "{$c}" else ""))
+  in
+  let inputs = [ keyed_forest ~rng; keyed_forest ~rng ] in
+  let naive, n_count = Query.Eval.eval_counted ~gen:(fresh_gen ()) q inputs in
+  let hashed, h_count =
+    Query.Compile.eval_counted ~gen:(fresh_gen ()) q inputs
+  in
+  bytes_of naive = bytes_of hashed && n_count = h_count
+
 (* --- index maintenance ------------------------------------------- *)
 
 let elements_of tree =
@@ -245,6 +311,7 @@ let suite =
     qtest ~count:120 "indexed ≡ naive (default threshold)"
       engines_agree_default;
     qtest ~count:1 "error messages agree" errors_agree;
+    qtest ~count:300 "hashed equality joins ≡ naive" hashed_join_agrees;
     qtest ~count:120 "index consistent under appends"
       index_consistent_after_appends;
     qtest ~count:80 "incremental indexed ≡ naive batch"

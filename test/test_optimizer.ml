@@ -22,23 +22,20 @@ let naive_plan = Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "cat" ~at:"p2" 
 let env =
   Algebra.Cost.default_env ~doc_bytes:(fun _ -> 20_000) topo
 
-let test_greedy_improves () =
-  let r = Optimizer.optimize ~env ~ctx:p1 (Optimizer.Greedy { max_steps = 5 }) naive_plan in
+let best_first = Optimizer.Best_first { max_expansions = 32 }
+
+let test_best_first_improves () =
+  let r = Optimizer.optimize ~env ~ctx:p1 best_first naive_plan in
   Alcotest.(check bool) "strictly better" true
     (Algebra.Cost.weighted r.cost < Algebra.Cost.weighted r.initial_cost);
   Alcotest.(check bool) "took at least one step" true (r.trace <> []);
   Alcotest.(check bool) "explored plans" true (r.explored > 1)
 
-let test_exhaustive_no_worse_than_greedy () =
-  let greedy =
-    Optimizer.optimize ~env ~ctx:p1 (Optimizer.Greedy { max_steps = 4 }) naive_plan
-  in
-  let exhaustive =
-    Optimizer.optimize ~env ~ctx:p1 (Optimizer.Exhaustive { depth = 2 }) naive_plan
-  in
-  Alcotest.(check bool) "exhaustive <= greedy" true
-    (Algebra.Cost.weighted exhaustive.cost
-    <= Algebra.Cost.weighted greedy.cost +. 1e-9)
+let test_exhaustive_no_worse_than_best_first () =
+  let r = Optimizer.optimize ~env ~ctx:p1 best_first naive_plan in
+  let _, exhaustive = Test_planner.exhaustive ~env ~ctx:p1 ~depth:2 naive_plan in
+  Alcotest.(check bool) "exhaustive <= best-first" true
+    (Algebra.Cost.weighted exhaustive <= Algebra.Cost.weighted r.cost +. 1e-9)
 
 let test_optimized_plan_still_correct () =
   (* The optimizer's favourite plan must produce the same answers on
@@ -52,9 +49,7 @@ let test_optimized_plan_still_correct () =
   let reference =
     Runtime.Exec.run_to_quiescence (build ()) ~ctx:p1 naive_plan
   in
-  let r =
-    Optimizer.optimize ~env ~ctx:p1 (Optimizer.Greedy { max_steps = 5 }) naive_plan
-  in
+  let r = Optimizer.optimize ~env ~ctx:p1 best_first naive_plan in
   let optimized = Runtime.Exec.run_to_quiescence (build ()) ~ctx:p1 r.plan in
   Alcotest.(check bool) "same results" true
     (Xml.Canonical.equal_forest reference.results optimized.results);
@@ -65,7 +60,7 @@ let test_stable_when_optimal () =
   (* A purely local plan cannot be improved; the optimizer must return
      it unchanged. *)
   let local = Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "cat" ~at:"p1" ] in
-  let r = Optimizer.optimize ~env ~ctx:p1 (Optimizer.Greedy { max_steps = 5 }) local in
+  let r = Optimizer.optimize ~env ~ctx:p1 best_first local in
   Alcotest.(check bool) "unchanged" true (Expr.equal r.plan local);
   Alcotest.(check (list string)) "no steps" []
     (List.map (fun (s : Optimizer.step) -> s.rule) r.trace)
@@ -76,12 +71,10 @@ let test_objective_respected () =
   let latency_only c = c.Algebra.Cost.latency_ms in
   let bytes_only c = float_of_int c.Algebra.Cost.bytes in
   let by_latency =
-    Optimizer.optimize ~env ~ctx:p1 ~objective:latency_only
-      (Optimizer.Exhaustive { depth = 2 }) naive_plan
+    Optimizer.optimize ~env ~ctx:p1 ~objective:latency_only best_first naive_plan
   in
   let by_bytes =
-    Optimizer.optimize ~env ~ctx:p1 ~objective:bytes_only
-      (Optimizer.Exhaustive { depth = 2 }) naive_plan
+    Optimizer.optimize ~env ~ctx:p1 ~objective:bytes_only best_first naive_plan
   in
   Alcotest.(check bool) "latency objective" true
     (by_latency.cost.Algebra.Cost.latency_ms
@@ -91,8 +84,9 @@ let test_objective_respected () =
 
 let suite =
   [
-    ("greedy improves the naive plan", `Quick, test_greedy_improves);
-    ("exhaustive at least as good", `Quick, test_exhaustive_no_worse_than_greedy);
+    ("best-first improves the naive plan", `Quick, test_best_first_improves);
+    ("exhaustive at least as good", `Quick,
+     test_exhaustive_no_worse_than_best_first);
     ("optimized plan stays correct", `Quick, test_optimized_plan_still_correct);
     ("local plans are fixpoints", `Quick, test_stable_when_optimal);
     ("objective function respected", `Quick, test_objective_respected);

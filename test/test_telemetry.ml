@@ -349,6 +349,46 @@ let test_inflight_per_sending_peer () =
   let _, with_inflight = inflight_run System.Raw in
   Alcotest.(check (list string)) "Raw: no in-flight series" [] with_inflight
 
+(* Planning reads the stores for document sizes, but it is not demand:
+   with telemetry on it must leave no doc/<n>/reads sample for the
+   placement controller.  The sizes it reads are memoized per root, so
+   after an append they must describe the new root. *)
+let test_planning_is_not_demand () =
+  with_telemetry (fun () ->
+      Timeseries.set_enabled Timeseries.default true;
+      let sys = System.create (mesh [ "p1"; "p2" ]) in
+      let rng = Workload.Rng.create ~seed:5 in
+      System.add_document sys p2 ~name:"cat"
+        (Workload.Xml_gen.catalog ~gen:(System.gen_of sys p2) ~rng ~items:20
+           ~selectivity:0.2 ());
+      let plan =
+        Algebra.Expr.query_at (Workload.Xml_gen.selection_query ()) ~at:p1
+          ~args:[ Algebra.Expr.doc "cat" ~at:"p2" ]
+      in
+      let env = System.cost_env sys in
+      ignore
+        (Algebra.Planner.plan ~env ~ctx:p1
+           (Algebra.Optimizer.Best_first { max_expansions = 32 })
+           plan);
+      Alcotest.(check (list string))
+        "no doc/<n>/reads series" []
+        (List.filter
+           (fun k -> String.starts_with ~prefix:"doc/" k)
+           (Timeseries.keys Timeseries.default));
+      let cat = Doc.Names.Doc_ref.of_string "cat@p2" in
+      ignore (env.Algebra.Cost.doc_bytes cat);
+      let store = (System.peer sys p2).Runtime.Peer.store in
+      let name = Doc.Names.Doc_name.of_string "cat" in
+      let root = Doc.Document.root (Option.get (Doc.Store.peek store name)) in
+      let appended =
+        Doc.Store.insert_under store name ~node:(Option.get (Xml.Tree.id root))
+          [ Xml.Tree.element_of_string ~gen:(System.gen_of sys p2) "item" [] ]
+      in
+      Alcotest.(check int)
+        "doc_bytes after an append is the new root's size"
+        (Xml.Tree.byte_size (Doc.Document.root (Option.get appended)))
+        (env.Algebra.Cost.doc_bytes cat))
+
 (* --- profiler ------------------------------------------------------ *)
 
 let join_system () =
@@ -481,6 +521,8 @@ let suite =
       test_doc_and_peer_series_recorded;
     Alcotest.test_case "series: in-flight per sending peer" `Quick
       test_inflight_per_sending_peer;
+    Alcotest.test_case "series: planning records no document reads" `Quick
+      test_planning_is_not_demand;
     Alcotest.test_case "profiler: exclusive times sum to root" `Quick
       test_profiler_sums_to_root;
     Alcotest.test_case "profiler: restores sampling state" `Quick
