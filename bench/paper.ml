@@ -986,12 +986,28 @@ let cross_peer_corrs events =
     events;
   Hashtbl.fold (fun _ ps acc -> acc + if List.length ps >= 2 then 1 else 0) tbl 0
 
+(* What [peer] sent over its remote links: (frames, bytes) as Stats
+   charged them, and the bytes its [xfer] spans carry. *)
+let stats_sent (st : Net.Stats.snapshot) peer =
+  List.fold_left
+    (fun (m, b) ((src, _), (m', b')) ->
+      if Net.Peer_id.equal src peer then (m + m', b + b') else (m, b))
+    (0, 0) st.per_link
+
+let traced_sent xfers peer =
+  List.fold_left
+    (fun acc (x : Net.Sim.xfer) ->
+      if Net.Peer_id.equal x.src peer && not (Net.Peer_id.equal x.dst peer)
+      then acc + x.bytes
+      else acc)
+    0 xfers
+
 let e16 =
   claim "E16" "Observability: traced Example-1, per-peer breakdowns"
     ~gates:
       [
-        gate ~table:"peers" "metrics agree with Stats byte for byte"
-          (every "metrics = stats");
+        gate ~table:"peers" "trace agrees with Stats byte for byte"
+          (every "trace = stats");
         gate ~table:"words" "disabled tracing allocates exactly the baseline" (fun rows ->
             let w t = List.find (fun r -> gets r "tracing" = t) rows in
             getf (w "disabled (before)") "words/send"
@@ -1025,29 +1041,23 @@ let e16 =
     in
     let events = Obs.Trace.events () in
     let snapshot = Obs.Metrics.snapshot Obs.Metrics.default in
-    let metric_bytes =
-      int_of_float
-        (Obs.Metrics.total Obs.Metrics.default ~subsystem:"net" "bytes_sent")
-    in
+    let xfers = Net.Sim.xfers events in
     let rows =
       List.map
         (fun peer ->
           let pname = Net.Peer_id.to_string peer in
-          let counter name =
-            Obs.Metrics.counter_value Obs.Metrics.default ~peer:pname
-              ~subsystem:"net" name
-          in
+          let msgs, sent = stats_sent out.Runtime.Exec.stats peer in
           [
             ("plan", str label); ("peer", str pname);
-            ("sent B", bytes (counter "bytes_sent"));
-            ("msgs", int (counter "messages_sent"));
+            ("sent B", bytes sent);
+            ("msgs", int msgs);
             ( "cpu ms",
               num "%.2f" (dist_sum snapshot ~peer:pname ~subsystem:"peer" "cpu_ms") );
             ( "events",
               int
                 (List.length
                    (List.filter (fun (e : Obs.Trace.event) -> e.peer = pname) events)) );
-            ("metrics = stats", flag (metric_bytes = out.Runtime.Exec.stats.bytes));
+            ("trace = stats", flag (traced_sent xfers peer = sent));
           ])
         [ p1; p2; p3 ]
     in

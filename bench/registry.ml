@@ -918,13 +918,16 @@ let top_run t arms =
       (fun acc w -> if w.Obs.Timeseries.w_count > 0 then Float.max acc w.w_max else acc)
       0.0
   in
+  (* Retransmits at the sending peer; drops where Stats counts them:
+     at the sender for a link drop, at the destination for an arrival
+     at a crashed peer. *)
+  let sys = fc.Sc.fc_system in
+  let retransmits = System.reliability_by_peer sys in
+  let drops = Net.Stats.drops_by_peer (Net.Sim.stats (System.sim sys)) in
   let peer_row (p, role) =
     let name = Net.Peer_id.to_string p in
     let k suffix = "peer/" ^ name ^ "/" ^ suffix in
     let q quant = Obs.Timeseries.quantile reg (k "latency_ms") ~now ~windows ~q:quant in
-    let counter n =
-      Obs.Metrics.counter_value Obs.Metrics.default ~peer:name ~subsystem:"net" n
-    in
     [
       ("peer", str (Obs.Exporter.sanitize name)); ("tier", str role);
       ( "tx_per_s",
@@ -934,8 +937,12 @@ let top_run t arms =
       (* Peak over the peer's outgoing connections (recorded by the
          Reliable transport; 0 under Raw). *)
       ("inflight", num "%.0f" (peak (k "inflight")));
-      ("retransmits", int (counter "retransmits"));
-      ("drops", int (counter "drops"));
+      ( "retransmits",
+        int
+          (match List.assoc_opt p retransmits with
+          | Some (r : System.reliability_counters) -> r.retransmits
+          | None -> 0) );
+      ("drops", int (Option.value ~default:0 (List.assoc_opt p drops)));
     ]
   in
   let ranked =

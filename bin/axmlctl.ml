@@ -326,9 +326,10 @@ let demo_cmd =
     match Algebra.Rewrite.r11_push_selection naive with
     | [ r ] ->
         let sys2 = build () in
-        if trace then
-          Net.Stats.set_tracing (Net.Sim.stats (Runtime.System.sim sys2)) true;
-        let out2 = Runtime.Exec.run_to_quiescence ~reset_stats:false sys2 ~ctx:p1 r.result in
+        Obs.Trace.set_enabled trace;
+        Obs.Trace.clear ();
+        let out2 = Runtime.Exec.run_to_quiescence sys2 ~ctx:p1 r.result in
+        Obs.Trace.set_enabled false;
         warn_truncated "pushed" out2;
         Format.printf "pushed: %6d bytes  %5.1f ms  %d results@."
           out2.stats.bytes out2.elapsed_ms
@@ -339,8 +340,10 @@ let demo_cmd =
         if trace then begin
           Format.printf "@.message trace of the pushed plan:@.";
           List.iter
-            (fun e -> Format.printf "  %a@." Net.Stats.pp_trace_entry e)
-            (Net.Stats.trace (Net.Sim.stats (Runtime.System.sim sys2)))
+            (fun (x : Net.Sim.xfer) ->
+              if not (Net.Peer_id.equal x.src x.dst) then
+                Format.printf "  %a@." Net.Sim.pp_xfer x)
+            (Net.Sim.xfers (Obs.Trace.events ()))
         end
     | _ -> prerr_endline "selection not pushable?"
   in
@@ -401,21 +404,35 @@ let trace_cmd =
         Format.printf "wrote metrics to %s@." path)
       metrics_out;
     Format.printf "@.%a@." Obs.Metrics.pp_table Obs.Metrics.default;
-    (* Cross-checks: the metrics registry must agree byte-for-byte with
-       the simulator's own accounting, and at least one correlation id
-       must span several peers (a cross-peer causal chain). *)
-    let metric_bytes =
-      int_of_float (Obs.Metrics.total Obs.Metrics.default ~subsystem:"net" "bytes_sent")
+    (* Cross-checks: per sending peer, the bytes of the xfer spans must
+       agree byte-for-byte with what Stats charged, and at least one
+       correlation id must span several peers (a cross-peer causal
+       chain). *)
+    let xfers = Net.Sim.xfers events in
+    let agree =
+      List.map
+        (fun p ->
+          let sent =
+            List.fold_left
+              (fun acc (out : Runtime.Exec.outcome) ->
+                acc + snd (Axml_bench.Paper.stats_sent out.stats p))
+              0 [ out_naive; out_planned ]
+          in
+          let traced = Axml_bench.Paper.traced_sent xfers p in
+          Format.printf "%a sent %d B (xfer spans: %d B)@." Net.Peer_id.pp p sent
+            traced;
+          sent = traced)
+        [ p1; p2 ]
+      |> List.for_all Fun.id
     in
-    let stats_bytes = out_naive.stats.bytes + out_planned.stats.bytes in
-    Format.printf "bytes: metrics %d, stats %d — %s@." metric_bytes stats_bytes
-      (if metric_bytes = stats_bytes then "agree" else "DISAGREE");
+    Format.printf "trace vs stats bytes: %s@."
+      (if agree then "agree" else "DISAGREE");
     (match Axml_bench.Paper.cross_peer_corrs events with
     | 0 ->
         prerr_endline "error: no correlation id spans more than one peer";
         exit 1
     | n -> Format.printf "%d correlation id(s) span >=2 peers@." n);
-    if metric_bytes <> stats_bytes then exit 1
+    if not agree then exit 1
   in
   Cmd.v
     (Cmd.info "trace"

@@ -11,16 +11,6 @@ type 'a event =
          scheduled restart at t=500ms must not stretch a run that went
          quiescent at t=80ms. *)
 
-(* Per-peer net/* counter handles, created lazily and only while
-   metrics are enabled, so the disabled path allocates nothing. *)
-type net_handles = {
-  h_local : Metrics.counter_handle;
-  h_msgs : Metrics.counter_handle;
-  h_payload : Metrics.counter_handle;
-  h_bytes : Metrics.counter_handle;
-  h_cpu : Metrics.hist_handle;
-}
-
 (* Per-peer windowed series: transmitted bytes (one observation per
    remote transmission, value = bytes), the load signal placement and
    [axmlctl top] read, and the modelled link latency of each
@@ -40,7 +30,9 @@ type 'a slot = {
   mutable busy : float;
   mutable factor : float;
   mutable crashed_at : float;  (* < 0.0 = alive *)
-  mutable net : net_handles option;
+  mutable cpu : Metrics.hist_handle option;
+      (* [peer/cpu_ms], created lazily and only while metrics are
+         enabled, so the disabled path allocates nothing *)
   mutable ts : ts_handles option;
 }
 
@@ -66,7 +58,7 @@ let fresh_slot peer =
     busy = 0.0;
     factor = 1.0;
     crashed_at = -1.0;
-    net = None;
+    cpu = None;
     ts = None;
   }
 
@@ -119,30 +111,16 @@ let slot t peer =
       t.slots.(i) <- Some s;
       s
 
-let net_handles s =
-  match s.net with
+let cpu_handle s =
+  match s.cpu with
   | Some h -> h
   | None ->
-      let peer = Peer_id.to_string s.speer in
       let h =
-        {
-          h_local =
-            Metrics.counter_handle Metrics.default ~peer ~subsystem:"net"
-              "local_messages";
-          h_msgs =
-            Metrics.counter_handle Metrics.default ~peer ~subsystem:"net"
-              "messages_sent";
-          h_payload =
-            Metrics.counter_handle Metrics.default ~peer ~subsystem:"net"
-              "payload_messages";
-          h_bytes =
-            Metrics.counter_handle Metrics.default ~peer ~subsystem:"net"
-              "bytes_sent";
-          h_cpu =
-            Metrics.hist_handle Metrics.default ~peer ~subsystem:"peer" "cpu_ms";
-        }
+        Metrics.hist_handle Metrics.default
+          ~peer:(Peer_id.to_string s.speer)
+          ~subsystem:"peer" "cpu_ms"
       in
-      s.net <- Some h;
+      s.cpu <- Some h;
       h
 
 let ts_handles s =
@@ -179,7 +157,7 @@ let consume_cpu t ~peer ~ms =
   let horizon = max t.now s.busy +. virtual_ms in
   s.busy <- horizon;
   if Metrics.is_on Metrics.default then
-    Metrics.observe_h (net_handles s).h_cpu virtual_ms;
+    Metrics.observe_h (cpu_handle s) virtual_ms;
   (* Computation extends the run's completion time even when no
      further message departs from this peer. *)
   Stats.record_time t.stats horizon
@@ -231,10 +209,7 @@ let reachable t ~src ~dst =
   | Some f -> not (Fault.cut f ~now:t.now ~src ~dst)
 
 let record_drop t ~peer ~reason =
-  Stats.record_drop t.stats;
-  if Metrics.is_on Metrics.default then
-    Metrics.incr Metrics.default ~peer:(Peer_id.to_string peer)
-      ~subsystem:"net" "drops";
+  Stats.record_drop t.stats ~peer;
   if Trace.sampled () then
     Trace.instant ~cat:"fault" ~peer:(Peer_id.to_string peer) ~ts:t.now
       ~args:[ ("reason", reason) ]
@@ -259,27 +234,10 @@ let inject t plan =
 
 (* --- sending ----------------------------------------------------- *)
 
-(* Per-peer send metrics mirror Stats exactly — per transmission that
-   actually leaves the sender, including retransmissions and
-   fault-injected duplicates; bytes count remote messages only,
-   loopbacks are tallied separately — so the metrics table and
-   Stats.snapshot agree to the byte. *)
-let count_send_metrics t ~src ~dst ~bytes ~msgs =
-  if Metrics.is_on Metrics.default then begin
-    let h = net_handles (slot t src) in
-    if Peer_id.equal src dst then Metrics.incr_h h.h_local ~by:1
-    else begin
-      Metrics.incr_h h.h_msgs ~by:1;
-      Metrics.incr_h h.h_payload ~by:msgs;
-      Metrics.incr_h h.h_bytes ~by:bytes
-    end
-  end
-
 let transmit ?note ?(msgs = 1) t ~link ~departure ~jitter_ms ~src ~dst ~bytes
     payload =
   let arrival = departure +. Link.transfer_ms link ~bytes +. jitter_ms in
-  Stats.record_send ~at_ms:departure ?note ~msgs t.stats ~src ~dst ~bytes;
-  count_send_metrics t ~src ~dst ~bytes ~msgs;
+  Stats.record_send ~msgs t.stats ~src ~dst ~bytes;
   (* Every instrumentation block sits behind one boolean load so that
      the disabled hot path allocates nothing (checked in the E16/E21
      benches); tracing additionally gates on the sampling decision,
@@ -303,6 +261,37 @@ let transmit ?note ?(msgs = 1) t ~link ~departure ~jitter_ms ~src ~dst ~bytes
       ~args "xfer"
   end;
   Pqueue.push t.queue ~time:arrival (Deliver { src; dst; payload })
+
+type xfer = {
+  src : Peer_id.t;
+  dst : Peer_id.t;
+  depart_ms : float;
+  arrive_ms : float;
+  bytes : int;
+  note : string;
+}
+
+let xfers events =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      let arg k = List.assoc_opt k e.args in
+      match (e.cat, e.name, arg "dst", arg "bytes") with
+      | "net", "xfer", Some dst, Some bytes ->
+          Some
+            {
+              src = Peer_id.of_string e.peer;
+              dst = Peer_id.of_string dst;
+              depart_ms = e.ts_ms;
+              arrive_ms = e.ts_ms +. e.dur_ms;
+              bytes = int_of_string bytes;
+              note = Option.value ~default:"" (arg "note");
+            }
+      | _ -> None)
+    events
+
+let pp_xfer fmt x =
+  Format.fprintf fmt "%8.2fms  %a -> %a  %6dB  %s" x.depart_ms Peer_id.pp x.src
+    Peer_id.pp x.dst x.bytes x.note
 
 let send ?note ?msgs t ~src ~dst ~bytes payload =
   let link = Topology.link t.topology ~src ~dst in
@@ -384,7 +373,7 @@ let run ?until_ms ?(max_events = 1_000_000) t =
             (* A message arriving at a dead (or never-installed)
                destination is a routable fault, not an abort: the
                bytes were spent, the payload is gone, the run goes
-               on.  Counted in net/drops. *)
+               on.  Counted against the destination. *)
             let s = slot t dst in
             if s.crashed_at >= 0.0 then
               record_drop t ~peer:dst ~reason:"crashed"

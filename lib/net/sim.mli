@@ -45,12 +45,35 @@ val send :
 (** Enqueue a message.  It departs no earlier than the sender's busy
     horizon and arrives after the link's transfer time (plus any
     fault-injected jitter; an injected fault plan may also drop or
-    duplicate it).  [note] labels the message in the statistics trace
-    (see {!Stats.set_tracing}); [msgs] (default [1]) is the number of
-    logical messages the frame carries — a batching transport passes
-    the item count so {!Stats.snapshot}[.payload_messages] stays a
-    physical-independent measure of traffic.
+    duplicate it).  Each transmission is counted once, in {!stats},
+    and — while {!Axml_obs.Trace} keeps its correlation — recorded as
+    an [xfer] span (see {!xfers}) labelled with [note]; [msgs]
+    (default [1]) is the number of logical messages the frame carries
+    — a batching transport passes the item count so
+    {!Stats.snapshot}[.payload_messages] stays a physical-independent
+    measure of traffic.
     @raise Not_found if either peer is outside the topology. *)
+
+(** {2 Reading transmissions back}
+
+    The message-by-message account of a run is its [xfer] spans: one
+    per kept transmission (retransmissions, fault-injected duplicates
+    and loopbacks included), on the sender's track. *)
+
+type xfer = {
+  src : Peer_id.t;
+  dst : Peer_id.t;
+  depart_ms : float;  (** The span's start. *)
+  arrive_ms : float;
+      (** The span's end: departure plus transfer time and jitter. *)
+  bytes : int;  (** What {!Stats} charged; loopbacks carry theirs too. *)
+  note : string;  (** The sender's label, [""] when it gave none. *)
+}
+
+val xfers : Axml_obs.Trace.event list -> xfer list
+(** The transmissions among [events], in recording order. *)
+
+val pp_xfer : Format.formatter -> xfer -> unit
 
 val after : 'a t -> peer:Peer_id.t -> delay_ms:float -> (unit -> unit) -> unit
 (** Schedule a local callback on [peer] at [now + delay_ms].  Timers
@@ -125,8 +148,8 @@ val run : ?until_ms:float -> ?max_events:int -> 'a t -> outcome * int
     surface it rather than mistake the truncation for quiescence.
 
     A delivery to a crashed or handler-less peer is a routable fault:
-    it is counted ({!Stats} drops, [net/drops] metric, a trace
-    instant) and the run continues.
+    it is counted against the destination ({!Stats.drops_by_peer}, a
+    trace instant) and the run continues.
 
     When {!Axml_obs.Trace} is enabled, every delivery and timer is
     recorded as a virtual-time span on the destination peer's track;

@@ -8,14 +8,6 @@ type snapshot = {
   per_link : ((Peer_id.t * Peer_id.t) * (int * int)) list;
 }
 
-type trace_entry = {
-  at_ms : float;
-  src : Peer_id.t;
-  dst : Peer_id.t;
-  trace_bytes : int;
-  note : string;
-}
-
 (* One mutable cell per directed link, keyed by the packed pair of
    dense peer indexes: recording a send is an int-keyed table probe
    and two in-place increments — no tuple key allocation, no generic
@@ -33,12 +25,9 @@ type t = {
   mutable payload_messages : int;
   mutable bytes : int;
   mutable local_messages : int;
-  mutable drops : int;
   mutable completion_ms : float;
   per_link : (int, link_cell) Hashtbl.t;
-  mutable tracing : bool;
-  mutable trace_local : bool;
-  mutable trace_rev : trace_entry list;
+  drops : int Peer_id.Table.t;  (* fault paths only: rare *)
 }
 
 let pack src dst = (Peer_id.index src lsl 31) lor Peer_id.index dst
@@ -49,49 +38,34 @@ let create () =
     payload_messages = 0;
     bytes = 0;
     local_messages = 0;
-    drops = 0;
     completion_ms = 0.0;
     per_link = Hashtbl.create 16;
-    tracing = false;
-    trace_local = false;
-    trace_rev = [];
+    drops = Peer_id.Table.create 8;
   }
 
-let record_send ?(at_ms = 0.0) ?(note = "") ?(msgs = 1) t ~src ~dst ~bytes =
-  if Peer_id.equal src dst then begin
-    t.local_messages <- t.local_messages + 1;
-    (* Loopback deliveries are free on the wire but causally real:
-       rule (12) intermediary elimination turns remote hops into local
-       ones, and hiding them from the trace hides the rule's effect.
-       Opt-in so existing remote-only traces stay unchanged. *)
-    if t.tracing && t.trace_local then
-      t.trace_rev <-
-        { at_ms; src; dst; trace_bytes = bytes; note } :: t.trace_rev
-  end
+let record_send ?(msgs = 1) t ~src ~dst ~bytes =
+  if Peer_id.equal src dst then t.local_messages <- t.local_messages + 1
   else begin
     t.messages <- t.messages + 1;
     t.payload_messages <- t.payload_messages + msgs;
     t.bytes <- t.bytes + bytes;
     let key = pack src dst in
-    (match Hashtbl.find t.per_link key with
+    match Hashtbl.find t.per_link key with
     | cell ->
         cell.lmsgs <- cell.lmsgs + 1;
         cell.lbytes <- cell.lbytes + bytes
     | exception Not_found ->
         Hashtbl.add t.per_link key
-          { lsrc = src; ldst = dst; lmsgs = 1; lbytes = bytes });
-    if t.tracing then
-      t.trace_rev <-
-        { at_ms; src; dst; trace_bytes = bytes; note } :: t.trace_rev
+          { lsrc = src; ldst = dst; lmsgs = 1; lbytes = bytes }
   end
 
-let record_drop t = t.drops <- t.drops + 1
+let record_drop t ~peer =
+  let n = Option.value ~default:0 (Peer_id.Table.find_opt t.drops peer) in
+  Peer_id.Table.replace t.drops peer (n + 1)
 
-let set_tracing t enabled = t.tracing <- enabled
-let tracing_enabled t = t.tracing
-let set_trace_local t enabled = t.trace_local <- enabled
-let trace_local_enabled t = t.trace_local
-let trace t = List.rev t.trace_rev
+let drops_by_peer t =
+  Peer_id.Table.fold (fun p n acc -> (p, n) :: acc) t.drops []
+  |> List.sort (fun (a, _) (b, _) -> Peer_id.compare a b)
 
 let record_time t time = if time > t.completion_ms then t.completion_ms <- time
 
@@ -101,7 +75,7 @@ let snapshot t : snapshot =
     payload_messages = t.payload_messages;
     bytes = t.bytes;
     local_messages = t.local_messages;
-    drops = t.drops;
+    drops = Peer_id.Table.fold (fun _ n acc -> acc + n) t.drops 0;
     completion_ms = t.completion_ms;
     per_link =
       Hashtbl.fold
@@ -115,14 +89,9 @@ let reset t =
   t.payload_messages <- 0;
   t.bytes <- 0;
   t.local_messages <- 0;
-  t.drops <- 0;
   t.completion_ms <- 0.0;
   Hashtbl.reset t.per_link;
-  t.trace_rev <- []
-
-let pp_trace_entry fmt e =
-  Format.fprintf fmt "%8.2fms  %a -> %a  %6dB  %s" e.at_ms Peer_id.pp e.src
-    Peer_id.pp e.dst e.trace_bytes e.note
+  Peer_id.Table.reset t.drops
 
 let pp_snapshot fmt (s : snapshot) =
   Format.fprintf fmt

@@ -2,7 +2,10 @@
 
     The quantities the paper's optimizations trade in: messages sent,
     bytes shipped (total and per directed link), and the virtual time
-    at which the system went quiescent. *)
+    at which the system went quiescent.  This is the one store of
+    those counts: the per-peer figures are read from [per_link] and
+    {!drops_by_peer}, and a message-by-message account is the [xfer]
+    spans {!Axml_obs.Trace} records (see {!Sim.xfers}). *)
 
 type t
 
@@ -18,59 +21,29 @@ type snapshot = {
   drops : int;
       (** Messages lost to injected faults: dropped in flight by a
           lossy/cut link, or discarded on arrival at a crashed (or
-          handler-less) peer. Not counted in [messages]/[bytes] when
-          dropped at send time. *)
+          handler-less) peer.  Not counted in [messages]/[bytes] when
+          dropped at send time.  The sum of {!drops_by_peer}. *)
   completion_ms : float;  (** Time of the last processed event. *)
   per_link : ((Peer_id.t * Peer_id.t) * (int * int)) list;
       (** (src, dst) -> (messages, bytes), remote links only. *)
 }
 
-type trace_entry = {
-  at_ms : float;  (** Virtual send time. *)
-  src : Peer_id.t;
-  dst : Peer_id.t;
-  trace_bytes : int;
-  note : string;  (** Message kind, e.g. ["invoke find/1"]. *)
-}
-
 val create : unit -> t
 
 val record_send :
-  ?at_ms:float ->
-  ?note:string ->
-  ?msgs:int ->
-  t ->
-  src:Peer_id.t ->
-  dst:Peer_id.t ->
-  bytes:int ->
-  unit
+  ?msgs:int -> t -> src:Peer_id.t -> dst:Peer_id.t -> bytes:int -> unit
 (** [msgs] (default [1]) is the number of logical messages the frame
     carries; it only feeds [payload_messages]. *)
 
-val record_drop : t -> unit
+val record_drop : t -> peer:Peer_id.t -> unit
+(** Count a lost message against [peer]: the sender for a link drop,
+    the destination for an arrival at a crashed or handler-less
+    peer. *)
+
+val drops_by_peer : t -> (Peer_id.t * int) list
+(** Drops per peer, sorted by peer; peers with none are absent. *)
+
 val record_time : t -> float -> unit
 val snapshot : t -> snapshot
 val reset : t -> unit
-(** Clears counters and the trace; tracing stays in its current
-    enabled/disabled state. *)
-
-val set_tracing : t -> bool -> unit
-(** Record a {!trace_entry} per remote message (off by default; local
-    messages are only traced when {!set_trace_local} is also on). *)
-
-val tracing_enabled : t -> bool
-
-val set_trace_local : t -> bool -> unit
-(** Also record loopback ([src = dst]) deliveries in the trace while
-    tracing is on (off by default).  Local messages never count toward
-    [bytes] — but making them visible is what lets rule-(12)
-    intermediary elimination show up in a trace instead of silently
-    disappearing. *)
-
-val trace_local_enabled : t -> bool
-
-val trace : t -> trace_entry list
-(** Recorded entries, oldest first. *)
-
 val pp_snapshot : Format.formatter -> snapshot -> unit
-val pp_trace_entry : Format.formatter -> trace_entry -> unit

@@ -9,9 +9,11 @@
     {!is_on} so that the disabled path is one boolean load with no
     allocation.
 
-    Metric names recorded by the runtime (see DESIGN.md §10):
-    - [net/messages_sent], [net/bytes_sent], [net/local_messages] —
-      per sending peer, mirroring {!Axml_net.Stats} exactly;
+    Metric names recorded by the runtime (see DESIGN.md §10) — only
+    what no always-on store counts; messages, bytes and drops live in
+    [Axml_net.Stats], transport counters in
+    [Axml_peer.System.reliability_counters], cache counts in
+    [Axml_query.Qcache.stats]:
     - [sim/events], [sim/queue_depth] (gauge, high-water mark);
     - [peer/cpu_ms] (histogram per peer), [peer/activations],
       [peer/routed_batches];
@@ -19,10 +21,10 @@
     - [plan/expansions], [plan/explored], [plan/rewrite_steps],
       [plan/equal_calls], [plan/queries_optimized],
       [plan/search_ms] (histogram);
-    - [qcache/hits], [qcache/misses], [qcache/collisions],
-      [qcache/stale_drops], [qcache/invalidations],
-      [qcache/installs], [qcache/evictions] — per peer, the semantic
-      result cache ([Axml_query.Qcache], DESIGN.md §18). *)
+    - [query/compile_ms], [query/index_builds], [query/index_hits],
+      [query/fallback];
+    - [fault/crashes], [fault/restarts];
+    - [profiler/est_error_ratio]. *)
 
 (** {1 Histogram geometry}
 

@@ -47,9 +47,27 @@ type wire = Xml | Binary | Binary_strict
    reset by {!handle_crash} — safe because a buffered message is never
    acked, so losing the buffer just means the sender retransmits.  The
    record itself is created on first contact and never removed. *)
+
+(* The transport's counters for one peer — what its windows sent and
+   the duplicates it discarded — and the only count of those events.
+   They are the system's bookkeeping, not the peer's state: a crash
+   leaves them alone.  The same record is the public, read-only view. *)
+type reliability_counters = {
+  mutable retransmits : int;  (* window timeouts that re-shipped *)
+  mutable dup_suppressed : int;  (* duplicates discarded *)
+  mutable abandoned : int;  (* messages given up on *)
+  mutable acks_sent : int;  (* standalone acks ... *)
+  mutable batches_sent : int;  (* Batch frames ... *)
+  mutable batched_messages : int;  (* ... the items they carried ... *)
+  mutable piggybacked_acks : int;  (* ... the owed acks they carried *)
+  mutable delayed_acks : int;  (* standalone acks fired after a deferral *)
+  mutable dedup_shared_bytes : int;  (* bytes within-frame sharing saved *)
+}
+
 type conn = {
   c_src : Peer_id.t;  (* a *)
   c_dst : Peer_id.t;  (* b *)
+  counts : reliability_counters;  (* a's, shared by all of a's conns *)
   mutable next_seq : int;  (* last seq assigned to a→b traffic *)
   mutable next_expected : int;  (* next in-order seq awaited from b *)
   mutable queue : Message.t list;  (* awaiting flush, newest first *)
@@ -60,19 +78,6 @@ type conn = {
   buffer : (int, Message.t) Hashtbl.t;  (* seq -> early arrival from b *)
   mutable ack_due : bool;  (* a standalone ack timer is armed *)
   mutable cancel_ack : unit -> unit;
-}
-
-type rel = {
-  conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
-  mutable retransmits : int;
-  mutable dup_suppressed : int;
-  mutable abandoned : int;
-  mutable acks_sent : int;
-  mutable batches_sent : int;
-  mutable batched_messages : int;
-  mutable piggybacked_acks : int;
-  mutable delayed_acks : int;
-  mutable dedup_shared_bytes : int;
 }
 
 (* Pre-resolved per-peer metric handles for the routing/stream hot
@@ -99,13 +104,17 @@ type t = {
   max_retries : int;
   flush_ms : float;
   ack_delay_ms : float;
-  rel : rel;
+  conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
+  counts : reliability_counters Peer_id.Table.t;
+      (* created with a peer's first conn *)
   mutable failover_save : Peer_id.t -> unit;
   mutable failover_load : Peer_id.t -> unit;
   mutable qcache_capacity : int option;
       (* [Some cap] = semantic caching enabled; every live peer (and
          every peer recreated by a crash) carries a fresh
          [Peer.qcache] of this capacity. *)
+  mutable qcache_retired : Axml_query.Qcache.stats;
+      (* the counts of caches a crash discarded *)
 }
 
 type eval_hook = t -> ctx:Peer_id.t -> Axml_algebra.Expr.t -> emit:emit -> unit
@@ -125,30 +134,42 @@ let wire t = t.wire
 let flush_ms t = t.flush_ms
 let ack_delay_ms t = t.ack_delay_ms
 
-type reliability_counters = {
-  retransmits : int;
-  dup_suppressed : int;
-  abandoned : int;
-  acks_sent : int;
-  batches_sent : int;
-  batched_messages : int;
-  piggybacked_acks : int;
-  delayed_acks : int;
-  dedup_shared_bytes : int;
-}
+let no_counters () =
+  {
+    retransmits = 0;
+    dup_suppressed = 0;
+    abandoned = 0;
+    acks_sent = 0;
+    batches_sent = 0;
+    batched_messages = 0;
+    piggybacked_acks = 0;
+    delayed_acks = 0;
+    dedup_shared_bytes = 0;
+  }
+
+let add_counters a b =
+  {
+    retransmits = a.retransmits + b.retransmits;
+    dup_suppressed = a.dup_suppressed + b.dup_suppressed;
+    abandoned = a.abandoned + b.abandoned;
+    acks_sent = a.acks_sent + b.acks_sent;
+    batches_sent = a.batches_sent + b.batches_sent;
+    batched_messages = a.batched_messages + b.batched_messages;
+    piggybacked_acks = a.piggybacked_acks + b.piggybacked_acks;
+    delayed_acks = a.delayed_acks + b.delayed_acks;
+    dedup_shared_bytes = a.dedup_shared_bytes + b.dedup_shared_bytes;
+  }
 
 let reliability_counters t =
-  {
-    retransmits = t.rel.retransmits;
-    dup_suppressed = t.rel.dup_suppressed;
-    abandoned = t.rel.abandoned;
-    acks_sent = t.rel.acks_sent;
-    batches_sent = t.rel.batches_sent;
-    batched_messages = t.rel.batched_messages;
-    piggybacked_acks = t.rel.piggybacked_acks;
-    delayed_acks = t.rel.delayed_acks;
-    dedup_shared_bytes = t.rel.dedup_shared_bytes;
-  }
+  Peer_id.Table.fold (fun _ c acc -> add_counters acc c) t.counts
+    (no_counters ())
+
+(* Copies, so a caller's list does not move with the live counts. *)
+let reliability_by_peer t =
+  Peer_id.Table.fold
+    (fun p c acc -> (p, add_counters (no_counters ()) c) :: acc)
+    t.counts []
+  |> List.sort (fun (a, _) (b, _) -> Peer_id.compare a b)
 
 (* Dense per-peer slots: the per-dispatch peer lookup is an array load
    instead of a string hash + probe. *)
@@ -214,7 +235,7 @@ let attach_qcache t p =
       let owner = Peer_id.to_string p in
       pr.Peer.qcache <-
         Some
-          (Axml_query.Qcache.create ~capacity ~owner
+          (Axml_query.Qcache.create ~capacity
              ~equal:Axml_algebra.Expr.equal ());
       Axml_doc.Store.set_on_mutate pr.Peer.store (fun name ->
           match pr.Peer.qcache with
@@ -243,7 +264,7 @@ let qcache_stats t =
       match pr.Peer.qcache with
       | Some c -> Axml_query.Qcache.add_stats acc (Axml_query.Qcache.stats c)
       | None -> acc)
-    Axml_query.Qcache.zero_stats (peers t)
+    t.qcache_retired (peers t)
 
 let fresh_key t =
   let k = t.next_key in
@@ -254,13 +275,10 @@ let set_cont ?(expected_finals = 1) t key f =
   Hashtbl.replace t.conts key
     { remaining_finals = expected_finals; batches = 0; fn = f }
 
-let note_of t payload =
-  (* Rendering the note costs; only pay when someone listens.
-     (Per-peer net metrics live in Sim.send, next to Stats, so they
-     mirror each actual transmission — including retransmissions and
-     fault-injected duplicates.) *)
-  if Axml_net.Stats.tracing_enabled (Sim.stats t.sim) then
-    Some (Format.asprintf "%a" Message.pp payload)
+(* The [xfer] span's label; rendering it costs, so only a transmission
+   whose span is kept pays. *)
+let note_of payload =
+  if Trace.sampled () then Some (Format.asprintf "%a" Message.pp payload)
   else None
 
 let raw_send t ~src ~dst (msg : Message.t) =
@@ -280,7 +298,7 @@ let raw_send t ~src ~dst (msg : Message.t) =
     | Binary_strict -> Codec.roundtrip msg
   in
   Sim.send
-    ?note:(note_of t msg.Message.payload)
+    ?note:(note_of msg.Message.payload)
     ~msgs:(Message.batch_size msg.Message.payload)
     t.sim ~src ~dst ~bytes msg
 
@@ -290,15 +308,24 @@ let retry_delay t attempt = t.rto_ms *. (2.0 ** float_of_int (min attempt 5))
 
 let conn_key a b = (Peer_id.index a lsl 31) lor Peer_id.index b
 
+let counts_of t p =
+  match Peer_id.Table.find_opt t.counts p with
+  | Some c -> c
+  | None ->
+      let c = no_counters () in
+      Peer_id.Table.add t.counts p c;
+      c
+
 let conn t a b =
   let key = conn_key a b in
-  match Hashtbl.find t.rel.conns key with
+  match Hashtbl.find t.conns key with
   | c -> c
   | exception Not_found ->
       let c =
         {
           c_src = a;
           c_dst = b;
+          counts = counts_of t a;
           next_seq = 0;
           next_expected = 1;
           queue = [];
@@ -311,13 +338,13 @@ let conn t a b =
           cancel_ack = ignore;
         }
       in
-      Hashtbl.add t.rel.conns key c;
+      Hashtbl.add t.conns key c;
       c
 
 (* Lookup that must not create: used where the old tables answered
    [None] for a pair that never communicated. *)
 let conn_opt t a b =
-  match Hashtbl.find t.rel.conns (conn_key a b) with
+  match Hashtbl.find t.conns (conn_key a b) with
   | c -> Some c
   | exception Not_found -> None
 
@@ -343,25 +370,14 @@ let send_batch t ~src ~dst (d : conn) msgs =
        piggybacked cumulative ack. *)
     d.cancel_ack ();
     d.ack_due <- false;
-    t.rel.piggybacked_acks <- t.rel.piggybacked_acks + 1;
-    if Metrics.is_on Metrics.default then
-      Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-        ~subsystem:"net" "piggybacked_acks"
+    d.counts.piggybacked_acks <- d.counts.piggybacked_acks + 1
   end;
   let payload = Message.batch ~ack:(cum_ack d) msgs in
   let items = Message.batch_size payload in
   let saved = Message.batch_saved payload in
-  t.rel.batches_sent <- t.rel.batches_sent + 1;
-  t.rel.batched_messages <- t.rel.batched_messages + items;
-  t.rel.dedup_shared_bytes <- t.rel.dedup_shared_bytes + saved;
-  if Metrics.is_on Metrics.default then begin
-    let peer = Peer_id.to_string src in
-    Metrics.incr Metrics.default ~peer ~subsystem:"net" "batches_sent";
-    Metrics.incr Metrics.default ~peer ~by:items ~subsystem:"net" "batch_items";
-    if saved > 0 then
-      Metrics.incr Metrics.default ~peer ~by:saved ~subsystem:"net"
-        "batch_shared_bytes"
-  end;
+  d.counts.batches_sent <- d.counts.batches_sent + 1;
+  d.counts.batched_messages <- d.counts.batched_messages + items;
+  d.counts.dedup_shared_bytes <- d.counts.dedup_shared_bytes + saved;
   if Trace.sampled () then
     Trace.instant ~cat:"net"
       ~peer:(Peer_id.to_string src)
@@ -403,10 +419,7 @@ and retry_window t (d : conn) ~src ~dst =
       let n = List.length unacked in
       d.unacked <- [];
       d.attempt <- 0;
-      t.rel.abandoned <- t.rel.abandoned + n;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src) ~by:n
-          ~subsystem:"net" "abandoned";
+      d.counts.abandoned <- d.counts.abandoned + n;
       (* SLO breach: the whole unacked window was given up on. *)
       if Trace.sampled () then
         Trace.instant ~cat:"slo"
@@ -420,10 +433,7 @@ and retry_window t (d : conn) ~src ~dst =
             Peer_id.pp src n Peer_id.pp dst t.max_retries)
   | unacked ->
       d.attempt <- d.attempt + 1;
-      t.rel.retransmits <- t.rel.retransmits + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "retransmits";
+      d.counts.retransmits <- d.counts.retransmits + 1;
       ship t ~src ~dst d unacked
 
 let flush t ~src ~dst (d : conn) =
@@ -496,20 +506,20 @@ let send t ~src ~dst payload =
     end
   end
 
-let send_ack t ~src ~dst ~corr seq =
-  t.rel.acks_sent <- t.rel.acks_sent + 1;
-  raw_send t ~src ~dst (Message.make ~corr (Message.Ack { seq }))
-
 (* --- the sequenced window (receiver side, ack scheduling) -------- *)
 
-let fire_delayed_ack t ~at ~from (d : conn) =
+(* A standalone cumulative ack of everything [d.c_src] has delivered
+   from [d.c_dst]. *)
+let send_ack t (d : conn) ~corr =
+  d.counts.acks_sent <- d.counts.acks_sent + 1;
+  raw_send t ~src:d.c_src ~dst:d.c_dst
+    (Message.make ~corr (Message.Ack { seq = cum_ack d }))
+
+let fire_delayed_ack t (d : conn) =
   if d.ack_due then begin
     d.ack_due <- false;
-    t.rel.delayed_acks <- t.rel.delayed_acks + 1;
-    if Metrics.is_on Metrics.default then
-      Metrics.incr Metrics.default ~peer:(Peer_id.to_string at)
-        ~subsystem:"net" "delayed_acks";
-    send_ack t ~src:at ~dst:from ~corr:0 (cum_ack d)
+    d.counts.delayed_acks <- d.counts.delayed_acks + 1;
+    send_ack t d ~corr:0
   end
 
 (* Owe the sender an acknowledgement.  With no delay configured a
@@ -517,13 +527,13 @@ let fire_delayed_ack t ~at ~from (d : conn) =
    correlation id of the message that prompted it; otherwise a single
    timer is armed (re-arming would starve the sender under a steady
    stream) and cancelled if reverse traffic piggybacks first. *)
-let schedule_ack t ~at ~from ~corr (d : conn) =
-  if t.ack_delay_ms <= 0.0 then send_ack t ~src:at ~dst:from ~corr (cum_ack d)
+let schedule_ack t ~corr (d : conn) =
+  if t.ack_delay_ms <= 0.0 then send_ack t d ~corr
   else if not d.ack_due then begin
     d.ack_due <- true;
     d.cancel_ack <-
-      Sim.after_cancellable t.sim ~peer:at ~delay_ms:t.ack_delay_ms (fun () ->
-          fire_delayed_ack t ~at ~from d)
+      Sim.after_cancellable t.sim ~peer:d.c_src ~delay_ms:t.ack_delay_ms
+        (fun () -> fire_delayed_ack t d)
   end
 
 let consume_cpu t ~peer ~bytes =
@@ -856,14 +866,9 @@ let dispatch t (self : Peer.t) ~src (msg : Message.t) =
    order: early arrivals wait in a (volatile) buffer, duplicates are
    suppressed, and an ack is owed only when a message is actually
    delivered — never for a merely buffered one, so a crash that wipes
-   the buffer cannot lose anything the sender believes delivered. *)
-let count_dup t p =
-  t.rel.dup_suppressed <- t.rel.dup_suppressed + 1;
-  if Metrics.is_on Metrics.default then
-    Metrics.incr Metrics.default ~peer:(Peer_id.to_string p) ~subsystem:"net"
-      "dup_suppressed"
+   the buffer cannot lose anything the sender believes delivered.
 
-(* The ack is owed {e before} the message is dispatched: a handler can
+   The ack is owed {e before} the message is dispatched: a handler can
    keep the peer busy for a long simulated time (a declarative service
    charges [cpu_ms_per_kb]), and an ack sent after dispatch would
    depart only when that CPU ends — late enough to fire the sender's
@@ -871,7 +876,7 @@ let count_dup t p =
 let rec deliver_ready t (c : conn) p ~src (msg : Message.t) =
   let seq = msg.Message.seq in
   c.next_expected <- seq + 1;
-  schedule_ack t ~at:p ~from:src ~corr:msg.Message.corr c;
+  schedule_ack t ~corr:msg.Message.corr c;
   dispatch t (peer t p) ~src msg;
   match Hashtbl.find_opt c.buffer (seq + 1) with
   | Some next ->
@@ -886,11 +891,12 @@ let receive_sequenced t p ~src (msg : Message.t) =
   if seq < expected then begin
     (* Already delivered — a lost ack or a go-back-N re-ship.  Owe a
        (cumulative) re-ack so the sender's window drains. *)
-    count_dup t p;
-    schedule_ack t ~at:p ~from:src ~corr:msg.Message.corr c
+    c.counts.dup_suppressed <- c.counts.dup_suppressed + 1;
+    schedule_ack t ~corr:msg.Message.corr c
   end
   else if seq > expected then begin
-    if Hashtbl.mem c.buffer seq then count_dup t p
+    if Hashtbl.mem c.buffer seq then
+      c.counts.dup_suppressed <- c.counts.dup_suppressed + 1
     else Hashtbl.replace c.buffer seq msg
   end
   else deliver_ready t c p ~src msg
@@ -935,11 +941,17 @@ let handle_crash t p =
         c.cancel_ack ();
         c.cancel_ack <- ignore
       end)
-    t.rel.conns;
+    t.conns;
   let old = peer t p in
   set_peer t p (Peer.create ~gen:old.Peer.gen ~policy:old.Peer.policy p);
   (* The semantic cache is volatile: the replacement peer gets a fresh
-     empty one (when caching is on), never the pre-crash contents. *)
+     empty one (when caching is on), never the pre-crash contents —
+     but what the old one counted stays counted. *)
+  Option.iter
+    (fun c ->
+      t.qcache_retired <-
+        Axml_query.Qcache.(add_stats t.qcache_retired (stats c)))
+    old.Peer.qcache;
   attach_qcache t p
 
 (* Restart resynchronization (DESIGN.md §17).  A crash wipes the
@@ -1005,22 +1017,12 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       max_retries;
       flush_ms;
       ack_delay_ms;
-      rel =
-        {
-          conns = Hashtbl.create 64;
-          retransmits = 0;
-          dup_suppressed = 0;
-          abandoned = 0;
-          acks_sent = 0;
-          batches_sent = 0;
-          batched_messages = 0;
-          piggybacked_acks = 0;
-          delayed_acks = 0;
-          dedup_shared_bytes = 0;
-        };
+      conns = Hashtbl.create 64;
+      counts = Peer_id.Table.create 16;
       failover_save = ignore;
       failover_load = ignore;
       qcache_capacity = None;
+      qcache_retired = Axml_query.Qcache.zero_stats;
     }
   in
   List.iter

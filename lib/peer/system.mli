@@ -139,8 +139,9 @@ val send : t -> src:Peer_id.t -> dst:Peer_id.t -> Message.payload -> unit
     correlation id ({!Axml_obs.Trace.current_corr}) and enqueue it on
     the simulator.  Under the [Reliable] transport the message is
     also sequenced and joins its direction's window until acked
-    (loopbacks and acks stay raw).  Per-peer send metrics are recorded when
-    {!Axml_obs.Metrics.default} is enabled. *)
+    (loopbacks and acks stay raw).  Each transmission is counted in
+    {!stats}; while {!Axml_obs.Trace} keeps the correlation, its [xfer]
+    span carries the {!Message.pp} rendering as its note. *)
 
 val route :
   ?notify:Peer_id.t * int ->
@@ -203,7 +204,8 @@ val set_failover :
     replaces it with a fresh empty one, and failover checkpoints never
     contain it — restart reloads re-stamp documents
     ({!Axml_doc.Store.version_of}), so pre-crash entries could not
-    revalidate even if they survived. *)
+    revalidate even if they survived.  Its counts are not volatile:
+    {!qcache_stats} keeps what a crashed cache counted. *)
 
 val enable_qcache : ?capacity:int -> t -> unit
 (** Attach a semantic cache (default capacity 256 entries) to every
@@ -212,7 +214,8 @@ val enable_qcache : ?capacity:int -> t -> unit
 val qcache_enabled : t -> bool
 
 val qcache_stats : t -> Axml_query.Qcache.stats
-(** Sum over all peers' caches. *)
+(** Sum over all peers' caches, including the caches crashes
+    discarded. *)
 
 val doc_version : t -> peer:Peer_id.t -> doc:string -> int option
 (** Current version stamp of [doc] at [peer]; [None] if peer or
@@ -224,31 +227,41 @@ val availability : t -> from:Peer_id.t -> Peer_id.t -> bool
     peer is [from] itself or currently reachable from it
     ({!Axml_net.Sim.reachable}). *)
 
-type reliability_counters = {
-  retransmits : int;
-  dup_suppressed : int;
-  abandoned : int;  (** sends given up after [max_retries] *)
-  acks_sent : int;
-  batches_sent : int;  (** [Message.Batch] frames shipped *)
-  batched_messages : int;
+type reliability_counters = private {
+  mutable retransmits : int;
+  mutable dup_suppressed : int;
+  mutable abandoned : int;  (** sends given up after [max_retries] *)
+  mutable acks_sent : int;
+  mutable batches_sent : int;  (** [Message.Batch] frames shipped *)
+  mutable batched_messages : int;
       (** logical messages those frames carried, re-ships included *)
-  piggybacked_acks : int;
+  mutable piggybacked_acks : int;
       (** standalone acks cancelled because a reverse-direction batch
           carried the acknowledgement instead *)
-  delayed_acks : int;
+  mutable delayed_acks : int;
       (** standalone acks that did fire after the [ack_delay_ms]
           deferral (also counted in [acks_sent]) *)
-  dedup_shared_bytes : int;
+  mutable dedup_shared_bytes : int;
       (** bytes saved by within-frame transfer sharing *)
 }
+(** The transport's per-peer record, exported read-only: callers read
+    and match its fields but cannot build or assign it.  The two
+    accessors below return copies, which later traffic does not
+    move. *)
 
 val reliability_counters : t -> reliability_counters
-(** Always-on transport counters (also exported as [net/*] metrics
-    when {!Axml_obs.Metrics.default} is enabled).  [batches_sent],
-    [batched_messages] and [dedup_shared_bytes] count real
-    {!Message.Batch} frames only: a bare message is not a batch, so at
-    [flush_ms = ack_delay_ms = 0] they move only when a timeout
+(** Always-on transport counters: the sum of {!reliability_by_peer}.
+    [batches_sent], [batched_messages] and [dedup_shared_bytes] count
+    real {!Message.Batch} frames only: a bare message is not a batch,
+    so at [flush_ms = ack_delay_ms = 0] they move only when a timeout
     re-ships two or more unacked messages together. *)
+
+val reliability_by_peer : t -> (Peer_id.t * reliability_counters) list
+(** The same counters per peer, sorted by peer: what a peer's windows
+    sent ([retransmits], [abandoned], the batch and ack counts) and
+    the duplicates it suppressed.  They survive the peer's crashes;
+    peers that never sent or received a sequenced message are
+    absent. *)
 
 (** {1 Running and observing} *)
 

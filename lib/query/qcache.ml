@@ -1,5 +1,3 @@
-module Metrics = Axml_obs.Metrics
-
 type fingerprint = { hash : int; size : int; depth : int }
 
 let fp_equal a b = a.hash = b.hash && a.size = b.size && a.depth = b.depth
@@ -51,6 +49,7 @@ let pp_stats ppf s =
     s.hits s.misses s.collisions s.stale_drops s.invalidations s.installs
     s.evictions
 
+(* The counters are bumped in place; [stats] copies them out. *)
 type 'e t = {
   equal : 'e -> 'e -> bool;
   capacity : int;
@@ -58,24 +57,17 @@ type 'e t = {
   by_dep : (string, 'e entry list ref) Hashtbl.t;  (* by "peer/doc" *)
   mutable entries : int;
   mutable clock : int;
-  mutable s : stats;
-  m_hits : Metrics.counter_handle option;
-  m_misses : Metrics.counter_handle option;
-  m_collisions : Metrics.counter_handle option;
-  m_stale : Metrics.counter_handle option;
-  m_invalidations : Metrics.counter_handle option;
-  m_installs : Metrics.counter_handle option;
-  m_evictions : Metrics.counter_handle option;
+  mutable hits : int;
+  mutable misses : int;
+  mutable collisions : int;
+  mutable stale_drops : int;
+  mutable invalidations : int;
+  mutable installs : int;
+  mutable evictions : int;
 }
 
-let create ?(capacity = 256) ?owner ~equal () =
+let create ?(capacity = 256) ~equal () =
   if capacity < 1 then invalid_arg "Qcache.create: capacity < 1";
-  let handle name =
-    match owner with
-    | None -> None
-    | Some peer ->
-        Some (Metrics.counter_handle Metrics.default ~peer ~subsystem:"qcache" name)
-  in
   {
     equal;
     capacity;
@@ -83,29 +75,16 @@ let create ?(capacity = 256) ?owner ~equal () =
     by_dep = Hashtbl.create 64;
     entries = 0;
     clock = 0;
-    s = zero_stats;
-    m_hits = handle "hits";
-    m_misses = handle "misses";
-    m_collisions = handle "collisions";
-    m_stale = handle "stale_drops";
-    m_invalidations = handle "invalidations";
-    m_installs = handle "installs";
-    m_evictions = handle "evictions";
+    hits = 0;
+    misses = 0;
+    collisions = 0;
+    stale_drops = 0;
+    invalidations = 0;
+    installs = 0;
+    evictions = 0;
   }
 
-let bump h =
-  if Metrics.is_on Metrics.default then
-    Option.iter (fun h -> Metrics.incr_h h ~by:1) h
-
-let note_hit t =
-  t.s <- { t.s with hits = t.s.hits + 1 };
-  bump t.m_hits
-
-let note_miss t =
-  t.s <- { t.s with misses = t.s.misses + 1 };
-  bump t.m_misses
-
-let record_hit t = note_hit t
+let record_hit t = t.hits <- t.hits + 1
 
 let dep_key ~peer ~doc = peer ^ "/" ^ doc
 
@@ -130,8 +109,7 @@ let unlink t e =
 
 let drop_stale t e =
   unlink t e;
-  t.s <- { t.s with stale_drops = t.s.stale_drops + 1 };
-  bump t.m_stale
+  t.stale_drops <- t.stale_drops + 1
 
 let fresh e ~current =
   Array.for_all
@@ -148,8 +126,7 @@ let find_entry t ~fp ~expr ~current =
         | e :: rest ->
             if not (fp_equal e.e_fp fp) then scan rest
             else if not (t.equal e.e_expr expr) then begin
-              t.s <- { t.s with collisions = t.s.collisions + 1 };
-              bump t.m_collisions;
+              t.collisions <- t.collisions + 1;
               scan rest
             end
             else if fresh e ~current then begin
@@ -169,10 +146,10 @@ let probe t ~fp ~expr ~current = find_entry t ~fp ~expr ~current
 let find t ~fp ~expr ~current =
   match find_entry t ~fp ~expr ~current with
   | Some _ as hit ->
-      note_hit t;
+      t.hits <- t.hits + 1;
       hit
   | None ->
-      note_miss t;
+      t.misses <- t.misses + 1;
       None
 
 let evict_lru t =
@@ -191,8 +168,7 @@ let evict_lru t =
   | None -> ()
   | Some e ->
       unlink t e;
-      t.s <- { t.s with evictions = t.s.evictions + 1 };
-      bump t.m_evictions
+      t.evictions <- t.evictions + 1
 
 let install t ~fp ~expr ~deps ~forest =
   (* Replace any existing entry for the same expression. *)
@@ -229,8 +205,7 @@ let install t ~fp ~expr ~deps ~forest =
       cell := e :: !cell)
     e.e_deps;
   t.entries <- t.entries + 1;
-  t.s <- { t.s with installs = t.s.installs + 1 };
-  bump t.m_installs;
+  t.installs <- t.installs + 1;
   while t.entries > t.capacity do
     evict_lru t
   done
@@ -243,8 +218,7 @@ let invalidate_dep t ~peer ~doc =
       List.iter
         (fun e ->
           unlink t e;
-          t.s <- { t.s with invalidations = t.s.invalidations + 1 };
-          bump t.m_invalidations)
+          t.invalidations <- t.invalidations + 1)
         victims
 
 let clear t =
@@ -253,4 +227,14 @@ let clear t =
   t.entries <- 0
 
 let length t = t.entries
-let stats t = t.s
+
+let stats (t : _ t) : stats =
+  {
+    hits = t.hits;
+    misses = t.misses;
+    collisions = t.collisions;
+    stale_drops = t.stale_drops;
+    invalidations = t.invalidations;
+    installs = t.installs;
+    evictions = t.evictions;
+  }

@@ -43,12 +43,9 @@ type fingerprint = { hash : int; size : int; depth : int }
 
 type 'e t
 
-val create :
-  ?capacity:int -> ?owner:string -> equal:('e -> 'e -> bool) -> unit -> 'e t
+val create : ?capacity:int -> equal:('e -> 'e -> bool) -> unit -> 'e t
 (** [capacity] bounds live entries (default 256); beyond it the
-    least-recently-probed entry is evicted.  [owner] names the peer in
-    {!Axml_obs.Metrics} emission (subsystem ["qcache"]); omitted, the
-    cache stays telemetry-silent. *)
+    least-recently-probed entry is evicted. *)
 
 val find :
   'e t ->
@@ -110,6 +107,9 @@ type stats = {
 }
 
 val stats : 'e t -> stats
+(** The cache's counts so far — their only record: no metric mirrors
+    them, and a system sums them across its peers
+    ({!Axml_peer.System.qcache_stats}). *)
 
 val add_stats : stats -> stats -> stats
 val zero_stats : stats

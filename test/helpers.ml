@@ -37,3 +37,18 @@ let eval_query_on ~q ~inputs ~expect =
   let out = Query.Eval.eval ~gen:g (query q) input_forests in
   let expected = Result.get_ok (Xml.Parser.parse_forest ~gen:g expect) in
   check_canonical_forests "query output" expected out
+
+(* Run [f] with every correlation traced from an empty trace; tracing
+   is cleared and off again afterwards, also when [f] raises. *)
+let with_tracing f =
+  Obs.Trace.set_enabled true;
+  Obs.Trace.clear ();
+  Obs.Trace.set_sampling ~keep_one_in:1 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.set_enabled false;
+      Obs.Trace.clear ())
+    f
+
+(* The transmissions traced so far: one per [xfer] span. *)
+let xfers () = Net.Sim.xfers (Obs.Trace.events ())

@@ -82,40 +82,40 @@ let test_cpu_factor_runtime_delegation () =
 
 let test_trace_records_messages () =
   let sys = Runtime.System.create (mesh [ "p1"; "p2" ]) in
-  let stats = Net.Sim.stats (Runtime.System.sim sys) in
-  Net.Stats.set_tracing stats true;
   Runtime.System.load_document sys p2 ~name:"d" ~xml:"<d><x/></d>";
+  with_tracing @@ fun () ->
   let out =
-    Runtime.Exec.run_to_quiescence ~reset_stats:false sys ~ctx:p1
-      (Algebra.Expr.doc "d" ~at:"p2")
+    Runtime.Exec.run_to_quiescence sys ~ctx:p1 (Algebra.Expr.doc "d" ~at:"p2")
   in
   Alcotest.(check int) "fetched" 1 (List.length out.results);
-  let trace = Net.Stats.trace stats in
+  let trace = xfers () in
   Alcotest.(check bool) "trace nonempty" true (trace <> []);
   (* The eval-request and the stream back appear, with notes. *)
   Alcotest.(check bool) "notes rendered" true
-    (List.for_all (fun (e : Net.Stats.trace_entry) -> e.note <> "") trace);
+    (List.for_all (fun (x : Net.Sim.xfer) -> x.note <> "") trace);
   let directions =
     List.map
-      (fun (e : Net.Stats.trace_entry) ->
-        (Net.Peer_id.to_string e.src, Net.Peer_id.to_string e.dst))
+      (fun (x : Net.Sim.xfer) ->
+        (Net.Peer_id.to_string x.src, Net.Peer_id.to_string x.dst))
       trace
   in
   Alcotest.(check bool) "p1->p2 request" true
     (List.mem ("p1", "p2") directions);
   Alcotest.(check bool) "p2->p1 response" true
     (List.mem ("p2", "p1") directions);
-  (* Reset clears the trace. *)
-  Net.Stats.reset stats;
-  Alcotest.(check int) "cleared" 0 (List.length (Net.Stats.trace stats))
+  (* Clearing the trace empties it. *)
+  Obs.Trace.clear ();
+  Alcotest.(check int) "cleared" 0 (List.length (xfers ()))
 
 let test_trace_off_by_default () =
+  Obs.Trace.clear ();
   let sys = Runtime.System.create (mesh [ "p1"; "p2" ]) in
   Runtime.System.load_document sys p2 ~name:"d" ~xml:"<d/>";
-  ignore
-    (Runtime.Exec.run_to_quiescence sys ~ctx:p1 (Algebra.Expr.doc "d" ~at:"p2"));
-  Alcotest.(check int) "no trace" 0
-    (List.length (Net.Stats.trace (Net.Sim.stats (Runtime.System.sim sys))))
+  let out =
+    Runtime.Exec.run_to_quiescence sys ~ctx:p1 (Algebra.Expr.doc "d" ~at:"p2")
+  in
+  Alcotest.(check bool) "messages sent" true (out.stats.messages > 0);
+  Alcotest.(check int) "no trace" 0 (List.length (xfers ()))
 
 (* --- Selectivity estimators --------------------------------------- *)
 

@@ -443,29 +443,23 @@ let test_crash_recovery_install_dest () =
 (* --- runtime-level fault accounting -------------------------------- *)
 
 (* A message to a crashed peer is a routable fault, not a programming
-   error: it must count in Stats and the [net/drops] metric instead of
-   raising (regression for the old [No_handler] escape hatch). *)
+   error: it must count in Stats, against the crashed destination,
+   instead of raising (regression for the old [No_handler] escape
+   hatch). *)
 let test_crashed_peer_drop_counted () =
-  let m = Obs.Metrics.default in
-  Obs.Metrics.set_enabled m true;
-  Obs.Metrics.reset m;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled m false;
-      Obs.Metrics.reset m)
-    (fun () ->
-      let sys, _ = Test_rules_exec.build_system () in
-      System.crash sys p3;
-      let out =
-        Exec.run_to_quiescence sys ~ctx:p1 (Expr.doc "orders" ~at:"p3")
-      in
-      Alcotest.(check bool) "quiescent, not an exception" true
-        (out.termination = `Quiescent);
-      Alcotest.(check bool) "stream never closed" true (not out.finished);
-      Alcotest.(check bool) "drop counted in Stats" true
-        (out.stats.Net.Stats.drops >= 1);
-      Alcotest.(check bool) "drop counted in net/drops metric" true
-        (Obs.Metrics.counter_value m ~peer:"p3" ~subsystem:"net" "drops" >= 1))
+  let sys, _ = Test_rules_exec.build_system () in
+  System.crash sys p3;
+  let out = Exec.run_to_quiescence sys ~ctx:p1 (Expr.doc "orders" ~at:"p3") in
+  Alcotest.(check bool) "quiescent, not an exception" true
+    (out.termination = `Quiescent);
+  Alcotest.(check bool) "stream never closed" true (not out.finished);
+  Alcotest.(check bool) "drop counted in Stats" true
+    (out.stats.Net.Stats.drops >= 1);
+  Alcotest.(check (list (pair string int)))
+    "every drop counted against p3" [ ("p3", out.stats.Net.Stats.drops) ]
+    (List.map
+       (fun (p, n) -> (Net.Peer_id.to_string p, n))
+       (Net.Stats.drops_by_peer (Net.Sim.stats (System.sim sys))))
 
 (* With [Reliable] and no restart, the sender retries with backoff and
    eventually abandons — bounded effort, still quiescent. *)

@@ -307,29 +307,41 @@ let append_item sys root =
        [ elt g "item" ~attrs:[ ("cat", "c0") ] [ txt "fresh" ] ])
 
 let test_exec_repeat_hit () =
-  let m = Obs.Metrics.default in
-  Obs.Metrics.set_enabled m true;
-  Obs.Metrics.reset m;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled m false;
-      Obs.Metrics.reset m)
-    (fun () ->
-      let sys, _ = exec_system ~cache:true () in
-      let o1 = Exec.run_to_quiescence sys ~ctx:p1 catalog_plan in
-      let o2 = Exec.run_to_quiescence sys ~ctx:p1 catalog_plan in
-      Alcotest.(check bool) "both finished" true (o1.finished && o2.finished);
-      check_canonical_forests "identical results" o1.results o2.results;
-      Alcotest.(check bool) "first run paid the network" true
-        (o1.stats.Net.Stats.bytes > 0);
-      Alcotest.(check int) "repeat run is free: zero bytes" 0
-        o2.stats.Net.Stats.bytes;
-      Alcotest.(check int) "and zero messages" 0 o2.stats.Net.Stats.messages;
-      let st = System.qcache_stats sys in
-      Alcotest.(check bool) "hit recorded" true (st.Qcache.hits >= 1);
-      Alcotest.(check bool) "install recorded" true (st.Qcache.installs >= 1);
-      Alcotest.(check bool) "hits surface in the metrics registry" true
-        (Obs.Metrics.counter_value m ~peer:"p1" ~subsystem:"qcache" "hits" >= 1))
+  let sys, _ = exec_system ~cache:true () in
+  let o1 = Exec.run_to_quiescence sys ~ctx:p1 catalog_plan in
+  let o2 = Exec.run_to_quiescence sys ~ctx:p1 catalog_plan in
+  Alcotest.(check bool) "both finished" true (o1.finished && o2.finished);
+  check_canonical_forests "identical results" o1.results o2.results;
+  Alcotest.(check bool) "first run paid the network" true
+    (o1.stats.Net.Stats.bytes > 0);
+  Alcotest.(check int) "repeat run is free: zero bytes" 0
+    o2.stats.Net.Stats.bytes;
+  Alcotest.(check int) "and zero messages" 0 o2.stats.Net.Stats.messages;
+  let st = System.qcache_stats sys in
+  Alcotest.(check bool) "hit recorded" true (st.Qcache.hits >= 1);
+  Alcotest.(check bool) "install recorded" true (st.Qcache.installs >= 1)
+
+(* A crash discards the peer's cache, not what the cache counted: the
+   system's totals keep the warm cache's hits, and the fresh cache the
+   restarted peer gets counts on top of them. *)
+let test_exec_counts_survive_crash () =
+  let sys, _ = exec_system ~cache:true () in
+  ignore (Exec.run_to_quiescence sys ~ctx:p1 catalog_plan);
+  ignore (Exec.run_to_quiescence sys ~ctx:p1 catalog_plan);
+  let warm = System.qcache_stats sys in
+  Alcotest.(check bool) "warm cache hit" true (warm.Qcache.hits >= 1);
+  System.crash sys p1;
+  System.restart sys p1;
+  let restarted = System.qcache_stats sys in
+  Alcotest.(check int) "hits survive the crash" warm.hits restarted.Qcache.hits;
+  Alcotest.(check bool) "every count survives" true (restarted = warm);
+  let o = Exec.run_to_quiescence sys ~ctx:p1 catalog_plan in
+  Alcotest.(check bool) "cold again: the run paid the network" true
+    (o.stats.Net.Stats.bytes > 0);
+  let after = System.qcache_stats sys in
+  Alcotest.(check bool) "the fresh cache installs on top" true
+    (after.Qcache.installs > warm.installs);
+  Alcotest.(check bool) "hits never fall" true (after.hits >= warm.hits)
 
 let test_exec_mutation_invalidation () =
   let sys, root = exec_system ~cache:true () in
@@ -632,6 +644,7 @@ let suite =
       `Quick,
       test_crash_restart_fresh_stamps );
     ("exec: repeat evaluation hits for zero bytes", `Quick, test_exec_repeat_hit);
+    ("exec: a crash keeps the cache's counts", `Quick, test_exec_counts_survive_crash);
     ( "exec: mutation invalidates before the next read",
       `Quick,
       test_exec_mutation_invalidation );

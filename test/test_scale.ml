@@ -131,20 +131,15 @@ let test_cancel_after_pop_is_noop () =
 
 (* Run one V-series base plan on a fresh system with tracing on and
    return everything observable: emitted results (canonical), the Σ
-   fingerprint, the stats snapshot and the rendered trace. *)
+   fingerprint, the stats snapshot and the rendered transmissions. *)
 let observe_plan plan =
   let sys, _ = Test_rules_exec.build_system () in
-  let stats = Net.Sim.stats (System.sim sys) in
-  Net.Stats.set_tracing stats true;
+  Helpers.with_tracing @@ fun () ->
   let out = Runtime.Exec.run_to_quiescence sys ~ctx:(Helpers.peer "p1") plan in
   let results =
     List.map Xml.Canonical.fingerprint out.Runtime.Exec.results
   in
-  let trace =
-    List.map
-      (fun e -> Format.asprintf "%a" Net.Stats.pp_trace_entry e)
-      (Net.Stats.trace stats)
-  in
+  let trace = List.map (Format.asprintf "%a" Net.Sim.pp_xfer) (Helpers.xfers ()) in
   (results, System.fingerprint sys, System.stats sys, trace)
 
 let test_plan_determinism () =

@@ -308,26 +308,26 @@ let test_doc_and_peer_series_recorded () =
       Alcotest.(check bool) "still no per-link series" false (has "net/link/"))
 
 (* A small crowd under [transport] with telemetry on: the peers that
-   sent a sequenced (non-ack) message while the Stats trace was on, and
-   the peers owning a [peer/<p>/inflight] series. *)
+   sent a sequenced (non-ack) message to another peer, read off the
+   [xfer] spans, and the peers owning a [peer/<p>/inflight] series. *)
 let inflight_run transport =
   with_telemetry (fun () ->
       Timeseries.set_enabled Timeseries.default true;
+      Trace.set_enabled true;
       let fc =
         Workload.Scenarios.flash_crowd ~mirrors:3 ~subscribers:6
           ~requests_per_subscriber:3 ~transport ~seed:3 ()
       in
       let sys = fc.Workload.Scenarios.fc_system in
-      let stats = Net.Sim.stats (System.sim sys) in
-      Net.Stats.set_tracing stats true;
       let outcome, _ = System.run ~max_events:50_000 sys in
       Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
       let senders =
         List.filter_map
-          (fun (e : Net.Stats.trace_entry) ->
-            if String.starts_with ~prefix:"ack[" e.Net.Stats.note then None
-            else Some (Net.Peer_id.to_string e.Net.Stats.src))
-          (Net.Stats.trace stats)
+          (fun (x : Net.Sim.xfer) ->
+            if String.starts_with ~prefix:"ack[" x.note || Net.Peer_id.equal x.src x.dst
+            then None
+            else Some (Net.Peer_id.to_string x.src))
+          (xfers ())
         |> List.sort_uniq compare
       in
       let with_inflight =

@@ -147,8 +147,7 @@ let test_ack_before_dispatch () =
                [ txt (string_of_int i) ]));
     ]
   in
-  let stats = Net.Sim.stats (System.sim sys) in
-  Net.Stats.set_tracing stats true;
+  with_tracing @@ fun () ->
   let key = System.fresh_key sys in
   let hits = ref [] in
   System.set_cont sys key (fun forest ~final:_ -> hits := !hits @ forest);
@@ -164,9 +163,9 @@ let test_ack_before_dispatch () =
   Alcotest.(check int) "one hit" 1 (List.length !hits);
   let sent ~src prefix =
     List.filter
-      (fun (e : Net.Stats.trace_entry) ->
-        Net.Peer_id.equal e.src src && String.starts_with ~prefix e.note)
-      (Net.Stats.trace stats)
+      (fun (x : Net.Sim.xfer) ->
+        Net.Peer_id.equal x.src src && String.starts_with ~prefix x.note)
+      (xfers ())
   in
   let invokes = sent ~src:p1 "invoke" in
   Alcotest.(check int) "request shipped once" 1 (List.length invokes);
@@ -174,18 +173,20 @@ let test_ack_before_dispatch () =
   let ack = List.hd (sent ~src:p2 "ack") in
   let reply = List.hd (sent ~src:p2 "stream") in
   let arrival =
-    invoke.at_ms
+    invoke.depart_ms
     +. Net.Link.transfer_ms
          (Net.Topology.link topo ~src:p1 ~dst:p2)
-         ~bytes:invoke.trace_bytes
+         ~bytes:invoke.bytes
   in
+  Alcotest.(check (float 1e-9)) "the span ends at the arrival" arrival
+    invoke.arrive_ms;
   let cpu_ms = 50.0 *. float_of_int (Xml.Forest.byte_size param) /. 1024.0 in
   Alcotest.(check (float 1e-9)) "ack departs when the request arrives" arrival
-    ack.at_ms;
+    ack.depart_ms;
   Alcotest.(check bool)
     (Printf.sprintf "reply departs after the handler's CPU (%.1f ms)" cpu_ms)
     true
-    (reply.at_ms >= arrival +. cpu_ms -. 1e-9)
+    (reply.depart_ms >= arrival +. cpu_ms -. 1e-9)
 
 (* --- coalescing on a chatty stream --------------------------------- *)
 
