@@ -1086,13 +1086,13 @@ let e16 =
     Net.Sim.set_handler sim p1 (fun ~src:_ () -> ());
     (* Warm up so one-time allocation (stats tables, heap nodes) is
        not charged to the measured window. *)
-    Net.Sim.send sim ~src:p1 ~dst:p2 ~bytes:8 ();
+    ignore (Net.Sim.send sim ~src:p1 ~dst:p2 ~bytes:8 ());
     ignore (Net.Sim.run sim);
     let sends = 10_000 in
     let (), c =
       measure (fun () ->
           for _ = 1 to sends do
-            Net.Sim.send sim ~src:p1 ~dst:p2 ~bytes:8 ()
+            ignore (Net.Sim.send sim ~src:p1 ~dst:p2 ~bytes:8 ())
           done)
     in
     ignore (Net.Sim.run sim);

@@ -329,11 +329,11 @@ let e18_run t arms =
   in
   (* Several rounds of the join over one faulty system: more messages
      through the fault plan per trial, cumulative stats at the end.
-     rto sits above the ~90ms ack round-trip of a catalog transfer, so
-     the drop-free baseline has zero spurious retransmissions. *)
+     The retry timer waits for a catalog's transfer before it counts,
+     so the drop-free baseline has zero spurious retransmissions. *)
   let run arm fault =
     let sys =
-      System.create ~transport:(List.assoc arm arms) ~rto_ms:150.0
+      System.create ~transport:(List.assoc arm arms)
         (Net.Topology.full_mesh ~link:Paper.default_link [ p1; p2; p3 ])
     in
     List.iteri (fun i p -> catalog_at sys ~items:t.items ~seed:(180 + i) p) [ p2; p3 ];
@@ -438,8 +438,8 @@ type e19 = { stream_k : int; items : int; join_rounds : int }
 
 let e19_run t arms =
   let join = Query.Parser.parse_exn join_query in
-  let system ?(rto_ms = 40.0) ?(response_delay_ms = 1.0) peers (flush_ms, ack_delay_ms) =
-    System.create ~transport:System.Reliable ~rto_ms ~response_delay_ms ~flush_ms
+  let system ?(response_delay_ms = 1.0) peers (flush_ms, ack_delay_ms) =
+    System.create ~transport:System.Reliable ~response_delay_ms ~flush_ms
       ~ack_delay_ms
       (Net.Topology.full_mesh ~link:Paper.default_link peers)
   in
@@ -482,7 +482,7 @@ let e19_run t arms =
   (* join: repeated two-site joins, the shape where delayed acks
      piggyback. *)
   let join_rounds knobs =
-    let sys = system ~rto_ms:150.0 [ p1; p2; p3 ] knobs in
+    let sys = system [ p1; p2; p3 ] knobs in
     List.iteri (fun i p -> catalog_at sys ~items:t.items ~seed:(190 + i) p) [ p2; p3 ];
     let plan =
       Expr.query_at join ~at:p1
@@ -495,7 +495,7 @@ let e19_run t arms =
   (* dup: both join inputs fetch the same catalog from p2, so two
      identical transfers are in flight in the same flush window. *)
   let dup knobs =
-    let sys = system ~rto_ms:150.0 [ p1; p2 ] knobs in
+    let sys = system [ p1; p2 ] knobs in
     catalog_at sys ~items:t.items ~seed:191 p2;
     let fetch = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
     finish sys
@@ -1082,11 +1082,12 @@ let sigma_agrees = gate "Σ content agrees across runs" (same "fingerprint")
 
 (* The E23 chaos tier: probabilistic faults quiet by 400 ms shape the
    read tails; the owner crash sits after the read streams drain (and
-   past quiet + max retransmission backoff, 32·rto = 1280 ms — the
-   discipline under which the transport provably converges, see
-   test_fault.ml).  A mid-stream crash would eat in-flight eval state —
-   volatile by design — so it gates Σ convergence through failover +
-   replica resync, not the latency table. *)
+   past quiet + the longest single retry wait, 1280 ms past a frame's
+   expected arrival plus ack_delay_ms — the discipline under which the
+   transport provably converges, see test_fault.ml).  A mid-stream
+   crash would eat in-flight eval state — volatile by design — so it
+   gates Σ convergence through failover + replica resync, not the
+   latency table. *)
 let e23_chaos (hs : Sc.hotspot) =
   Net.Fault.make
     ~profile:{ Net.Fault.drop = 0.12; duplicate = 0.04; jitter_ms = 2.0 }

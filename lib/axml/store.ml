@@ -135,7 +135,9 @@ let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.docs []
   |> List.sort Names.Doc_name.compare
 
-let documents t = List.filter_map (find t) (names t)
+(* A listing is bookkeeping (insert routing, checkpoints, activation),
+   not demand: it reads quietly. *)
+let documents t = List.filter_map (peek t) (names t)
 
 let total_bytes t =
   Hashtbl.fold (fun _ d acc -> acc + Document.byte_size d) t.docs 0

@@ -59,7 +59,13 @@ val set_on_mutate : t -> (Names.Doc_name.t -> unit) -> unit
     fire it. *)
 
 val names : t -> Names.Doc_name.t list
+
 val documents : t -> Document.t list
+(** Every document, sorted by name.  A quiet listing, like {!peek}: it
+    records no [doc/<n>/reads] event, so the runtime's bookkeeping
+    over all of a peer's documents (insert routing, checkpoints,
+    activation) is not read as demand. *)
+
 val total_bytes : t -> int
 
 val update_root :

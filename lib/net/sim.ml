@@ -234,9 +234,7 @@ let inject t plan =
 
 (* --- sending ----------------------------------------------------- *)
 
-let transmit ?note ?(msgs = 1) t ~link ~departure ~jitter_ms ~src ~dst ~bytes
-    payload =
-  let arrival = departure +. Link.transfer_ms link ~bytes +. jitter_ms in
+let transmit ?note ?(msgs = 1) t ~departure ~arrival ~src ~dst ~bytes payload =
   Stats.record_send ~msgs t.stats ~src ~dst ~bytes;
   (* Every instrumentation block sits behind one boolean load so that
      the disabled hot path allocates nothing (checked in the E16/E21
@@ -294,25 +292,26 @@ let pp_xfer fmt x =
     Peer_id.pp x.dst x.bytes x.note
 
 let send ?note ?msgs t ~src ~dst ~bytes payload =
-  let link = Topology.link t.topology ~src ~dst in
   let departure = max t.now (busy_until t src) in
-  match t.fault with
+  let arrival =
+    departure +. Link.transfer_ms (Topology.link t.topology ~src ~dst) ~bytes
+  in
+  (match t.fault with
   | None ->
-      transmit ?note ?msgs t ~link ~departure ~jitter_ms:0.0 ~src ~dst ~bytes
-        payload
+      transmit ?note ?msgs t ~departure ~arrival ~src ~dst ~bytes payload
   | Some _ when Peer_id.equal src dst ->
       (* Loopback never traverses the network; faults don't apply. *)
-      transmit ?note ?msgs t ~link ~departure ~jitter_ms:0.0 ~src ~dst ~bytes
-        payload
+      transmit ?note ?msgs t ~departure ~arrival ~src ~dst ~bytes payload
   | Some f -> (
       match Fault.on_send f ~now:departure ~src ~dst with
       | Fault.Dropped -> record_drop t ~peer:src ~reason:"link"
       | Fault.Deliver { jitters_ms } ->
           List.iter
             (fun jitter_ms ->
-              transmit ?note ?msgs t ~link ~departure ~jitter_ms ~src ~dst
-                ~bytes payload)
-            jitters_ms)
+              transmit ?note ?msgs t ~departure ~arrival:(arrival +. jitter_ms)
+                ~src ~dst ~bytes payload)
+            jitters_ms));
+  arrival
 
 let after t ~peer ~delay_ms callback =
   if delay_ms < 0.0 then invalid_arg "Sim.after: negative delay";

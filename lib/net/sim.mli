@@ -41,12 +41,14 @@ val send :
   dst:Peer_id.t ->
   bytes:int ->
   'a ->
-  unit
+  float
 (** Enqueue a message.  It departs no earlier than the sender's busy
     horizon and arrives after the link's transfer time (plus any
     fault-injected jitter; an injected fault plan may also drop or
-    duplicate it).  Each transmission is counted once, in {!stats},
-    and — while {!Axml_obs.Trace} keeps its correlation — recorded as
+    duplicate it).  Returns the expected arrival: departure plus
+    transfer time, without jitter — what the sender can know.  Each
+    transmission is counted once, in {!stats}, and — while
+    {!Axml_obs.Trace} keeps its correlation — recorded as
     an [xfer] span (see {!xfers}) labelled with [note]; [msgs]
     (default [1]) is the number of logical messages the frame carries
     — a batching transport passes the item count so

@@ -35,10 +35,10 @@ type wire = Xml | Binary | Binary_strict
    pair (a, b), bundling every role [a] plays in its conversation with
    [b]: the sequence cursors, the sender-side window for a→b traffic
    (the unflushed [queue] and the sent-but-[unacked] messages under
-   one retry timer), and the receiver-side state for b→a traffic (the
-   early-arrival [buffer] and the delayed standalone ack).  Each
-   message does one int-keyed probe (packed dense peer indexes) to
-   reach all of its state.
+   one retry timer, and the RTT estimator that sets it), and the
+   receiver-side state for b→a traffic (the early-arrival [buffer] and
+   the delayed standalone ack).  Each message does one int-keyed probe
+   (packed dense peer indexes) to reach all of its state.
 
    Durability: [next_seq] / [next_expected] model WAL-backed cursors
    and survive a crash of [a], so a restarted peer neither reuses
@@ -75,6 +75,12 @@ type conn = {
   mutable unacked : Message.t list;  (* sent, ascending seq *)
   mutable attempt : int;
   mutable cancel_retry : unit -> unit;
+  mutable arrival : float;  (* latest expected arrival of a shipped frame *)
+  mutable srtt : float;  (* smoothed RTT; negative until the first sample *)
+  mutable rttvar : float;
+  mutable rto : float;  (* the un-backed-off timeout *)
+  mutable timed_seq : int;  (* the message being timed, 0 = none ... *)
+  mutable timed_at : float;  (* ... and [arrival] when it shipped *)
   buffer : (int, Message.t) Hashtbl.t;  (* seq -> early arrival from b *)
   mutable ack_due : bool;  (* a standalone ack timer is armed *)
   mutable cancel_ack : unit -> unit;
@@ -100,7 +106,6 @@ type t = {
   cpu_ms_per_kb : float;
   transport : transport;
   wire : wire;
-  rto_ms : float;
   max_retries : int;
   flush_ms : float;
   ack_delay_ms : float;
@@ -286,7 +291,8 @@ let raw_send t ~src ~dst (msg : Message.t) =
      (memoized per tree), the binary wire reads cached encoded-frame
      lengths.  Strict mode then replaces the in-flight message with
      its encode→decode round trip, so the receiver works off what the
-     decoder rebuilt from a real frame. *)
+     decoder rebuilt from a real frame.  Returns the frame's expected
+     arrival ({!Sim.send}). *)
   let bytes =
     match t.wire with
     | Xml -> Message.bytes msg.Message.payload
@@ -302,9 +308,12 @@ let raw_send t ~src ~dst (msg : Message.t) =
     ~msgs:(Message.batch_size msg.Message.payload)
     t.sim ~src ~dst ~bytes msg
 
-(* Exponential backoff, capped: attempt 0 waits rto, attempt n waits
-   min(rto * 2^n, rto * 32). *)
-let retry_delay t attempt = t.rto_ms *. (2.0 ** float_of_int (min attempt 5))
+(* The retransmission timer's one constant: a direction's RTO before
+   its first RTT sample, and the floor under every later estimate (the
+   pairing RFC 6298 §2 makes with its 1 s); the pre-sample doubling
+   stops at 4 · [rto_ms] = 160 ms and a backed-off wait at
+   32 · [rto_ms] = 1280 ms. *)
+let rto_ms = 40.0
 
 let conn_key a b = (Peer_id.index a lsl 31) lor Peer_id.index b
 
@@ -333,6 +342,12 @@ let conn t a b =
           unacked = [];
           attempt = 0;
           cancel_retry = ignore;
+          arrival = 0.0;
+          srtt = -1.0;
+          rttvar = 0.0;
+          rto = rto_ms;
+          timed_seq = 0;
+          timed_at = 0.0;
           buffer = Hashtbl.create 8;
           ack_due = false;
           cancel_ack = ignore;
@@ -392,24 +407,82 @@ let send_batch t ~src ~dst (d : conn) msgs =
       "batch";
   raw_send t ~src ~dst (Message.make payload)
 
-(* Ship one frame and re-arm the direction's retry timer.  A flush
-   carries only the window's fresh messages; a retransmission timeout
-   re-ships the whole unacked window (go-back-N on loss only —
-   re-shipping on every flush would go quadratic when the flush window
-   is shorter than the RTT).  A lone message with no ack to carry
-   ships bare, so at [flush_ms = ack_delay_ms = 0] every physical
-   message is one logical message.  The timer backs off per attempt
-   and gives up after [max_retries], counting the abandonment, so a
-   permanently dead destination cannot keep the simulation alive
-   forever.  The connection record is captured by the timer closure —
-   records are never replaced, so the capture cannot go stale. *)
-let rec ship t ~src ~dst (d : conn) msgs =
-  (match msgs with
-  | [ msg ] when not d.ack_due -> raw_send t ~src ~dst msg
-  | _ -> send_batch t ~src ~dst d msgs);
+(* The retransmission timeout adapts to each direction's round trip
+   (Jacobson 1988; RFC 6298 gains).  The sender knows when its frames
+   depart and how long their bytes take on the link ({!Sim.send}'s
+   expected arrival); the estimator learns the rest of the round trip
+   — the receiver's delay and the ack's way back — from one timed
+   message at a time ([ship] starts a sample, [handle_cum_ack] ends
+   it).  Only a message shipped once is timed: the ack of a re-shipped
+   message may answer either copy (Karn).  Until the first sample
+   [rto] is [rto_ms], doubled by each timeout up to [4 · rto_ms], so a
+   direction whose round trip outlasts the initial timeout still gets
+   a message through once and yields a sample.  After it, [rto] never
+   drops below [rto_ms]: repeated equal samples shrink [rttvar]
+   towards zero, and without the floor the first ack held back a few
+   ms — by a busy receiver's CPU, say — would lose to the timer. *)
+let rtt_sample (d : conn) r =
+  if d.srtt < 0.0 then begin
+    d.srtt <- r;
+    d.rttvar <- r /. 2.0
+  end
+  else begin
+    d.rttvar <- (0.75 *. d.rttvar) +. (0.25 *. Float.abs (d.srtt -. r));
+    d.srtt <- (0.875 *. d.srtt) +. (0.125 *. r)
+  end;
+  d.rto <- Float.max rto_ms (d.srtt +. (4.0 *. d.rttvar))
+
+let rto t ~src ~dst = Option.map (fun (d : conn) -> d.rto) (conn_opt t src dst)
+
+(* Ship one frame.  A flush carries only the window's fresh messages;
+   a retransmission timeout re-ships the whole unacked window
+   (go-back-N on loss only — re-shipping on every flush would go
+   quadratic when the flush window is shorter than the RTT).  A lone
+   message with no ack to carry ships bare, so at
+   [flush_ms = ack_delay_ms = 0] every physical message is one logical
+   message.  The frame's expected arrival — departure (after the
+   sender's busy CPU) plus the link's transfer time for its bytes —
+   joins the window's.  A fresh frame (the whole queue, so its last
+   message is [next_seq]) starts an RTT sample if none is running,
+   from the window's latest expected arrival: a cumulative ack covers
+   the frame only once every earlier one has arrived too.  A re-ship
+   cancels the running sample (Karn). *)
+let ship t ~src ~dst (d : conn) ~fresh msgs =
+  let arrival =
+    match msgs with
+    | [ msg ] when not d.ack_due -> raw_send t ~src ~dst msg
+    | _ -> send_batch t ~src ~dst d msgs
+  in
+  d.arrival <- Float.max d.arrival arrival;
+  if not fresh then d.timed_seq <- 0
+  else if d.timed_seq = 0 then begin
+    d.timed_seq <- d.next_seq;
+    d.timed_at <- d.arrival
+  end
+
+(* (Re)start the direction's retry timer.  It fires at the window's
+   latest expected frame arrival (or now, if that has passed), plus
+   [ack_delay_ms], plus [rto] doubled per attempt and capped at
+   [32 · rto_ms]: no single wait past an expected ack is longer.  It
+   starts when a flush finds the window idle and restarts on a
+   retransmission and on ack progress; a fresh frame joining a busy
+   window leaves it running (RFC 6298 §5.1), so steady new traffic
+   cannot postpone the re-ship of an old loss.  It gives up after
+   [max_retries], counting the abandonment, so a permanently dead
+   destination cannot keep the simulation alive forever.  The
+   connection record is captured by the timer closure — records are
+   never replaced, so the capture cannot go stale. *)
+let rec arm_retry t (d : conn) ~src ~dst =
+  let now = Sim.now t.sim in
+  let wait =
+    Float.min
+      (d.rto *. (2.0 ** float_of_int (min d.attempt 5)))
+      (32.0 *. rto_ms)
+  in
   d.cancel_retry ();
   d.cancel_retry <-
-    Sim.after_cancellable t.sim ~peer:src ~delay_ms:(retry_delay t d.attempt)
+    Sim.after_cancellable t.sim ~peer:src
+      ~delay_ms:(Float.max 0.0 (d.arrival -. now) +. t.ack_delay_ms +. wait)
       (fun () -> retry_window t d ~src ~dst)
 
 and retry_window t (d : conn) ~src ~dst =
@@ -419,6 +492,7 @@ and retry_window t (d : conn) ~src ~dst =
       let n = List.length unacked in
       d.unacked <- [];
       d.attempt <- 0;
+      d.timed_seq <- 0;
       d.counts.abandoned <- d.counts.abandoned + n;
       (* SLO breach: the whole unacked window was given up on. *)
       if Trace.sampled () then
@@ -433,8 +507,10 @@ and retry_window t (d : conn) ~src ~dst =
             Peer_id.pp src n Peer_id.pp dst t.max_retries)
   | unacked ->
       d.attempt <- d.attempt + 1;
+      if d.srtt < 0.0 then d.rto <- Float.min (2.0 *. d.rto) (4.0 *. rto_ms);
       d.counts.retransmits <- d.counts.retransmits + 1;
-      ship t ~src ~dst d unacked
+      ship t ~src ~dst d ~fresh:false unacked;
+      arm_retry t d ~src ~dst
 
 let flush t ~src ~dst (d : conn) =
   d.flush_pending <- false;
@@ -442,8 +518,10 @@ let flush t ~src ~dst (d : conn) =
   | [] -> ()  (* stale timer, e.g. surviving a crash+restart *)
   | fresh ->
       d.queue <- [];
+      let idle = d.unacked = [] in
       d.unacked <- d.unacked @ fresh;
-      ship t ~src ~dst d fresh
+      ship t ~src ~dst d ~fresh:true fresh;
+      if idle then arm_retry t d ~src ~dst
 
 (* [unacked] is in ascending seq order, so what a cumulative ack
    covers is a prefix. *)
@@ -452,7 +530,9 @@ let rec drop_acked upto = function
   | rest -> rest
 
 (* Everything up to [upto] is delivered at the far side.  Progress
-   resets the backoff; an emptied window parks the retry timer. *)
+   may complete an RTT sample, resets the backoff and restarts the
+   retry timer for the rest of the window; an emptied window parks
+   it. *)
 let handle_cum_ack t ~at ~from upto =
   match conn_opt t at from with
   | None -> ()
@@ -460,12 +540,17 @@ let handle_cum_ack t ~at ~from upto =
       match drop_acked upto d.unacked with
       | rest when rest == d.unacked -> ()
       | rest ->
+          if d.timed_seq > 0 && d.timed_seq <= upto then begin
+            rtt_sample d (Sim.now t.sim -. d.timed_at);
+            d.timed_seq <- 0
+          end;
           d.unacked <- rest;
           d.attempt <- 0;
           if rest = [] then begin
             d.cancel_retry ();
             d.cancel_retry <- ignore
-          end)
+          end
+          else arm_retry t d ~src:at ~dst:from)
 
 (* Sender-side congestion telemetry: how many sequenced messages to
    [c.c_dst] are in flight (unacked window plus the unflushed queue)
@@ -490,7 +575,8 @@ let send t ~src ~dst payload =
        protocol's feedback and must stay unsequenced or every ack
        would need an ack. *)
   in
-  if not sequenced then raw_send t ~src ~dst (Message.make ~corr ~op payload)
+  if not sequenced then
+    ignore (raw_send t ~src ~dst (Message.make ~corr ~op payload))
   else begin
     let c = conn t src dst in
     let seq = c.next_seq + 1 in
@@ -512,8 +598,9 @@ let send t ~src ~dst payload =
    from [d.c_dst]. *)
 let send_ack t (d : conn) ~corr =
   d.counts.acks_sent <- d.counts.acks_sent + 1;
-  raw_send t ~src:d.c_src ~dst:d.c_dst
-    (Message.make ~corr (Message.Ack { seq = cum_ack d }))
+  ignore
+    (raw_send t ~src:d.c_src ~dst:d.c_dst
+       (Message.make ~corr (Message.Ack { seq = cum_ack d })))
 
 let fire_delayed_ack t (d : conn) =
   if d.ack_due then begin
@@ -922,10 +1009,10 @@ let on_message t p ~src (msg : Message.t) =
 let handle_crash t p =
   t.failover_save p;
   (* Every conn (p, _) holds all of p's volatile transport roles: its
-     send windows, its early-arrival buffers and its owed delayed
-     acks.  Reset them in place, keeping the durable cursors.  (Conns
-     (_, p) belong to live senders, which keep retransmitting toward
-     the outage as they should.) *)
+     send windows and their RTT estimators, its early-arrival buffers
+     and its owed delayed acks.  Reset them in place, keeping the
+     durable cursors.  (Conns (_, p) belong to live senders, which keep
+     retransmitting toward the outage as they should.) *)
   let pi = Peer_id.index p in
   Hashtbl.iter
     (fun key (c : conn) ->
@@ -936,6 +1023,11 @@ let handle_crash t p =
         c.attempt <- 0;
         c.cancel_retry ();
         c.cancel_retry <- ignore;
+        c.arrival <- 0.0;
+        c.srtt <- -1.0;
+        c.rttvar <- 0.0;
+        c.rto <- rto_ms;
+        c.timed_seq <- 0;
         Hashtbl.reset c.buffer;
         c.ack_due <- false;
         c.cancel_ack ();
@@ -997,7 +1089,7 @@ let resync_replicas t p =
     (peers t)
 
 let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
-    ?(transport = Raw) ?(wire = Xml) ?(rto_ms = 40.0) ?(max_retries = 30)
+    ?(transport = Raw) ?(wire = Xml) ?(max_retries = 30)
     ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0) topology =
   if flush_ms < 0.0 then invalid_arg "System.create: negative flush_ms";
   if ack_delay_ms < 0.0 then invalid_arg "System.create: negative ack_delay_ms";
@@ -1013,7 +1105,6 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       cpu_ms_per_kb;
       transport;
       wire;
-      rto_ms;
       max_retries;
       flush_ms;
       ack_delay_ms;

@@ -23,10 +23,10 @@ type transport =
   | Raw  (** Messages ride the simulator as-is; a lost message is lost. *)
   | Reliable
       (** One sequenced window per (src,dst) direction: sequence
-          numbers, cumulative acks, exponential-backoff go-back-N
-          retransmission and receiver-side in-order dedup —
-          effectively exactly-once, in-order delivery over a lossy
-          network. *)
+          numbers, cumulative acks, go-back-N retransmission on an
+          RTT-adaptive, exponentially backed-off timer and
+          receiver-side in-order dedup — effectively exactly-once,
+          in-order delivery over a lossy network. *)
 
 (** Which wire encoding the simulator charges for each transmission. *)
 type wire =
@@ -48,7 +48,6 @@ val create :
   ?cpu_ms_per_kb:float ->
   ?transport:transport ->
   ?wire:wire ->
-  ?rto_ms:float ->
   ?max_retries:int ->
   ?flush_ms:float ->
   ?ack_delay_ms:float ->
@@ -59,11 +58,16 @@ val create :
     1.0); [cpu_ms_per_kb] prices local query evaluation (default
     0.01).  [transport] defaults to [Raw] (the fault-free simulator
     needs no protocol; the knob exists for ablation); under
-    [Reliable], [rto_ms] is the initial retransmission timeout
-    (default 40.0, doubling per retry up to 32x) and [max_retries]
-    bounds the retransmissions of a direction's window (default 30)
-    so a permanently unreachable destination cannot keep the run
-    alive forever.
+    [Reliable], [max_retries] bounds the retransmissions of a
+    direction's window (default 30) so a permanently unreachable
+    destination cannot keep the run alive forever.  The retry timer
+    counts from the latest expected arrival of the window's frames
+    (departure after the sender's busy CPU, plus the link's transfer
+    time for the frame's bytes) plus [ack_delay_ms], and then waits
+    the direction's RTO (see {!rto}), doubled per retry and never
+    longer than 1280 ms, so once faults go quiet every earlier loss is
+    re-shipped within busy wait + transfer + [ack_delay_ms] + 1280 ms
+    (DESIGN.md §12).
 
     [flush_ms] and [ack_delay_ms] (defaults 0.0) set the Reliable
     window.  Sequenced messages to the same destination are held for
@@ -262,6 +266,14 @@ val reliability_by_peer : t -> (Peer_id.t * reliability_counters) list
     the duplicates it suppressed.  They survive the peer's crashes;
     peers that never sent or received a sequenced message are
     absent. *)
+
+val rto : t -> src:Peer_id.t -> dst:Peer_id.t -> float option
+(** The retransmission timeout of the [src]→[dst] window before
+    per-attempt backoff; [None] if [src] never exchanged a sequenced
+    message with [dst].  It is 40 ms until the window's first RTT
+    sample (doubled by each timeout before it, up to 160 ms) and
+    [max 40 (srtt + 4·rttvar)] after it (RFC 6298 with Karn's rule;
+    DESIGN.md §12).  Volatile: a crash of [src] resets it to 40 ms. *)
 
 (** {1 Running and observing} *)
 

@@ -142,13 +142,15 @@ let batched_chaos_property =
 
    Fault-plan shape: probabilistic faults quiet by 400 ms, crashes at
    2000/2600 ms.  The gap is deliberate: a message dropped before the
-   quiet line has retried successfully by quiet + max-backoff
-   (32·rto = 1280 ms), so no crash can wipe a pending retransmission
-   whose sequence number the receiver still awaits — the one race the
-   WAL-modelled transport cannot heal (durable cursors, volatile
-   in-flight state).  Within that discipline, result equality under
-   crashes is a theorem; the directed placement tests cover the
-   crash-mid-handoff races themselves. *)
+   quiet line has retried successfully by quiet + the longest single
+   retry wait (1280 ms past its frame's expected arrival plus
+   ack_delay_ms; transfers here take tens of ms), so no crash can wipe
+   a pending retransmission whose sequence number the receiver still
+   awaits — the one race the WAL-modelled transport cannot heal
+   (durable cursors, volatile in-flight state).  Within that
+   discipline, result equality under crashes is a theorem; the
+   directed placement tests cover the crash-mid-handoff races
+   themselves. *)
 
 module Placement = Runtime.Placement
 module Scenarios = Workload.Scenarios

@@ -123,7 +123,7 @@ let test_sim_delivery_and_time () =
   Net.Sim.set_handler sim b (fun ~src msg ->
       got := (Net.Peer_id.to_string src, msg, Net.Sim.now sim) :: !got);
   Net.Sim.set_handler sim a (fun ~src:_ _ -> ());
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:1000 "hello";
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:1000 "hello");
   ignore (Net.Sim.run sim);
   match !got with
   | [ (src, msg, time) ] ->
@@ -138,10 +138,10 @@ let test_sim_chained_sends () =
   let a = peer "a" and b = peer "b" and c = peer "c" in
   let arrived = ref None in
   Net.Sim.set_handler sim b (fun ~src:_ msg ->
-      Net.Sim.send sim ~src:b ~dst:c ~bytes:0 (msg ^ "-relayed"));
+      ignore (Net.Sim.send sim ~src:b ~dst:c ~bytes:0 (msg ^ "-relayed")));
   Net.Sim.set_handler sim c (fun ~src:_ msg ->
       arrived := Some (msg, Net.Sim.now sim));
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:0 "m";
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:0 "m");
   ignore (Net.Sim.run sim);
   (match !arrived with
   | Some (msg, time) ->
@@ -158,7 +158,7 @@ let test_sim_cpu_busy_delays_sends () =
   let time = ref 0.0 in
   Net.Sim.set_handler sim b (fun ~src:_ () -> time := Net.Sim.now sim);
   Net.Sim.consume_cpu sim ~peer:a ~ms:5.0;
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ();
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ());
   ignore (Net.Sim.run sim);
   Alcotest.(check (float 0.001)) "departure delayed by busy peer" 15.0 !time
 
@@ -176,7 +176,7 @@ let test_sim_no_handler () =
      a drop — not an abort. *)
   let t = mesh [ "a"; "b" ] in
   let sim = Net.Sim.create t in
-  Net.Sim.send sim ~src:(peer "a") ~dst:(peer "b") ~bytes:0 ();
+  ignore (Net.Sim.send sim ~src:(peer "a") ~dst:(peer "b") ~bytes:0 ());
   let outcome, _ = Net.Sim.run sim in
   Alcotest.(check bool) "quiescent" true (outcome = `Quiescent);
   let snap = Net.Stats.snapshot (Net.Sim.stats sim) in
@@ -193,7 +193,7 @@ let test_sim_crash_drops_and_restart_delivers () =
   Net.Sim.crash sim b;
   Alcotest.(check bool) "unreachable while down" false
     (Net.Sim.reachable sim ~src:a ~dst:b);
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:8 ();
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:8 ());
   ignore (Net.Sim.run sim);
   Alcotest.(check int) "nothing delivered" 0 !got;
   Alcotest.(check int) "drop counted" 1
@@ -201,7 +201,7 @@ let test_sim_crash_drops_and_restart_delivers () =
   Net.Sim.restart sim b;
   Alcotest.(check bool) "reachable again" true
     (Net.Sim.reachable sim ~src:a ~dst:b);
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:8 ();
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:8 ());
   ignore (Net.Sim.run sim);
   Alcotest.(check int) "delivered after restart" 1 !got
 
@@ -234,12 +234,12 @@ let test_fault_outage_window () =
              };
          ]
        ());
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ();
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ());
   (* Inside the window: cut. *)
   ignore (Net.Sim.run sim);
   Alcotest.(check int) "cut during outage" 0 !got;
   Net.Sim.after sim ~peer:a ~delay_ms:20.0 (fun () ->
-      Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ());
+      ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:0 ()));
   ignore (Net.Sim.run sim);
   Alcotest.(check int) "delivered after outage" 1 !got
 
@@ -271,8 +271,8 @@ let test_sim_max_events_guard () =
   let a = peer "a" in
   (* A self-perpetuating loop, cut by the guard. *)
   Net.Sim.set_handler sim a (fun ~src:_ () ->
-      Net.Sim.send sim ~src:a ~dst:a ~bytes:0 ());
-  Net.Sim.send sim ~src:a ~dst:a ~bytes:0 ();
+      ignore (Net.Sim.send sim ~src:a ~dst:a ~bytes:0 ()));
+  ignore (Net.Sim.send sim ~src:a ~dst:a ~bytes:0 ());
   let outcome, processed = Net.Sim.run ~max_events:100 sim in
   Alcotest.(check bool) "budget exhausted" true (outcome = `Budget_exhausted);
   Alcotest.(check int) "processed up to the guard" 100 processed;
@@ -284,9 +284,9 @@ let test_stats_per_link () =
   let a = peer "a" and b = peer "b" in
   Net.Sim.set_handler sim b (fun ~src:_ () -> ());
   Net.Sim.set_handler sim a (fun ~src:_ () -> ());
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:100 ();
-  Net.Sim.send sim ~src:a ~dst:b ~bytes:50 ();
-  Net.Sim.send sim ~src:a ~dst:a ~bytes:999 ();
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:100 ());
+  ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:50 ());
+  ignore (Net.Sim.send sim ~src:a ~dst:a ~bytes:999 ());
   ignore (Net.Sim.run sim);
   let snap = Net.Stats.snapshot (Net.Sim.stats sim) in
   Alcotest.(check int) "remote messages" 2 snap.messages;
@@ -308,7 +308,7 @@ let test_fifo_per_link () =
   let received = ref [] in
   Net.Sim.set_handler sim b (fun ~src:_ i -> received := i :: !received);
   for i = 1 to 10 do
-    Net.Sim.send sim ~src:a ~dst:b ~bytes:100 i
+    ignore (Net.Sim.send sim ~src:a ~dst:b ~bytes:100 i)
   done;
   ignore (Net.Sim.run sim);
   Alcotest.(check (list int)) "in order" (List.init 10 (fun i -> i + 1))
@@ -326,11 +326,12 @@ let test_deterministic_runs () =
             log :=
               (p, Net.Peer_id.to_string src, msg, Net.Sim.now sim) :: !log;
             if msg < 3 then
-              Net.Sim.send sim ~src:(peer p)
-                ~dst:(peer (if p = "b" then "c" else "b"))
-                ~bytes:(50 * msg) (msg + 1)))
+              ignore
+                (Net.Sim.send sim ~src:(peer p)
+                   ~dst:(peer (if p = "b" then "c" else "b"))
+                   ~bytes:(50 * msg) (msg + 1))))
       [ "a"; "b"; "c" ];
-    Net.Sim.send sim ~src:(peer "a") ~dst:(peer "b") ~bytes:10 1;
+    ignore (Net.Sim.send sim ~src:(peer "a") ~dst:(peer "b") ~bytes:10 1);
     ignore (Net.Sim.run sim);
     List.rev !log
   in

@@ -502,9 +502,9 @@ let test_stats_loopback_trace () =
   let sim = Net.Sim.create (mesh [ "a"; "b" ]) in
   List.iter (fun p -> Net.Sim.set_handler sim p (fun ~src:_ () -> ())) [ a; b ];
   with_tracing @@ fun () ->
-  Net.Sim.send ~note:"remote" sim ~src:a ~dst:b ~bytes:10 ();
-  Net.Sim.send ~note:"loop" sim ~src:a ~dst:a ~bytes:10 ();
-  Net.Sim.send ~note:"loop" sim ~src:b ~dst:b ~bytes:5 ();
+  ignore (Net.Sim.send ~note:"remote" sim ~src:a ~dst:b ~bytes:10 ());
+  ignore (Net.Sim.send ~note:"loop" sim ~src:a ~dst:a ~bytes:10 ());
+  ignore (Net.Sim.send ~note:"loop" sim ~src:b ~dst:b ~bytes:5 ());
   ignore (Net.Sim.run sim);
   Alcotest.(check (list string))
     "every transmission has its span, loopbacks included"

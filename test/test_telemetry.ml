@@ -389,6 +389,71 @@ let test_planning_is_not_demand () =
         (Xml.Tree.byte_size (Doc.Document.root (Option.get appended)))
         (env.Algebra.Cost.doc_bytes cat))
 
+(* Listing a peer's documents is bookkeeping, not demand: routing an
+   insert to the document that holds its node, a checkpoint and
+   [activate_all] each walk every document on the peer, and none of
+   them may leave a doc/<n>/reads sample for the placement controller.
+   A service that reads a document still records its read. *)
+let test_bookkeeping_is_not_demand () =
+  with_telemetry (fun () ->
+      Timeseries.set_enabled Timeseries.default true;
+      let sys = System.create (mesh [ "p1"; "p2" ]) in
+      let g = System.gen_of sys p2 in
+      let roots =
+        List.map
+          (fun name ->
+            let root = elt g "doc" [ elt g "item" [ txt name ] ] in
+            System.add_document sys p2 ~name root;
+            root)
+          [ "a"; "b"; "c" ]
+      in
+      let doc_reads () =
+        List.fold_left
+          (fun acc (k, windows) ->
+            if String.starts_with ~prefix:"doc/" k then
+              List.fold_left
+                (fun acc w -> acc + w.Timeseries.w_count)
+                acc windows
+            else acc)
+          0
+          (Timeseries.snapshot Timeseries.default)
+      in
+      let run () =
+        let outcome, _ = System.run sys in
+        Alcotest.(check bool) "quiescent" true (outcome = `Quiescent)
+      in
+      System.send sys ~src:p1 ~dst:p2
+        (Runtime.Message.Insert
+           {
+             node = Option.get (Xml.Tree.id (List.nth roots 1));
+             forest = [ elt (System.gen_of sys p1) "item" [ txt "new" ] ];
+             notify = None;
+           });
+      run ();
+      let b =
+        Doc.Store.peek (System.peer sys p2).Runtime.Peer.store
+          (Doc.Names.Doc_name.of_string "b")
+      in
+      Alcotest.(check int) "the insert landed" 2
+        (List.length (Xml.Tree.children (Doc.Document.root (Option.get b))));
+      Alcotest.(check int) "insert routing: no read" 0 (doc_reads ());
+      ignore (Runtime.Persist.checkpoint_xml sys p2);
+      Alcotest.(check int) "checkpoint: no read" 0 (doc_reads ());
+      ignore (System.activate_all sys ());
+      Alcotest.(check int) "activate_all: no read" 0 (doc_reads ());
+      System.add_service sys p2 (Doc.Service.doc_feed ~name:"feed" ~doc:"a");
+      let key = System.fresh_key sys in
+      System.set_cont sys key (fun _ ~final:_ -> ());
+      System.send sys ~src:p1 ~dst:p2
+        (Runtime.Message.Invoke
+           {
+             service = Doc.Names.Service_name.of_string "feed";
+             params = [];
+             replies = [ Runtime.Message.Cont { peer = p1; key } ];
+           });
+      run ();
+      Alcotest.(check int) "a Doc_feed read records one" 1 (doc_reads ()))
+
 (* --- profiler ------------------------------------------------------ *)
 
 let join_system () =
@@ -523,6 +588,8 @@ let suite =
       test_inflight_per_sending_peer;
     Alcotest.test_case "series: planning records no document reads" `Quick
       test_planning_is_not_demand;
+    Alcotest.test_case "series: bookkeeping records no document reads" `Quick
+      test_bookkeeping_is_not_demand;
     Alcotest.test_case "profiler: exclusive times sum to root" `Quick
       test_profiler_sums_to_root;
     Alcotest.test_case "profiler: restores sampling state" `Quick

@@ -125,14 +125,13 @@ let test_zero_knobs_ship_bare () =
    [ack_delay_ms = 0] the request's ack must leave p2 the moment the
    request arrives.  An ack sent after dispatch would depart only when
    the handler's CPU ends, and the sender's 40 ms retry timer would
-   re-ship a request that had arrived in time.  (The reply itself is
-   sent while p2 is busy and may be re-sent before it departs; only
-   the request's acknowledgement is pinned here.) *)
+   re-ship a request that had arrived in time.  (The reply is sent
+   while p2 is busy; that it ships once is the retry timer's contract,
+   pinned below.) *)
 let test_ack_before_dispatch () =
   let topo = mesh ~latency:10.0 ~bandwidth:1000.0 [ "p1"; "p2" ] in
   let sys =
-    System.create ~transport:System.Reliable ~cpu_ms_per_kb:50.0 ~rto_ms:40.0
-      topo
+    System.create ~transport:System.Reliable ~cpu_ms_per_kb:50.0 topo
   in
   System.add_service sys p2
     (Doc.Service.declarative ~name:"pick"
@@ -311,6 +310,204 @@ let test_batched_retransmission () =
   Alcotest.(check (list string)) "stream intact despite drops" texts_ref texts;
   Alcotest.(check string) "same Σ fingerprint" fp_ref fp
 
+(* --- the retransmission timer -------------------------------------- *)
+
+(* The retry timer counts from a frame's expected arrival — departure
+   after the sender's busy CPU, plus the link's transfer time for its
+   bytes — and adds [ack_delay_ms] and the direction's RTO, which
+   starts at 40 ms and then follows the measured round trip, never
+   below 40 ms (DESIGN.md §12).  Fault-free, nothing ships twice,
+   however slow the link, large the frame, busy the sender or long the
+   exchange. *)
+
+let timer_system ?(latency = 10.0) ?(bandwidth = 1000.0) ?wire () =
+  System.create ~transport:System.Reliable ?wire
+    (mesh ~latency ~bandwidth [ "p1"; "p2" ])
+
+let run_quiescent sys =
+  let outcome, _ = System.run sys in
+  Alcotest.(check bool) "quiescent" true (outcome = `Quiescent)
+
+let retransmits sys = (System.reliability_counters sys).System.retransmits
+
+(* [rounds] request/response pairs between p1 and p2, one sequenced
+   message per leg: each leg's handler sends the next leg back.
+   Returns how many legs were delivered. *)
+let ping_pong sys ~rounds =
+  let delivered = ref 0 in
+  let rec leg i =
+    if i < 2 * rounds then begin
+      let src, dst = if i mod 2 = 0 then (p1, p2) else (p2, p1) in
+      let key = System.fresh_key sys in
+      System.set_cont sys key (fun _ ~final:_ ->
+          incr delivered;
+          leg (i + 1));
+      System.send sys ~src ~dst
+        (Message.Stream { key; forest = []; final = true })
+    end
+  in
+  leg 0;
+  run_quiescent sys;
+  !delivered
+
+(* (a) A round trip of 2 × 30 ms outlasts the 40 ms initial RTO. *)
+let test_timer_slow_round_trip () =
+  let sys = timer_system ~latency:30.0 () in
+  Alcotest.(check int) "every leg delivered" 40 (ping_pong sys ~rounds:20);
+  Alcotest.(check int) "no retransmission" 0 (retransmits sys);
+  Alcotest.(check int) "one frame per leg, one ack each" 80
+    (System.stats sys).Net.Stats.messages
+
+(* (b) A 20 KB frame at 100 B/ms is 200 ms on the wire. *)
+let test_timer_long_transfer () =
+  let sys = timer_system ~bandwidth:100.0 () in
+  let key = System.fresh_key sys in
+  let got = ref 0 in
+  System.set_cont sys key (fun forest ~final:_ ->
+      got := Xml.Forest.byte_size forest);
+  let forest = [ elt (gen ()) "blob" [ txt (String.make 20_000 'x') ] ] in
+  System.send sys ~src:p1 ~dst:p2
+    (Message.Stream { key; forest; final = true });
+  run_quiescent sys;
+  Alcotest.(check int) "delivered" (Xml.Forest.byte_size forest) !got;
+  Alcotest.(check bool) "the transfer outlasts the initial RTO" true
+    (System.now_ms sys > 200.0);
+  Alcotest.(check int) "shipped once" 0 (retransmits sys);
+  Alcotest.(check int) "the frame and its ack" 2
+    (System.stats sys).Net.Stats.messages
+
+(* (c) The reply leaves only when p2's 250 ms of CPU ends. *)
+let test_timer_busy_sender () =
+  let sys = timer_system () in
+  let sim = System.sim sys in
+  let request = System.fresh_key sys and reply = System.fresh_key sys in
+  let replied = ref false in
+  System.set_cont sys reply (fun _ ~final:_ -> replied := true);
+  System.set_cont sys request (fun _ ~final:_ ->
+      Net.Sim.consume_cpu sim ~peer:p2 ~ms:250.0;
+      Alcotest.(check bool) "p2's CPU horizon is 200+ ms ahead" true
+        (Net.Sim.busy_until sim p2 -. Net.Sim.now sim >= 200.0);
+      System.send sys ~src:p2 ~dst:p1
+        (Message.Stream { key = reply; forest = []; final = true }));
+  System.send sys ~src:p1 ~dst:p2
+    (Message.Stream { key = request; forest = []; final = true });
+  run_quiescent sys;
+  Alcotest.(check bool) "replied" true !replied;
+  Alcotest.(check int) "the reply shipped once" 0 (retransmits sys)
+
+(* A 1 ms link outage at t = 0: it drops the first copy of whatever
+   p1 sends at t = 0 and nothing else. *)
+let lose_first_copy sys =
+  System.inject_faults sys
+    (Fault.make
+       ~events:
+         [
+           Fault.Link_down
+             {
+               src = p1;
+               dst = p2;
+               window = Fault.window ~from_ms:0.0 ~until_ms:1.0;
+             };
+         ]
+       ~seed:1 ())
+
+(* (d) Karn's rule.  The first leg's first copy is lost.  The
+   re-shipped message yields no RTT sample, so p1→p2 ends with exactly
+   the RTO of a clean run that timed the same 4 later legs.  (At 30 ms
+   a leg, that RTO is still above the 40 ms floor.) *)
+let test_timer_karn () =
+  let sys = timer_system ~latency:30.0 () in
+  lose_first_copy sys;
+  Alcotest.(check int) "every leg delivered" 10 (ping_pong sys ~rounds:5);
+  Alcotest.(check int) "one retransmit" 1 (retransmits sys);
+  (* The dropped copy is counted as a drop, not a transmission. *)
+  Alcotest.(check int) "every later message shipped once" 20
+    (System.stats sys).Net.Stats.messages;
+  let clean = timer_system ~latency:30.0 () in
+  ignore (ping_pong clean ~rounds:4);
+  let rto sys = Option.get (System.rto sys ~src:p1 ~dst:p2) in
+  Alcotest.(check bool) "the clean RTO is above the floor" true
+    (rto clean > 40.0);
+  Alcotest.(check (float 1e-6)) "RTO of the 4 once-shipped legs" (rto clean)
+    (rto sys)
+
+(* A sample starts when every earlier frame is in: a cumulative ack
+   cannot cover a frame before those ahead of it have arrived, and a
+   small frame overtakes a large one (the link charges no
+   serialization).  At t = 0, p1 sends a small message (timed) and a
+   100 KB one (100 ms on the wire, arriving at 110 ms); the first's
+   ack ends its sample at 20 ms, and a small message sent at 21 ms,
+   timed next, arrives at 31 ms but is acked only after the large one
+   lands.  Timed from its own arrival, its sample would carry the
+   79 ms wait and lift the RTO far above the 40 ms floor. *)
+let test_timer_sample_waits_for_earlier_frames () =
+  let sys = timer_system () in
+  let sim = System.sim sys in
+  let delivered = ref 0 in
+  let send forest =
+    let key = System.fresh_key sys in
+    System.set_cont sys key (fun _ ~final:_ -> incr delivered);
+    System.send sys ~src:p1 ~dst:p2 (Message.Stream { key; forest; final = true })
+  in
+  send [];
+  send [ elt (gen ()) "blob" [ txt (String.make 100_000 'x') ] ];
+  Net.Sim.after sim ~peer:p1 ~delay_ms:21.0 (fun () -> send []);
+  run_quiescent sys;
+  Alcotest.(check int) "all three delivered" 3 !delivered;
+  Alcotest.(check int) "no retransmission" 0 (retransmits sys);
+  Alcotest.(check (option (float 1e-6))) "the RTO stays at the floor"
+    (Some 40.0)
+    (System.rto sys ~src:p1 ~dst:p2)
+
+(* (e) A fresh frame joining a busy window leaves its timer running:
+   ten new messages, 20 ms apart, must not postpone the re-ship of the
+   lost first one past its own deadline (its arrival at ~10 ms plus the
+   40 ms initial RTO). *)
+let test_timer_fresh_frames_do_not_postpone () =
+  let sys = timer_system () in
+  lose_first_copy sys;
+  let sim = System.sim sys in
+  let first_at = ref infinity in
+  for i = 0 to 10 do
+    Net.Sim.after sim ~peer:p1 ~delay_ms:(20.0 *. float_of_int i) (fun () ->
+        let key = System.fresh_key sys in
+        System.set_cont sys key (fun _ ~final:_ ->
+            if i = 0 then first_at := Net.Sim.now sim);
+        System.send sys ~src:p1 ~dst:p2
+          (Message.Stream { key; forest = []; final = true }))
+  done;
+  run_quiescent sys;
+  Alcotest.(check int) "one retransmit" 1 (retransmits sys);
+  Alcotest.(check bool)
+    (Printf.sprintf "the lost message arrived by 100 ms (%.1f)" !first_at)
+    true (!first_at < 100.0)
+
+(* (f) A long exchange on the Binary wire.  Equal samples shrink
+   [rttvar] towards zero, and at seq 64 the standalone ack grows by a
+   byte (zigzag varint): without the RTO's floor, the first ack that
+   comes back a hair later than the one before loses to the timer. *)
+let test_timer_long_exchange () =
+  let sys = timer_system ~wire:System.Binary () in
+  Alcotest.(check int) "every leg delivered" 300 (ping_pong sys ~rounds:150);
+  Alcotest.(check int) "no retransmission" 0 (retransmits sys)
+
+(* (g) The estimator is volatile, the sequence cursors durable. *)
+let test_timer_crash_resets_estimator () =
+  let sys = timer_system ~latency:30.0 () in
+  Alcotest.(check int) "before: every leg delivered" 10
+    (ping_pong sys ~rounds:5);
+  let rto () = System.rto sys ~src:p1 ~dst:p2 in
+  Alcotest.(check bool) "the RTO was learned" true (rto () <> Some 40.0);
+  System.crash sys p1;
+  System.restart sys p1;
+  Alcotest.(check (option (float 0.0))) "a crash resets the RTO" (Some 40.0)
+    (rto ());
+  Alcotest.(check int) "after: every leg delivered" 10
+    (ping_pong sys ~rounds:5);
+  let rc = System.reliability_counters sys in
+  Alcotest.(check int) "no duplicate suppressed" 0 rc.System.dup_suppressed;
+  Alcotest.(check int) "no retransmission" 0 rc.System.retransmits
+
 let suite =
   [
     ("batch frame byte accounting", `Quick, test_batch_bytes);
@@ -321,4 +518,15 @@ let suite =
     ("acks piggyback on reverse batches", `Quick, test_piggybacked_acks);
     ("identical forests dedup within a frame", `Quick, test_dedup_in_flight);
     ("retransmission re-batches pending messages", `Quick, test_batched_retransmission);
+    ("timer: a round trip above the initial RTO", `Quick, test_timer_slow_round_trip);
+    ("timer: a transfer above the initial RTO", `Quick, test_timer_long_transfer);
+    ("timer: a reply behind 250 ms of CPU", `Quick, test_timer_busy_sender);
+    ("timer: Karn, a re-shipped message gives no sample", `Quick, test_timer_karn);
+    ("timer: a sample waits for the frames ahead of it", `Quick,
+      test_timer_sample_waits_for_earlier_frames);
+    ("timer: fresh frames do not postpone a re-ship", `Quick,
+      test_timer_fresh_frames_do_not_postpone);
+    ("timer: 150 Binary round trips ship once", `Quick, test_timer_long_exchange);
+    ("timer: a crash resets the estimator, not the cursors", `Quick,
+      test_timer_crash_resets_estimator);
   ]
