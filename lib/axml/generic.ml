@@ -14,11 +14,18 @@ type policy =
 type t = {
   docs : (string, Names.Doc_ref.t list ref) Hashtbl.t;
   services : (string, Names.Service_ref.t list ref) Hashtbl.t;
+  mutable version : int;
 }
 
-let create () = { docs = Hashtbl.create 16; services = Hashtbl.create 16 }
+let create () =
+  { docs = Hashtbl.create 16; services = Hashtbl.create 16; version = 0 }
 
-let register tbl ~class_name member ~equal =
+let version t = t.version
+
+(* Only a call that changes a member list bumps the version: a
+   duplicate register or an absent unregister leaves the catalog, and
+   every view built from it, current. *)
+let register t tbl ~class_name member ~equal =
   let cell =
     match Hashtbl.find_opt tbl class_name with
     | Some c -> c
@@ -27,30 +34,35 @@ let register tbl ~class_name member ~equal =
         Hashtbl.replace tbl class_name c;
         c
   in
-  if not (List.exists (equal member) !cell) then cell := !cell @ [ member ]
+  if not (List.exists (equal member) !cell) then begin
+    cell := !cell @ [ member ];
+    t.version <- t.version + 1
+  end
 
-let unregister tbl ~class_name member ~equal =
+let unregister t tbl ~class_name member ~equal =
   match Hashtbl.find_opt tbl class_name with
-  | None -> ()
-  | Some cell -> cell := List.filter (fun r -> not (equal member r)) !cell
+  | Some cell when List.exists (equal member) !cell ->
+      cell := List.filter (fun r -> not (equal member r)) !cell;
+      t.version <- t.version + 1
+  | Some _ | None -> ()
 
 let register_doc t ~class_name (r : Names.Doc_ref.t) =
   (match r.at with
   | Names.Any -> invalid_arg "Generic.register_doc: member location is Any"
   | Names.At _ -> ());
-  register t.docs ~class_name r ~equal:Names.Doc_ref.equal
+  register t t.docs ~class_name r ~equal:Names.Doc_ref.equal
 
 let register_service t ~class_name (r : Names.Service_ref.t) =
   (match r.at with
   | Names.Any -> invalid_arg "Generic.register_service: member location is Any"
   | Names.At _ -> ());
-  register t.services ~class_name r ~equal:Names.Service_ref.equal
+  register t t.services ~class_name r ~equal:Names.Service_ref.equal
 
 let unregister_doc t ~class_name (r : Names.Doc_ref.t) =
-  unregister t.docs ~class_name r ~equal:Names.Doc_ref.equal
+  unregister t t.docs ~class_name r ~equal:Names.Doc_ref.equal
 
 let unregister_service t ~class_name (r : Names.Service_ref.t) =
-  unregister t.services ~class_name r ~equal:Names.Service_ref.equal
+  unregister t t.services ~class_name r ~equal:Names.Service_ref.equal
 
 let members tbl ~class_name =
   match Hashtbl.find_opt tbl class_name with Some c -> !c | None -> []

@@ -48,6 +48,13 @@ val unregister_doc : t -> class_name:string -> Names.Doc_ref.t -> unit
 
 val unregister_service : t -> class_name:string -> Names.Service_ref.t -> unit
 
+val version : t -> int
+(** The catalog's version: 0 at {!create}, bumped by every register or
+    unregister that changes a member list (a duplicate register or an
+    absent unregister leaves it).  A catalog's member lists are
+    therefore a function of its identity and its version, which is what
+    lets a reader keep a view built from it until either changes. *)
+
 val doc_members : t -> class_name:string -> Names.Doc_ref.t list
 val service_members : t -> class_name:string -> Names.Service_ref.t list
 

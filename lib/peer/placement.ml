@@ -81,6 +81,10 @@ type t = {
   mutable next_id : int;
   mutable ticks : int;
   mutable stopped : bool;
+  mutable view : (string * Names.Doc_ref.t list) list;
+      (* The class view [sig_classes], as of [view_key]. *)
+  mutable view_key : (Generic.t * int) list;
+      (* (catalog, version) per peer, in [System.peers] order. *)
 }
 
 type stats = {
@@ -142,35 +146,64 @@ let doc_read_rate ~windows sys name =
   let v = Timeseries.rate reg ("doc/" ^ name ^ "/reads") ~now ~windows in
   if Float.is_finite v then v else 0.0
 
-let signals_of t =
-  let sys = t.sys in
-  let sim = System.sim sys in
-  let windows = t.cfg.windows in
-  (* Union of the peers' catalogs, in (peer order, member order) —
-     deterministic because both underlying orders are. *)
-  let classes = ref [] in
+(* Union of the peers' catalogs: classes in order of first appearance
+   over (peer order, class name), each class's members in (peer,
+   registration) order without duplicates — deterministic because
+   every underlying order is.  One pass, linear in the catalogs' size:
+   the table keyed by class holds each class's members so far, newest
+   first, and [seen] the (class, member) pairs already taken.
+   Structural hashing agrees with [Doc_ref.equal]: peer ids are
+   interned. *)
+let class_view peers =
+  let members_of = Hashtbl.create 64 in
+  let seen = Hashtbl.create 256 in
+  let order = ref [] in
   List.iter
     (fun (p : Peer.t) ->
       List.iter
         (fun cls ->
-          let members = Generic.doc_members p.Peer.catalog ~class_name:cls in
-          if members <> [] then
-            match List.assoc_opt cls !classes with
-            | None -> classes := !classes @ [ (cls, members) ]
-            | Some known ->
-                let extra =
-                  List.filter
-                    (fun m -> not (List.exists (Names.Doc_ref.equal m) known))
-                    members
-                in
-                if extra <> [] then
-                  classes :=
-                    List.map
-                      (fun (c, ms) ->
-                        if String.equal c cls then (c, ms @ extra) else (c, ms))
-                      !classes)
+          List.iter
+            (fun (m : Names.Doc_ref.t) ->
+              if not (Hashtbl.mem seen (cls, m)) then begin
+                Hashtbl.add seen (cls, m) ();
+                match Hashtbl.find_opt members_of cls with
+                | Some known -> known := m :: !known
+                | None ->
+                    Hashtbl.add members_of cls (ref [ m ]);
+                    order := cls :: !order
+              end)
+            (Generic.doc_members p.Peer.catalog ~class_name:cls))
         (Generic.classes p.Peer.catalog))
-    (System.peers sys);
+    peers;
+  List.rev_map (fun cls -> (cls, List.rev !(Hashtbl.find members_of cls))) !order
+
+(* The view is kept across ticks and rebuilt only when some peer's
+   catalog changed.  Catalogs are compared physically as well as by
+   version: a crash replaces a peer's catalog with a fresh one, and
+   [Persist] and tests register into one peer's catalog directly, so
+   no hook on [System.register_doc_class] alone would see every
+   change. *)
+let rec same_catalogs peers key =
+  match (peers, key) with
+  | [], [] -> true
+  | (p : Peer.t) :: peers, (catalog, version) :: key ->
+      p.Peer.catalog == catalog
+      && Generic.version catalog = version
+      && same_catalogs peers key
+  | _ :: _, [] | [], _ :: _ -> false
+
+let signals t =
+  let sys = t.sys in
+  let sim = System.sim sys in
+  let windows = t.cfg.windows in
+  let peers = System.peers sys in
+  if not (same_catalogs peers t.view_key) then begin
+    t.view <- class_view peers;
+    t.view_key <-
+      List.map
+        (fun (p : Peer.t) -> (p.Peer.catalog, Generic.version p.Peer.catalog))
+        peers
+  end;
   let busy =
     List.filter_map
       (fun m ->
@@ -181,7 +214,7 @@ let signals_of t =
       t.log
   in
   {
-    sig_classes = !classes;
+    sig_classes = t.view;
     sig_doc_rate = (fun name -> doc_read_rate ~windows sys name);
     sig_peer_load =
       (fun p -> match load_gauge ~windows sys p with
@@ -193,7 +226,7 @@ let signals_of t =
         match Names.Doc_name.of_string_opt name with
         | None -> false
         | Some dn -> Axml_doc.Store.mem (System.peer sys p).Peer.store dn);
-    sig_peers = List.map (fun (p : Peer.t) -> p.Peer.id) (System.peers sys);
+    sig_peers = List.map (fun (p : Peer.t) -> p.Peer.id) peers;
     sig_busy = (fun cls -> List.exists (String.equal cls) busy);
   }
 
@@ -399,7 +432,7 @@ let rec tick t =
     cleanup_aborted t;
     let reg = Timeseries.default in
     if Timeseries.is_on reg && Timeseries.epoch_of reg now >= 1 then
-      List.iter (start_migration t) (plan_tick t.cfg t.rng (signals_of t));
+      List.iter (start_migration t) (plan_tick t.cfg t.rng (signals t));
     (* Dormancy: reschedule only while the simulation still has work
        of its own or a handoff is unfinished — an idle controller
        must not keep the run alive forever. *)
@@ -421,6 +454,8 @@ let enable ?(cfg = default_config) sys =
       next_id = 0;
       ticks = 0;
       stopped = false;
+      view = [];
+      view_key = [];
     }
   in
   let sim = System.sim sys in

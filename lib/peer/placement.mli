@@ -78,7 +78,11 @@ val stop : t -> unit
 type signals = {
   sig_classes : (string * Names.Doc_ref.t list) list;
       (** Union of the peers' document-class catalogs, in
-          deterministic (peer, registration) order. *)
+          deterministic (peer, registration) order.  The controller
+          keeps this view across ticks and rebuilds it only when some
+          peer's catalog changed — a different catalog (a crash
+          replaces it) or a new {!Axml_doc.Generic.version} — so
+          between changes successive snapshots share it physically. *)
   sig_doc_rate : string -> float;  (** Reads/second, recent windows. *)
   sig_peer_load : Peer_id.t -> float;
       (** Transmit load; [infinity] = no signal. *)
@@ -95,6 +99,12 @@ type decision = {
   d_src : Peer_id.t;
   d_dst : Peer_id.t;
 }
+
+val signals : t -> signals
+(** The snapshot a tick plans from: the class view (rebuilt first if
+    any catalog changed since it was built), and the live rate, load,
+    liveness, holding and busy readers.  Exposed for direct testing,
+    as {!plan_tick} is. *)
 
 val plan_tick : config -> Axml_net.Rng.t -> signals -> decision list
 (** One tick's migration decisions: hot classes (rate >= [hot_rate],

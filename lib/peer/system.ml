@@ -773,7 +773,9 @@ let handle_insert t (self : Peer.t) node forest notify =
   ping t self notify
 
 let handle_install t (self : Peer.t) name forest notify =
-  (match Axml_doc.Store.find_by_string self.Peer.store name with
+  (* A quiet lookup: appending a stream's batch is a write, and must not
+     read as demand for the document (DESIGN.md §17). *)
+  (match Axml_doc.Store.peek_by_string self.Peer.store name with
   | Some doc ->
       (* Subsequent batches of the same stream accumulate under the
          existing root. *)

@@ -753,7 +753,8 @@ let subscription ?(sources = 3) ~seed () =
 let publish sub ~source ~headline =
   let sys = sub.sub_system in
   let peer = System.peer sys source in
-  match Axml_doc.Store.find_by_string peer.Axml_peer.Peer.store sub.sub_news_doc with
+  (* Only the Insert target's id is wanted: a quiet lookup, not a read. *)
+  match Axml_doc.Store.peek_by_string peer.Axml_peer.Peer.store sub.sub_news_doc with
   | None -> invalid_arg "Scenarios.publish: unknown source document"
   | Some doc -> (
       let gen = System.gen_of sys source in

@@ -247,6 +247,90 @@ let test_plan_tie_break_is_seeded () =
   Alcotest.(check bool) "several seeds explore both candidates" true
     (List.length all > 1)
 
+(* --- signals: the controller's class view --------------------------- *)
+
+(* The union the view must equal, folded the slow way from the peers'
+   catalogs: classes in order of first appearance over (peer, class
+   name), members in (peer, registration) order without duplicates. *)
+let reference_classes sys =
+  List.fold_left
+    (fun acc (p : Runtime.Peer.t) ->
+      List.fold_left
+        (fun acc cls ->
+          let members =
+            Generic.doc_members p.Runtime.Peer.catalog ~class_name:cls
+          in
+          match (members, List.assoc_opt cls acc) with
+          | [], _ -> acc
+          | _, None -> acc @ [ (cls, members) ]
+          | _, Some known ->
+              let extra =
+                List.filter
+                  (fun m -> not (List.exists (Names.Doc_ref.equal m) known))
+                  members
+              in
+              List.map
+                (fun (c, ms) -> if c = cls then (c, ms @ extra) else (c, ms))
+                acc)
+        acc
+        (Generic.classes p.Runtime.Peer.catalog))
+    [] (System.peers sys)
+
+let show_classes =
+  List.map (fun (cls, ms) ->
+      cls ^ ": " ^ String.concat " " (List.map Names.Doc_ref.to_string ms))
+
+(* The view is kept while no catalog changes, and follows every way one
+   can change: the system-wide register and unregister, a register into
+   one peer's catalog alone (as [Persist] restores do), and a crash,
+   which replaces the peer's catalog with a fresh one. *)
+let test_class_view_follows_catalogs () =
+  with_telemetry (fun () ->
+      let sys =
+        System.create ~transport:System.Reliable (mesh [ "p1"; "p2"; "p3" ])
+      in
+      List.iter
+        (fun (name, p) ->
+          System.add_document sys (peer p) ~name
+            (elt (System.gen_of sys (peer p)) "doc" []);
+          System.register_doc_class sys ~class_name:name (at_p name p))
+        [ ("d", "p1"); ("e", "p2") ];
+      let ctl = Placement.enable sys in
+      let view () = (Placement.signals ctl).Placement.sig_classes in
+      let first = view () in
+      Alcotest.(check bool) "nothing changed: the same view" true
+        (first == view ());
+      let check what =
+        Alcotest.(check (list string))
+          what
+          (show_classes (reference_classes sys))
+          (show_classes (view ()))
+      in
+      check "the initial view";
+      System.register_doc_class sys ~class_name:"d" (at_p "d" "p2");
+      check "after System.register_doc_class";
+      Generic.register_doc (System.peer sys p3).Runtime.Peer.catalog
+        ~class_name:"d" (at_p "d" "p3");
+      check "after a register into p3's catalog alone";
+      System.unregister_doc_class sys ~class_name:"e" (at_p "e" "p2");
+      check "after System.unregister_doc_class";
+      System.crash sys p3;
+      System.restart sys p3;
+      check "after p3's crash and restart";
+      (* A fresh catalog that reaches its predecessor's version holds
+         other members: only comparing catalogs physically tells them
+         apart. *)
+      let register_at_p3 name =
+        Generic.register_doc (System.peer sys p3).Runtime.Peer.catalog
+          ~class_name:name (at_p name "p3")
+      in
+      register_at_p3 "f";
+      check "after a register into the restarted p3's catalog";
+      System.crash sys p3;
+      System.restart sys p3;
+      register_at_p3 "g";
+      check "after a second crash, at the old catalog's version")
+
 (* --- live handoff: mid-migration appends --------------------------- *)
 
 (* A 3-peer system on a thin link, so a ship stays in flight long
@@ -533,6 +617,7 @@ let suite =
     ("plan: guards (cold, busy, dead, budget)", `Quick, test_plan_respects_guards);
     ("plan: ranking and per-tick concurrency", `Quick, test_plan_concurrency_and_ranking);
     ("plan: tie-break is seeded", `Quick, test_plan_tie_break_is_seeded);
+    ("signals: class view reused, follows every catalog change", `Quick, test_class_view_follows_catalogs);
     ("handoff: mid-migration appends survive", `Quick, test_handoff_preserves_streamed_appends);
     ("handoff: source crash aborts cleanly", `Quick, test_source_crash_aborts_cleanly);
     ("determinism: same seed replays on every wire", `Quick, test_same_seed_replays_per_wire);

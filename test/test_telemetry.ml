@@ -393,7 +393,9 @@ let test_planning_is_not_demand () =
    insert to the document that holds its node, a checkpoint and
    [activate_all] each walk every document on the peer, and none of
    them may leave a doc/<n>/reads sample for the placement controller.
-   A service that reads a document still records its read. *)
+   Nor may a stream's batch installed into an existing document: that
+   is a write.  A service that reads a document still records its
+   read. *)
 let test_bookkeeping_is_not_demand () =
   with_telemetry (fun () ->
       Timeseries.set_enabled Timeseries.default true;
@@ -441,6 +443,21 @@ let test_bookkeeping_is_not_demand () =
       Alcotest.(check int) "checkpoint: no read" 0 (doc_reads ());
       ignore (System.activate_all sys ());
       Alcotest.(check int) "activate_all: no read" 0 (doc_reads ());
+      System.send sys ~src:p1 ~dst:p2
+        (Runtime.Message.Install_doc
+           {
+             name = "a";
+             forest = [ elt (System.gen_of sys p1) "item" [ txt "batch" ] ];
+             notify = None;
+           });
+      run ();
+      let a =
+        Doc.Store.peek (System.peer sys p2).Runtime.Peer.store
+          (Doc.Names.Doc_name.of_string "a")
+      in
+      Alcotest.(check int) "the batch landed in the existing document" 2
+        (List.length (Xml.Tree.children (Doc.Document.root (Option.get a))));
+      Alcotest.(check int) "stream install: no read" 0 (doc_reads ());
       System.add_service sys p2 (Doc.Service.doc_feed ~name:"feed" ~doc:"a");
       let key = System.fresh_key sys in
       System.set_cont sys key (fun _ ~final:_ -> ());
