@@ -29,6 +29,20 @@ let default_env ?(cpu_ms_per_kb = 0.01) ?(cpu_factor = fun _ -> 1.0)
     cpu_factor;
   }
 
+(* [f] behind a table: each distinct key is passed to [f] once. *)
+let memo f =
+  let tbl = Hashtbl.create 8 in
+  fun k ->
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None ->
+        let v = f k in
+        Hashtbl.add tbl k v;
+        v
+
+let memoize env =
+  { env with doc_bytes = memo env.doc_bytes; doc_stats = memo env.doc_stats }
+
 type t = {
   bytes : int;
   messages : int;
@@ -91,7 +105,18 @@ let cpu env ~peer ~bytes =
 let site_peer ~ctx expr =
   match Expr.site expr with Names.At p -> p | Names.Any -> ctx
 
-let query_text_bytes q = String.length (Axml_query.Ast.to_string q)
+(* A query's text, and so its length, is fixed by its AST: the lengths
+   are kept across searches.  Bounded like [Compile]'s memo. *)
+let text_bytes : (Axml_query.Ast.t, int) Hashtbl.t = Hashtbl.create 64
+
+let query_text_bytes q =
+  match Hashtbl.find_opt text_bytes q with
+  | Some n -> n
+  | None ->
+      let n = String.length (Axml_query.Ast.to_string q) in
+      if Hashtbl.length text_bytes >= 1024 then Hashtbl.reset text_bytes;
+      Hashtbl.replace text_bytes q n;
+      n
 
 (* Resolve the query of an application: its textual size, the peer
    where the value initially lives, and its AST when visible. *)

@@ -48,6 +48,13 @@ val default_env :
     queries; query output estimates to 20% of total input (the
     selection-heavy workloads of the paper); 0.01 ms/KiB CPU. *)
 
+val memoize : env -> env
+(** The same oracles, each distinct document passed to [doc_bytes] and
+    [doc_stats] once: a search prices hundreds of candidates over the
+    same few documents.  The memo lives as long as the returned env, so
+    make one per search — the oracles of {!env} may read a live system
+    whose documents change between searches. *)
+
 type t = {
   bytes : int;  (** Total bytes shipped over remote links. *)
   messages : int;  (** Remote messages. *)

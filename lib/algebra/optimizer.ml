@@ -62,6 +62,9 @@ let optimize ~env ~ctx ?(objective = default_objective) ?peers
     | Some ps -> ps
     | None -> Axml_net.Topology.peers env.Cost.topology
   in
+  (* Every candidate is priced over the same documents: read each
+     once per call. *)
+  let env = Cost.memoize env in
   let cost_of e = Cost.of_expr env ~ctx e in
   let initial_cost = cost_of expr in
   let explored = ref 1 in

@@ -50,6 +50,9 @@ val optimize :
 (** [optimize ~env ~ctx strategy e] searches from [e], driven from
     peer [ctx], expanding plans with {!rewrites}.  [objective] defaults
     to {!Cost.weighted}; [peers] defaults to the topology's peer list
-    (the candidate delegates and relays). *)
+    (the candidate delegates and relays).  The candidates are priced
+    against {!Cost.memoize}[ env], made afresh for each call: each
+    document is read once per call, and the next call sees what
+    changed in between. *)
 
 val pp_result : Format.formatter -> result -> unit

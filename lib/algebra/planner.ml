@@ -38,6 +38,9 @@ let optimize_queries ?stats expr =
   (e', !changed)
 
 let plan ~env ~ctx ?objective ?peers ?stats strategy expr =
+  (* One memo for the search and the re-estimate below, so one plan
+     reads each document once. *)
+  let env = Cost.memoize env in
   let metering = Metrics.is_on Metrics.default in
   let t0 = if metering then Trace.wall_ms () else 0.0 in
   let equal_before = Expr.equal_calls () in

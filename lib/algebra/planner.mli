@@ -42,7 +42,9 @@ val plan :
   Expr.t ->
   result
 (** Run both layers.  [stats], when given, feeds the selectivity
-    oracle of the binding-reordering pass. *)
+    oracle of the binding-reordering pass.  One call reads each
+    document's size and statistics through [env] at most once
+    ({!Cost.memoize}). *)
 
 val optimize_queries :
   ?stats:Axml_query.Selectivity.Stats.t list -> Expr.t -> Expr.t * int

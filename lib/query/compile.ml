@@ -384,25 +384,27 @@ let eval_flwr ~gen cnt (f : flwr) (inputs : (Forest.t * Index.t option) array) =
   in
   (out, !tuples)
 
-(* Index an input on the fly when the query has descendant steps and
-   the forest is big enough to repay the build. *)
+(* Every index of a query input is built here, and counted: on the
+   fly below, or kept by a continuous query ({!index_input}).  An input
+   is worth indexing when the query has descendant steps and the forest
+   is big enough to repay the build. *)
+let build_index cnt wants_index forest =
+  if wants_index && Forest.size forest >= !threshold then begin
+    cnt.builds <- cnt.builds + 1;
+    Some (Index.build_forest forest)
+  end
+  else None
+
 let provision cnt wants_index (forest, idx) =
+  let idx =
+    match idx with None -> build_index cnt wants_index forest | Some _ -> idx
+  in
   match idx with
   | Some ix when Index.usable ix -> (forest, Some ix)
   | Some _ ->
       cnt.fallbacks <- cnt.fallbacks + 1;
       (forest, None)
-  | None ->
-      if wants_index && Forest.size forest >= !threshold then begin
-        let ix = Index.build_forest forest in
-        cnt.builds <- cnt.builds + 1;
-        if Index.usable ix then (forest, Some ix)
-        else begin
-          cnt.fallbacks <- cnt.fallbacks + 1;
-          (forest, None)
-        end
-      end
-      else (forest, None)
+  | None -> (forest, None)
 
 let rec eval_compiled ~gen cnt c (inputs : (Forest.t * Index.t option) list) =
   match c with
@@ -460,9 +462,22 @@ let check_arity q inputs =
       (Printf.sprintf "Query.eval: arity mismatch (query %d, inputs %d)"
          (Ast.arity q) (List.length inputs))
 
+let counters () = { hits = 0; fallbacks = 0; builds = 0 }
+
+(* The raw inputs feed the first block of each composed sub-query. *)
+let rec inputs_want_index = function
+  | Flwr f -> f.wants_index
+  | Compose (_, subs) -> List.exists inputs_want_index subs
+
+let index_input q forest =
+  let cnt = counters () in
+  let ix = build_index cnt (inputs_want_index (compiled q)) forest in
+  flush cnt;
+  ix
+
 let eval_counted ~gen q inputs =
   check_arity q inputs;
-  let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
+  let cnt = counters () in
   let out =
     eval_compiled ~gen cnt (compiled q) (List.map (fun f -> (f, None)) inputs)
   in
@@ -473,7 +488,7 @@ let eval ~gen q inputs = fst (eval_counted ~gen q inputs)
 
 let eval_over ~gen q inputs =
   check_arity q (List.map fst inputs);
-  let cnt = { hits = 0; fallbacks = 0; builds = 0 } in
+  let cnt = counters () in
   let out, _ = eval_compiled ~gen cnt (compiled q) inputs in
   flush cnt;
   out

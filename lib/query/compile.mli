@@ -77,3 +77,11 @@ val eval_over :
     store's, or a continuous query's maintained input indexes).
     [None] inputs are indexed on the fly under the usual threshold;
     unusable indexes fall back to traversal. *)
+
+val index_input : Ast.t -> Axml_xml.Forest.t -> Axml_xml.Index.t option
+(** The index an evaluation of the query would build on the fly for
+    this input forest, for a caller that keeps it across evaluations
+    ({!Incremental}): [None] when the query has no descendant step or
+    the forest is under the threshold.  Counted in [index_builds] like
+    every on-the-fly build.  The index may be unusable; {!eval_over}
+    then falls back to traversal. *)

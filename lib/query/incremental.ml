@@ -3,11 +3,15 @@ module Forest = Axml_xml.Forest
 
 type t = {
   query : Ast.t;
-  seen : Axml_xml.Forest.t array;
+  seen : Forest.t array;
   indexes : Index.t option array;
-      (* Cached per-input structural indexes, grown by [append_roots]
-         as trees arrive — so a long-lived continuous query pays
-         O(subtree) per arrival, not O(everything seen) per arrival. *)
+      (* Per-input structural indexes, built the first time an
+         evaluation reads the input and grown by [append_roots] as trees
+         arrive — so a long-lived continuous query pays O(subtree) per
+         arrival, not O(everything seen) per arrival. *)
+  draws : int array option;
+      (* Per input, how many bindings draw from it; [None] for a
+         composed query. *)
 }
 
 let create q =
@@ -15,7 +19,20 @@ let create q =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Incremental.create: " ^ msg));
   let n = max 1 (Ast.arity q) in
-  { query = q; seen = Array.make n []; indexes = Array.make n None }
+  let draws =
+    match q with
+    | Ast.Flwr f ->
+        let draws = Array.make n 0 in
+        List.iter
+          (fun (b : Ast.binding) ->
+            match b.source with
+            | Ast.Input i -> draws.(i) <- draws.(i) + 1
+            | Ast.Var _ -> ())
+          f.bindings;
+        Some draws
+    | Ast.Compose _ -> None
+  in
+  { query = q; seen = Array.make n []; indexes = Array.make n None; draws }
 
 let query t = t.query
 let seen t i = t.seen.(i)
@@ -39,25 +56,28 @@ let multiset_diff full old =
       | Some _ | None -> true)
     full
 
-let inputs_with_indexes t =
-  List.init (Ast.arity t.query) (fun j -> (t.seen.(j), t.indexes.(j)))
+(* Input [j] as an evaluation reads it: the trees seen so far, indexed
+   the first time they are read (under {!Compile}'s on-the-fly rule). *)
+let read t j =
+  (match t.indexes.(j) with
+  | None -> t.indexes.(j) <- Compile.index_input t.query t.seen.(j)
+  | Some _ -> ());
+  (t.seen.(j), t.indexes.(j))
 
-(* Record the arrival: grow the seen forest and keep the input's index
-   current.  An append the index can't absorb (or one that tips the
-   appended volume past the base) drops it; the next [extend] rebuild
-   from scratch is the geometric compaction step, so maintenance stays
-   amortized O(subtree). *)
+let all_inputs t = List.init (Ast.arity t.query) (read t)
+
+(* Record the arrival: grow the seen forest and keep the input's index,
+   if it has one, current.  An append the index can't absorb (or one
+   that tips the appended volume past the base) drops it; the next read
+   rebuilds it from scratch — the geometric compaction step, so
+   maintenance stays amortized O(subtree). *)
 let extend t ~input delta =
   t.seen.(input) <- t.seen.(input) @ delta;
   match t.indexes.(input) with
   | Some ix ->
       if (not (Index.append_roots ix delta)) || Index.needs_compaction ix then
         t.indexes.(input) <- None
-  | None ->
-      if Forest.size t.seen.(input) >= Compile.index_threshold () then begin
-        let ix = Index.build_forest t.seen.(input) in
-        t.indexes.(input) <- (if Index.usable ix then Some ix else None)
-      end
+  | None -> ()
 
 (* The delta of one arriving tree.  When the query is a single FLWR
    block in which exactly one binding draws from the touched input, the
@@ -70,34 +90,28 @@ let push ~gen t ~input tree =
   if input < 0 || input >= Array.length t.seen then
     invalid_arg "Incremental.push: input out of range";
   let delta = [ tree ] in
-  let single_occurrence =
-    match t.query with
-    | Ast.Flwr f ->
-        List.length
-          (List.filter
-             (fun (b : Ast.binding) -> b.source = Ast.Input input)
-             f.bindings)
-        = 1
-    | Ast.Compose _ -> false
-  in
-  if single_occurrence then begin
-    let inputs =
-      List.init (Ast.arity t.query) (fun j ->
-          if j = input then (delta, None) else (t.seen.(j), t.indexes.(j)))
-    in
-    let out = Compile.eval_over ~gen t.query inputs in
-    extend t ~input delta;
-    out
-  end
-  else begin
-    let before = Compile.eval_over ~gen t.query (inputs_with_indexes t) in
-    extend t ~input delta;
-    let after = Compile.eval_over ~gen t.query (inputs_with_indexes t) in
-    multiset_diff after before
-  end
+  match t.draws with
+  | Some draws when draws.(input) = 1 ->
+      (* Every output tuple binds a tree of each input some binding
+         draws from: while another such input has seen none, there is
+         no new output. *)
+      let waiting j n = j <> input && n > 0 && t.seen.(j) = [] in
+      let out =
+        if Array.exists Fun.id (Array.mapi waiting draws) then []
+        else
+          Compile.eval_over ~gen t.query
+            (List.init (Ast.arity t.query) (fun j ->
+                 if j = input then (delta, None) else read t j))
+      in
+      extend t ~input delta;
+      out
+  | Some _ | None ->
+      let before = Compile.eval_over ~gen t.query (all_inputs t) in
+      extend t ~input delta;
+      let after = Compile.eval_over ~gen t.query (all_inputs t) in
+      multiset_diff after before
 
 let push_forest ~gen t ~input forest =
   List.concat_map (fun tree -> push ~gen t ~input tree) forest
 
-let total_output ~gen t =
-  Compile.eval_over ~gen t.query (inputs_with_indexes t)
+let total_output ~gen t = Compile.eval_over ~gen t.query (all_inputs t)

@@ -11,7 +11,12 @@
     tree pinned on its input and all previously seen trees on the
     others (correct for our FLWR fragment because every output tuple
     draws at most one binding root per input, making evaluation
-    monotone and distributive over input arrival). *)
+    monotone and distributive over input arrival).  A push whose query
+    still waits for a tree on another input it draws from returns [[]]
+    without evaluating.  An input's structural index is built the first
+    time an evaluation reads the input, under {!Compile}'s on-the-fly
+    rule ({!Compile.index_input}), and absorbs later arrivals until
+    compaction drops it. *)
 
 type t
 

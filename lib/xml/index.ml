@@ -63,7 +63,8 @@ let entry_of t tree =
 (* One pass over [forest]: number elements, fill postings, accumulate
    label statistics.  Returns the element count. *)
 let index_forest t seg forest =
-  let tmp : (Label.t, entry list) Hashtbl.t = Hashtbl.create 16 in
+  (* Per label: its postings so far, newest first. *)
+  let tmp : (Label.t, entry list ref) Hashtbl.t = Hashtbl.create 16 in
   let all = ref [] in
   let counter = ref 0 in
   let rec walk tree =
@@ -76,6 +77,12 @@ let index_forest t seg forest =
         let ent = { enode = tree; pre; post = pre; seg } in
         if Node_id.Table.mem t.by_id e.id then t.usable <- false
         else Node_id.Table.replace t.by_id e.id ent;
+        (* Collected on entry, in preorder, so every postings array
+           comes out sorted by [pre] without a sort. *)
+        all := ent :: !all;
+        (match Hashtbl.find_opt tmp e.label with
+        | Some l -> l := ent :: !l
+        | None -> Hashtbl.add tmp e.label (ref [ ent ]));
         let kid_bytes =
           List.fold_left (fun acc c -> acc + walk c) 0 e.children
         in
@@ -87,9 +94,6 @@ let index_forest t seg forest =
             0 e.attrs
         in
         let sub = (2 * tag) + 5 + attr_bytes + kid_bytes in
-        Hashtbl.replace tmp e.label
-          (ent :: Option.value ~default:[] (Hashtbl.find_opt tmp e.label));
-        all := ent :: !all;
         let c, b =
           Option.value ~default:(0, 0) (Hashtbl.find_opt t.lstats e.label)
         in
@@ -97,16 +101,9 @@ let index_forest t seg forest =
         sub
   in
   t.bytes <- t.bytes + List.fold_left (fun acc tr -> acc + walk tr) 0 forest;
-  (* Entries are accumulated in post-order (an entry is pushed after
-     its subtree is walked, once its byte size is known); the postings
-     arrays must be sorted by [pre] for the binary search. *)
-  let by_pre entries =
-    let arr = Array.of_list entries in
-    Array.sort (fun a b -> Int.compare a.pre b.pre) arr;
-    arr
-  in
+  let by_pre rev = Array.of_list (List.rev rev) in
   Hashtbl.iter
-    (fun l entries -> Hashtbl.replace seg.labels l (by_pre entries))
+    (fun l entries -> Hashtbl.replace seg.labels l (by_pre !entries))
     tmp;
   seg.elems <- by_pre !all;
   !counter

@@ -264,6 +264,72 @@ let incremental_indexed_equals_naive seed =
       Xml.Canonical.equal_forest deltas total
       && bytes_of total = bytes_of naive)
 
+(* Two inputs: an arity-2 query under forced indexing receives 1–4
+   trees per input in a random interleaving, so some pushes come
+   before the other input has a tree (those wait without evaluating)
+   and the inputs' indexes are built lazily, on a later push's read,
+   then grown by appends.  The deltas still concatenate to the total,
+   which equals the interpreter's batch answer byte for byte.  Queries
+   draw from both inputs, over a two-label alphabet the trees share,
+   so about a third of the cases have output. *)
+let incremental_two_inputs_equals_naive seed =
+  let rng = Rng.create ~seed in
+  let labels = [ "a"; "b" ] in
+  let config =
+    {
+      Query_gen.default_config with
+      Query_gen.arity = 2;
+      labels;
+      max_path_len = 2;
+      max_preds = 1;
+    }
+  in
+  let draws_both = function
+    | Query.Ast.Flwr f ->
+        List.for_all
+          (fun i ->
+            List.exists
+              (fun (b : Query.Ast.binding) -> b.source = Query.Ast.Input i)
+              f.bindings)
+          [ 0; 1 ]
+    | Query.Ast.Compose _ -> false
+  in
+  let rec draw () =
+    let q = Query_gen.random_flwr ~rng config in
+    if draws_both q then q else draw ()
+  in
+  let q = draw () in
+  let data_rng = Rng.create ~seed:(seed * 13) in
+  let shape = { Xml_gen.default_shape with Xml_gen.labels } in
+  let streams =
+    Array.init 2 (fun _ ->
+        Xml_gen.random_forest ~shape ~gen:(fresh_gen ()) ~rng:data_rng
+          ~trees:(1 + Rng.int rng 4) ())
+  in
+  (* A random merge of the two streams, each in its own order. *)
+  let order =
+    Rng.shuffle rng
+      (List.concat_map (fun i -> List.map (fun _ -> i) streams.(i)) [ 0; 1 ])
+  in
+  let next = Array.copy streams in
+  with_threshold 0 (fun () ->
+      let g = fresh_gen () in
+      let state = Query.Incremental.create q in
+      let deltas =
+        List.concat_map
+          (fun i ->
+            let t = List.hd next.(i) in
+            next.(i) <- List.tl next.(i);
+            Query.Incremental.push ~gen:g state ~input:i t)
+          order
+      in
+      let total = Query.Incremental.total_output ~gen:g state in
+      let naive =
+        Query.Eval.eval ~gen:(fresh_gen ()) q (Array.to_list streams)
+      in
+      Xml.Canonical.equal_forest deltas total
+      && bytes_of total = bytes_of naive)
+
 (* Store-level inserts maintain the index rather than rebuilding: the
    indexed document keeps answering queries byte-identically. *)
 let store_insert_maintains_index seed =
@@ -316,6 +382,8 @@ let suite =
       index_consistent_after_appends;
     qtest ~count:80 "incremental indexed ≡ naive batch"
       incremental_indexed_equals_naive;
+    qtest ~count:150 "incremental, two inputs interleaved ≡ naive batch"
+      incremental_two_inputs_equals_naive;
     qtest ~count:60 "store insert maintains index"
       store_insert_maintains_index;
   ]

@@ -127,6 +127,50 @@ let test_composed_incremental () =
     !deltas;
   Alcotest.(check int) "two outputs" 2 (List.length !deltas)
 
+(* Every index a continuous query builds for its inputs is counted,
+   and built only once an evaluation reads the input: a join whose
+   second input arrives first waits (no evaluation, no build); the first
+   input's arrival then indexes the waiting input and the arrival
+   itself.  Two builds, both in query/index_builds. *)
+let test_join_index_builds_counted () =
+  let g = gen () in
+  let q =
+    query
+      {|query(2) for $x in $0//l, $y in $1//r where text($x) = text($y) return <m>{text($x)}</m>|}
+  in
+  let side root kid =
+    parse ~g
+      (Printf.sprintf "<%s>%s</%s>" root
+         (String.concat ""
+            (List.init 70 (fun i -> Printf.sprintf "<%s>%d</%s>" kid i kid)))
+         root)
+  in
+  let left = side "a" "l" and right = side "b" "r" in
+  Alcotest.(check bool)
+    "each input is over the threshold" true
+    (Xml.Tree.size left >= 128 && Xml.Tree.size right >= 128);
+  let builds () =
+    Obs.Metrics.counter_value Obs.Metrics.default ~subsystem:"query"
+      "index_builds"
+  in
+  let threshold = Query.Compile.index_threshold () in
+  Obs.Metrics.set_enabled Obs.Metrics.default true;
+  Obs.Metrics.reset Obs.Metrics.default;
+  Query.Compile.set_index_threshold 128;
+  Fun.protect
+    ~finally:(fun () ->
+      Query.Compile.set_index_threshold threshold;
+      Obs.Metrics.set_enabled Obs.Metrics.default false;
+      Obs.Metrics.reset Obs.Metrics.default)
+    (fun () ->
+      let state = Inc.create q in
+      let d1 = Inc.push ~gen:g state ~input:1 right in
+      Alcotest.(check int) "no partner yet" 0 (List.length d1);
+      Alcotest.(check int) "a waiting push builds nothing" 0 (builds ());
+      let d2 = Inc.push ~gen:g state ~input:0 left in
+      Alcotest.(check int) "every pair joins" 70 (List.length d2);
+      Alcotest.(check int) "two builds, both counted" 2 (builds ()))
+
 let suite =
   [
     ("single input deltas", `Quick, test_single_input_deltas);
@@ -138,4 +182,6 @@ let suite =
     ("seen bookkeeping", `Quick, test_seen);
     ("input range check", `Quick, test_out_of_range_input);
     ("composed query incremental", `Quick, test_composed_incremental);
+    ("join: every input index build counted", `Quick,
+      test_join_index_builds_counted);
   ]

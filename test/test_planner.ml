@@ -256,6 +256,97 @@ let test_planner_execution_correct () =
     (Algebra.Cost.weighted planned.Planner.cost
     < Algebra.Cost.weighted planned.Planner.search.Optimizer.initial_cost)
 
+(* --- the per-call oracle memo ------------------------------------ *)
+
+let cost_testable = Alcotest.testable Algebra.Cost.pp ( = )
+let best_first_8 = Optimizer.Best_first { max_expansions = 8 }
+
+(* A live system holding "cat" on p2 and p3, as the fixtures read it. *)
+let catalog_system () =
+  let sys = Runtime.System.create topo in
+  List.iteri
+    (fun i p ->
+      let rng = Workload.Rng.create ~seed:(31 + i) in
+      Runtime.System.add_document sys p ~name:"cat"
+        (Workload.Xml_gen.catalog
+           ~gen:(Runtime.System.gen_of sys p)
+           ~rng ~items:40 ~selectivity:0.2 ()))
+    [ p2; p3 ];
+  sys
+
+(* The site-local pass rewrites this query (double negation), so the
+   planner re-prices the searched plan after the search. *)
+let simplified =
+  Expr.query_at
+    (query
+       {|query(1) for $i in $0//item where (not (not attr($i, "category") = "wanted")) return <hit>{$i}</hit>|})
+    ~at:p1
+    ~args:[ Expr.doc "cat" ~at:"p2" ]
+
+(* One plan prices hundreds of candidates over the same documents: it
+   reads each one's size and statistics once, re-pricing included, and
+   returns what it would return without the memo. *)
+let test_plan_reads_each_document_once () =
+  let live = Runtime.System.cost_env (catalog_system ()) in
+  let rewritten = Planner.plan ~env:live ~ctx:p1 best_first_8 simplified in
+  Alcotest.(check bool) "the site-local pass rewrites a query" true
+    (rewritten.queries_optimized > 0);
+  List.iter
+    (fun (name, plan) ->
+      let reads = Hashtbl.create 8 in
+      let counted oracle f r =
+        let k = (oracle, Doc.Names.Doc_ref.to_string r) in
+        Hashtbl.replace reads k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt reads k));
+        f r
+      in
+      let env =
+        {
+          live with
+          Algebra.Cost.doc_bytes = counted "doc_bytes" live.Algebra.Cost.doc_bytes;
+          doc_stats = counted "doc_stats" live.Algebra.Cost.doc_stats;
+        }
+      in
+      let r = Planner.plan ~env ~ctx:p1 best_first_8 plan in
+      Alcotest.(check bool) (name ^ ": documents were read") true
+        (Hashtbl.length reads > 0);
+      Alcotest.(check int)
+        (name ^ ": each document read at most once per oracle") 1
+        (Hashtbl.fold (fun _ n acc -> max n acc) reads 0);
+      let unwrapped = Planner.plan ~env:live ~ctx:p1 best_first_8 plan in
+      Alcotest.(check bool) (name ^ ": same plan as unwrapped") true
+        (Expr.equal r.plan unwrapped.plan);
+      Alcotest.check cost_testable
+        (name ^ ": cost is the plan's price on the unwrapped env")
+        (Algebra.Cost.of_expr live ~ctx:p1 r.plan)
+        r.cost)
+    (("simplified", simplified) :: fixtures)
+
+(* The memo lives for one call: the same live env, planned with again
+   after an append, prices the documents at their new size. *)
+let test_plan_memo_lives_one_call () =
+  let sys = catalog_system () in
+  let env = Runtime.System.cost_env sys in
+  let plan = List.assoc "select" fixtures in
+  let first = Planner.plan ~env ~ctx:p1 best_first_8 plan in
+  let store = (Runtime.System.peer sys p2).Runtime.Peer.store in
+  let name = Doc.Names.Doc_name.of_string "cat" in
+  let root = Doc.Document.root (Option.get (Doc.Store.peek store name)) in
+  let g = Runtime.System.gen_of sys p2 in
+  ignore
+    (Doc.Store.insert_under store name
+       ~node:(Option.get (Xml.Tree.id root))
+       [ elt g "item" [ txt (String.make 4096 'x') ] ]);
+  let second = Planner.plan ~env ~ctx:p1 best_first_8 plan in
+  Alcotest.check cost_testable "the second plan starts at the new size"
+    (Algebra.Cost.of_expr env ~ctx:p1 plan)
+    second.search.Optimizer.initial_cost;
+  Alcotest.check cost_testable "and is priced at it"
+    (Algebra.Cost.of_expr env ~ctx:p1 second.plan)
+    second.cost;
+  Alcotest.(check bool) "the append moved the estimate" true
+    (second.search.Optimizer.initial_cost <> first.search.Optimizer.initial_cost)
+
 let suite =
   [
     ("fingerprints are node-id blind", `Quick, test_fingerprint_node_id_blind);
@@ -267,4 +358,8 @@ let suite =
      test_map_children_order);
     ("planner end to end", `Quick, test_planner_end_to_end);
     ("planned execution stays correct", `Quick, test_planner_execution_correct);
+    ("one plan reads each document once", `Quick,
+     test_plan_reads_each_document_once);
+    ("the planner memo lives for one call", `Quick,
+     test_plan_memo_lives_one_call);
   ]
