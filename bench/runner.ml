@@ -95,14 +95,12 @@ type packed = E : (_, _) entry -> packed
 
 type cost = { wall_s : float; words : float }
 
-(* Two full majors let ephemerons keyed by the previous run's trees
-   die; cleaning Tree's byte-size memo then drops them, so a same-seed
-   rerun's lookups do not walk (and allocate over) stale colliding
-   keys.  Gc.minor_words is the precise allocation counter. *)
+(* Two full majors first, so an arm's wall time does not pay to
+   collect the previous arm's garbage.  Gc.minor_words is the precise
+   allocation counter. *)
 let measure f =
   Gc.full_major ();
   Gc.full_major ();
-  Xml.Tree.clean_memo ();
   let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
   let r = f () in

@@ -8,7 +8,7 @@ let root d = d.root
 let with_root d root = { d with root }
 let calls d = Sc.find_calls d.root
 let has_calls d = calls d <> []
-let byte_size d = Tree.byte_size_cached d.root
+let byte_size d = Tree.byte_size d.root
 let size d = Tree.size d.root
 
 let insert_under ~node forest d =

@@ -17,10 +17,9 @@ val calls : t -> (Axml_xml.Node_id.t * Sc.t) list
 val has_calls : t -> bool
 
 val byte_size : t -> int
-(** {!Axml_xml.Tree.byte_size} of the root, read from
-    {!Axml_xml.Tree.byte_size_cached}: updates path-copy the root, so
-    a document's size is computed once, not per cost estimate, serve
-    or store total. *)
+(** {!Axml_xml.Tree.byte_size} of the root, walked on every call.  A
+    planning call reads each document's size once, through the
+    planner's [Cost.memoize]. *)
 
 val size : t -> int
 

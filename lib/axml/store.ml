@@ -139,9 +139,6 @@ let names t =
    not demand: it reads quietly. *)
 let documents t = List.filter_map (peek t) (names t)
 
-let total_bytes t =
-  Hashtbl.fold (fun _ d acc -> acc + Document.byte_size d) t.docs 0
-
 let update_root t name f =
   match Hashtbl.find_opt t.docs name with
   | None -> false

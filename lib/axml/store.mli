@@ -66,8 +66,6 @@ val documents : t -> Document.t list
     over all of a peer's documents (insert routing, checkpoints,
     activation) is not read as demand. *)
 
-val total_bytes : t -> int
-
 val update_root :
   t -> Names.Doc_name.t -> (Axml_xml.Tree.t -> Axml_xml.Tree.t) -> bool
 (** Apply a root transformation in place; [false] if absent. *)

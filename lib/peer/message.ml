@@ -73,14 +73,14 @@ let backref_bytes = 4
 (* A dedup back-reference: "same forest as item #n of this batch". *)
 
 let rec bytes = function
-  | Stream { forest; _ } -> envelope + Forest.byte_size_cached forest
+  | Stream { forest; _ } -> envelope + Forest.byte_size forest
   | Eval_request { expr; _ } -> envelope + Axml_algebra.Expr_xml.byte_size expr
   | Invoke { params; _ } ->
       envelope
-      + List.fold_left (fun acc f -> acc + Forest.byte_size_cached f) 0 params
+      + List.fold_left (fun acc f -> acc + Forest.byte_size f) 0 params
   | Insert { forest; _ } | Install_doc { forest; _ } | Migrate_doc { forest; _ }
     ->
-      envelope + Forest.byte_size_cached forest
+      envelope + Forest.byte_size forest
   | Retract_doc _ -> envelope
   | Deploy { query; _ } | Query_shipped { query; _ } ->
       envelope + String.length (Axml_query.Ast.to_string query)
@@ -108,33 +108,24 @@ let shareable_forest = function
       None
 
 let batch ~ack msgs =
-  (* Dedup within the frame.  Key: the structural digest (an int,
-     memoized per tree — no serialization).  Buckets verify candidates
-     first by pointer, then by [Forest.equal_shape], so the sharing
-     decision is exactly "same serialized forest" without the
-     serializer. *)
-  let seen : (int, (Forest.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* Dedup within the frame: an item is [Shared] when an earlier item
+     carries the same forest in full, matched by pointer or by
+     [Forest.equal_shape] — "same serialized forest" without the
+     serializer.  Carried forests have pairwise distinct shapes, so at
+     most one can match. *)
+  let carried = ref [] in
   let items =
     List.map
       (fun (m : t) ->
         match shareable_forest m.payload with
         | None -> Full m
         | Some f -> (
-            let d = Forest.shape_hash f in
-            let bucket =
-              match Hashtbl.find_opt seen d with
-              | Some b -> b
-              | None ->
-                  let b = ref [] in
-                  Hashtbl.add seen d b;
-                  b
-            in
             let same (f0, _) = f0 == f || Forest.equal_shape f0 f in
-            match List.find_opt same !bucket with
+            match List.find_opt same !carried with
             | Some (_, of_seq) ->
-                Shared { msg = m; of_seq; saved = Forest.byte_size_cached f }
+                Shared { msg = m; of_seq; saved = Forest.byte_size f }
             | None ->
-                bucket := (f, m.seq) :: !bucket;
+                carried := (f, m.seq) :: !carried;
                 Full m))
       msgs
   in
@@ -171,7 +162,7 @@ let tag = function
   | Ack _ -> "ack"
   | Batch _ -> "batch"
 
-let pp_forest_bytes fmt f = Format.fprintf fmt "%dB" (Forest.byte_size_cached f)
+let pp_forest_bytes fmt f = Format.fprintf fmt "%dB" (Forest.byte_size f)
 
 let rec pp fmt = function
   | Stream { key; forest; final } ->

@@ -150,9 +150,10 @@ val batch : ack:int -> t list -> payload
 (** Build a [Batch] frame from sequenced messages (given in send
     order) with the cumulative reverse-direction acknowledgement
     [ack].  Items whose forest structurally duplicates an earlier item
-    of the same frame become [Shared] back-references; candidates are
-    matched by {!Axml_xml.Forest.shape_hash}, then verified by pointer
-    equality or {!Axml_xml.Forest.equal_shape} — no serialization. *)
+    of the same frame become [Shared] back-references.  An item's
+    forest is compared with each forest an earlier item of the frame
+    carries in full, by pointer equality or
+    {!Axml_xml.Forest.equal_shape}, without serializing. *)
 
 val item_message : batch_item -> t
 (** The enclosed message (back-references carry their full payload). *)

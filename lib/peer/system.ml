@@ -287,12 +287,11 @@ let note_of payload =
   else None
 
 let raw_send t ~src ~dst (msg : Message.t) =
-  (* The charged size is the wire's: the XML model walks the payload
-     (memoized per tree), the binary wire reads cached encoded-frame
-     lengths.  Strict mode then replaces the in-flight message with
-     its encode→decode round trip, so the receiver works off what the
-     decoder rebuilt from a real frame.  Returns the frame's expected
-     arrival ({!Sim.send}). *)
+  (* The charged size is the wire's: the XML model walks the payload,
+     the binary wire reads cached encoded-frame lengths.  Strict mode
+     then replaces the in-flight message with its encode→decode round
+     trip, so the receiver works off what the decoder rebuilt from a
+     real frame.  Returns the frame's expected arrival ({!Sim.send}). *)
   let bytes =
     match t.wire with
     | Xml -> Message.bytes msg.Message.payload
@@ -647,7 +646,7 @@ let route ?notify t ~src dest forest ~final =
                 "node@" ^ Peer_id.to_string r.Names.Node_ref.peer
             | Message.Install { peer; name } ->
                 Printf.sprintf "install %s@%s" name (Peer_id.to_string peer) );
-          ("bytes", string_of_int (Forest.byte_size_cached forest));
+          ("bytes", string_of_int (Forest.byte_size forest));
           ("final", string_of_bool final);
         ]
       "route";
@@ -684,9 +683,7 @@ let run_service t (self : Peer.t) service params replies =
       match Axml_doc.Service.impl svc with
       | Axml_doc.Service.Declarative q ->
           let input_bytes =
-            List.fold_left
-              (fun acc f -> acc + Forest.byte_size_cached f)
-              0 params
+            List.fold_left (fun acc f -> acc + Forest.byte_size f) 0 params
           in
           consume_cpu t ~peer:self.Peer.id ~bytes:input_bytes;
           let out =

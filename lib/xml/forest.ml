@@ -3,17 +3,6 @@ type t = Tree.t list
 let empty = []
 let size f = List.fold_left (fun acc t -> acc + Tree.size t) 0 f
 let byte_size f = List.fold_left (fun acc t -> acc + Tree.byte_size t) 0 f
-
-let byte_size_cached f =
-  List.fold_left (fun acc t -> acc + Tree.byte_size_cached t) 0 f
-
-let shape_hash f =
-  let h =
-    List.fold_left
-      (fun h t -> ((h * 0x01000193) + Tree.shape_hash t) land max_int)
-      0x811c9dc5 f
-  in
-  if h = 0 then 1 else h
 let equal_shape = List.equal Tree.equal_shape
 let copy ~gen f = List.map (Tree.copy ~gen) f
 let concat_map = List.concat_map

@@ -8,16 +8,13 @@ type t = Tree.t list
 val empty : t
 val size : t -> int
 val byte_size : t -> int
-
-val byte_size_cached : t -> int
-(** {!byte_size} through the weak per-tree memo
-    ({!Tree.byte_size_cached}); for per-charge hot paths. *)
-
-val shape_hash : t -> int
-(** Structural digest consistent with {!equal_shape}; order-sensitive
-    combination of {!Tree.shape_hash}.  Never returns 0. *)
+(** Sum of {!Tree.byte_size} over the trees, walked on every call. *)
 
 val equal_shape : t -> t -> bool
+(** Same length and {!Tree.equal_shape} tree by tree: node identifiers
+    are ignored, order is not.  The peer runtime's in-frame transfer
+    sharing matches forests with it. *)
+
 val copy : gen:Node_id.Gen.t -> t -> t
 val concat_map : (Tree.t -> t) -> t -> t
 val elements : t -> Tree.element list

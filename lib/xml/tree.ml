@@ -52,72 +52,6 @@ let rec byte_size = function
       (2 * tag) + 5 + attr_bytes
       + List.fold_left (fun acc c -> acc + byte_size c) 0 e.children
 
-(* Root-level memo for the two O(subtree) measures the messaging hot
-   path recomputes per charge: the byte-size model and the structural
-   shape digest.  Keys are compared by pointer: trees are immutable
-   and functional updates path-copy (see [update_node]), so a pointer
-   hit can never alias a different tree.  The table is weak-keyed, so
-   entries die with the trees they describe. *)
-module Memo = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type memo = { mutable m_bytes : int; mutable m_shape : int }
-
-let memo_tbl = Memo.create 1024
-
-let memo_of t =
-  match Memo.find_opt memo_tbl t with
-  | Some m -> m
-  | None ->
-      let m = { m_bytes = -1; m_shape = 0 } in
-      Memo.add memo_tbl t m;
-      m
-
-let clean_memo () = Memo.clean memo_tbl
-
-let byte_size_cached t =
-  let m = memo_of t in
-  if m.m_bytes >= 0 then m.m_bytes
-  else begin
-    let n = byte_size t in
-    m.m_bytes <- n;
-    n
-  end
-
-(* FNV-1a-style structural digest over labels, attributes and text —
-   the same distinctions as [equal_shape], no node identifiers.  Equal
-   shapes hash equal.  Never 0: 0 is the "unset" memo sentinel. *)
-let shape_hash t =
-  let mix h x = (h lxor x) * 0x01000193 land max_int in
-  let mix_string h s =
-    let h = ref (mix h (String.length s)) in
-    String.iter (fun c -> h := mix !h (Char.code c)) s;
-    !h
-  in
-  let rec go h = function
-    | Text s -> mix_string (mix h 2) s
-    | Element e ->
-        let h = mix_string (mix h 1) (Label.to_string e.label) in
-        let h =
-          List.fold_left
-            (fun h (k, v) -> mix_string (mix_string h k) v)
-            h e.attrs
-        in
-        mix (List.fold_left go h e.children) 3
-  in
-  let m = memo_of t in
-  if m.m_shape <> 0 then m.m_shape
-  else begin
-    let h = go 0x811c9dc5 t in
-    let h = if h = 0 then 1 else h in
-    m.m_shape <- h;
-    h
-  end
-
 let rec fold f acc t =
   let acc = f acc t in
   match t with

@@ -60,23 +60,7 @@ val depth : t -> int
 
 val byte_size : t -> int
 (** Approximate serialized size in bytes; the unit of the network cost
-    model. *)
-
-val byte_size_cached : t -> int
-(** {!byte_size} memoized per root in a weak table keyed on pointer
-    identity.  Safe because trees are immutable and functional updates
-    path-copy; meant for hot paths that re-measure the same shipped
-    tree on every charge. *)
-
-val clean_memo : unit -> unit
-(** Drop the memo's entries whose trees are dead.  Allocation brackets
-    call it after a full major so stale keys cannot collide with the
-    measured run's. *)
-
-val shape_hash : t -> int
-(** Structural digest consistent with {!equal_shape}: equal shapes
-    hash equal; node identifiers are ignored.  Memoized like
-    {!byte_size_cached}.  Never returns 0. *)
+    model.  Walks the whole tree on every call. *)
 
 (** {1 Traversal} *)
 

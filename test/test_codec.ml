@@ -311,19 +311,7 @@ let xml_sizing_prop =
       let gen = Xml.Node_id.Gen.create ~namespace:"sizing" in
       let t = rand_tree ~gen rng 4 in
       Xml.Serializer.serialized_length t
-      = String.length (Xml.Serializer.to_string t)
-      && Xml.Tree.byte_size_cached t = Xml.Tree.byte_size t)
-
-let shape_hash_prop =
-  prop "shape_hash is id-insensitive and shape-consistent" (fun seed ->
-      let rng = Rng.create ~seed in
-      let gen = Xml.Node_id.Gen.create ~namespace:"shape-a" in
-      let f = rand_forest ~gen rng in
-      let gen' = Xml.Node_id.Gen.create ~namespace:"shape-b" in
-      let f' = Xml.Forest.copy ~gen:gen' f in
-      Xml.Forest.equal_shape f f'
-      && Xml.Forest.shape_hash f = Xml.Forest.shape_hash f'
-      && Xml.Forest.shape_hash f <> 0)
+      = String.length (Xml.Serializer.to_string t))
 
 (* Every strict prefix of a frame is rejected (the length prefix pins
    the exact extent), as is appended junk; random single-byte
@@ -508,7 +496,6 @@ let suite =
     frame_bytes_prop;
     decoded_frame_bytes_prop;
     xml_sizing_prop;
-    shape_hash_prop;
     truncation_prop;
     corruption_prop;
     ("garbage frames rejected", `Quick, test_garbage_rejected);

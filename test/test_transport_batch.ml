@@ -83,7 +83,59 @@ let test_batch_dedup () =
   in
   Alcotest.(check int) "frame bytes discounted by saved - backref"
     (no_dedup - forest_bytes + Message.backref_bytes)
-    (Message.bytes payload)
+    (Message.bytes payload);
+  (* A second frame interleaves two shapes, three carriers each: the
+     original, the same forest by pointer and a re-parse with fresh
+     ids.  Between them ride an item with no forest and one whose
+     forest is empty.  Each shape's first carrier ships in full, and
+     every later copy refers to it. *)
+  let xml_b = "<item k=\"y\"><name>beta</name></item>" in
+  let fa = [ parse ~g xml ] and fb = [ parse ~g xml_b ] in
+  let fa' = [ parse ~g xml ] and fb' = [ parse ~g xml_b ] in
+  Alcotest.(check bool) "the re-parse has fresh ids" false
+    (List.equal Xml.Tree.equal_strict fa fa');
+  let node = Xml.Node_id.Gen.fresh g in
+  let stream seq forest =
+    Message.make ~seq (Message.Stream { key = 7; forest; final = false })
+  in
+  let frame =
+    [
+      stream 1 fa;
+      stream 2 fb;
+      Message.make ~seq:3 (Message.Retract_doc { name = "d"; notify = None });
+      Message.make ~seq:4 (Message.Insert { node; forest = fa; notify = None });
+      stream 5 [];
+      Message.make ~seq:6
+        (Message.Install_doc { name = "d"; forest = fb'; notify = None });
+      stream 7 fa';
+      stream 8 fb;
+    ]
+  in
+  (* seq -> the first carrier of its shape, for the later copies *)
+  let expected =
+    [ (1, None); (2, None); (3, None); (4, Some (1, fa)); (5, None);
+      (6, Some (2, fb)); (7, Some (1, fa)); (8, Some (2, fb)) ]
+  in
+  match Message.batch ~ack:0 frame with
+  | Message.Batch { items; _ } ->
+      Alcotest.(check int) "interleaved: one item per message" 8
+        (List.length items);
+      List.iter2
+        (fun item (seq, want) ->
+          let label = Printf.sprintf "interleaved #%d" seq in
+          Alcotest.(check int) (label ^ ": frame order") seq
+            (Message.item_message item).Message.seq;
+          match (item, want) with
+          | Message.Full _, None -> ()
+          | Message.Shared { of_seq; saved; _ }, Some (first, f) ->
+              Alcotest.(check int) (label ^ ": refers to the first carrier")
+                first of_seq;
+              Alcotest.(check int) (label ^ ": saved = forest size")
+                (Xml.Forest.byte_size f) saved
+          | Message.Full _, Some _ -> Alcotest.failf "%s: expected Shared" label
+          | Message.Shared _, None -> Alcotest.failf "%s: expected Full" label)
+        items expected
+  | _ -> Alcotest.fail "expected a Batch"
 
 (* --- 0/0 knobs: one bare frame per message ------------------------- *)
 
