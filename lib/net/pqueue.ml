@@ -9,7 +9,9 @@
      of times, an [int array] of sequence numbers and a value array —
      so a push is three stores and a sift, with no per-node
      allocation (the previous pairing heap allocated a node and a
-     list cell per push);
+     list cell per push).  A sift moves a hole, not the entry: each
+     entry it displaces is written once, one level over, and the
+     sifted entry is written once, where it stops;
 
    - a monotonic same-time fast path: a FIFO ring holding a run of
      events that share the current minimum time.  The ring is
@@ -20,23 +22,25 @@
      it before the heap.  Because the total order is (time, seq), the
      split never reorders anything;
 
-   - removable entries ({!push_removable}): cancellation marks the
-     entry dead in place and the structure compacts once dead entries
-     outnumber live ones, so cancelled timers neither inflate
-     {!length} nor accumulate in the heap (they used to sit there
-     until popped). *)
+   - removable entries ({!push_removable}): each carries a cell that
+     tracks its heap slot, so cancelling removes the entry at once in
+     O(log n) — the last entry fills the slot and sifts up or down as
+     the order requires.  Most retransmission and delayed-ack timers
+     end cancelled; left in the heap to be skipped at the root, each
+     would cost a full-height sift-down when its time came up. *)
 
-type cell = { mutable pos : int; mutable dead : bool }
+type cell = { mutable pos : int }
+(* A removable entry's heap slot; -1 once it has left the heap. *)
 
-let no_cell = { pos = -2; dead = false }
+(* Shared by every non-removable entry; its [pos] is never read. *)
+let no_cell = { pos = -2 }
 
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable vals : 'a array;
   mutable cells : cell array;
-  mutable size : int;  (** heap slots used, dead entries included *)
-  mutable dead : int;  (** cancelled entries still physically in the heap *)
+  mutable size : int;  (** heap slots used *)
   mutable next_seq : int;
   mutable ring_vals : 'a array;
   mutable ring_head : int;
@@ -56,7 +60,6 @@ let create () =
     vals = Array.make 64 (dummy ());
     cells = Array.make 64 no_cell;
     size = 0;
-    dead = 0;
     next_seq = 0;
     ring_vals = Array.make 64 (dummy ());
     ring_head = 0;
@@ -65,7 +68,7 @@ let create () =
     last_time = 0.0;
   }
 
-let length t = t.size - t.dead + t.ring_len
+let length t = t.size + t.ring_len
 let is_empty t = length t = 0
 
 (* --- heap primitives --------------------------------------------- *)
@@ -74,7 +77,9 @@ let before t i j =
   t.times.(i) < t.times.(j)
   || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
 
-let set_slot t i ~time ~seq v cell =
+(* Inlined so that a [time] read from the arrays reaches its slot
+   unboxed; a call would box it. *)
+let[@inline] set_slot t i ~time ~seq v cell =
   t.times.(i) <- time;
   t.seqs.(i) <- seq;
   t.vals.(i) <- v;
@@ -82,8 +87,12 @@ let set_slot t i ~time ~seq v cell =
   if cell != no_cell then cell.pos <- i
 
 let move t ~src ~dst =
-  set_slot t dst ~time:t.times.(src) ~seq:t.seqs.(src) t.vals.(src)
-    t.cells.(src)
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.vals.(dst) <- t.vals.(src);
+  let c = t.cells.(src) in
+  t.cells.(dst) <- c;
+  if c != no_cell then c.pos <- dst
 
 let grow t =
   let cap = Array.length t.times in
@@ -101,61 +110,63 @@ let grow t =
   Array.blit t.cells 0 cells 0 cap;
   t.cells <- cells
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      let time = t.times.(i) and seq = t.seqs.(i) in
-      let v = t.vals.(i) and c = t.cells.(i) in
-      move t ~src:parent ~dst:i;
-      set_slot t parent ~time ~seq v c;
-      sift_up t parent
+(* Fill the hole at slot [i] with the entry [(time, seq, v, c)],
+   first moving down every ancestor the entry precedes.  Inlined like
+   [set_slot]: [remove] passes a time read from the arrays. *)
+let[@inline] sift_up t i ~time ~seq v c =
+  let i = ref i and rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = t.times.(p) in
+    if time < pt || (time = pt && seq < t.seqs.(p)) then begin
+      move t ~src:p ~dst:!i;
+      i := p
     end
-  end
+    else rising := false
+  done;
+  set_slot t !i ~time ~seq v c
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.size then begin
-    let smallest = if l + 1 < t.size && before t (l + 1) l then l + 1 else l in
-    if before t smallest i then begin
-      let time = t.times.(i) and seq = t.seqs.(i) in
-      let v = t.vals.(i) and c = t.cells.(i) in
-      move t ~src:smallest ~dst:i;
-      set_slot t smallest ~time ~seq v c;
-      sift_down t smallest
+(* Fill the hole at slot [i] with the entry now at slot [src] (outside
+   the heap), first moving up every smaller child that precedes it. *)
+let sift_down t i ~src =
+  let time = t.times.(src) and seq = t.seqs.(src) in
+  let v = t.vals.(src) and c = t.cells.(src) in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= t.size then sinking := false
+    else begin
+      let m = if l + 1 < t.size && before t (l + 1) l then l + 1 else l in
+      let mt = t.times.(m) in
+      if mt < time || (mt = time && t.seqs.(m) < seq) then begin
+        move t ~src:m ~dst:!i;
+        i := m
+      end
+      else sinking := false
     end
-  end
+  done;
+  set_slot t !i ~time ~seq v c
 
 let heap_push t ~time ~seq v cell =
   if t.size = Array.length t.times then grow t;
-  set_slot t t.size ~time ~seq v cell;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) ~time ~seq v cell
 
-(* Remove the root; the caller has already read it. *)
-let heap_drop_root t =
-  let c = t.cells.(0) in
+(* Remove the entry at slot [i] (the caller has read what it needs):
+   the last entry fills the hole and sifts whichever way the order
+   requires. *)
+let remove t i =
+  let c = t.cells.(i) in
   if c != no_cell then c.pos <- -1;
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    move t ~src:t.size ~dst:0;
-    t.vals.(t.size) <- dummy ();
-    t.cells.(t.size) <- no_cell;
-    sift_down t 0
-  end
-  else begin
-    t.vals.(0) <- dummy ();
-    t.cells.(0) <- no_cell
-  end
-
-(* Cancelled entries are skipped lazily; purging them at the root keeps
-   [peek_time] and the pop path honest without touching the interior. *)
-let rec purge_dead_roots t =
-  if t.size > 0 && t.cells.(0).dead then begin
-    heap_drop_root t;
-    t.dead <- t.dead - 1;
-    purge_dead_roots t
-  end
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then
+    if i > 0 && before t last ((i - 1) / 2) then
+      sift_up t i ~time:t.times.(last) ~seq:t.seqs.(last) t.vals.(last)
+        t.cells.(last)
+    else sift_down t i ~src:last;
+  t.vals.(last) <- dummy ();
+  t.cells.(last) <- no_cell
 
 (* --- ring primitives --------------------------------------------- *)
 
@@ -194,6 +205,11 @@ let flush_ring t =
     heap_push t ~time:t.ring_time ~seq v no_cell
   done
 
+(* Whether the earliest event is the ring's head rather than the heap's
+   root. *)
+let ring_first t =
+  t.ring_len > 0 && (t.size = 0 || t.ring_time <= t.times.(0))
+
 (* --- public API --------------------------------------------------- *)
 
 let push t ~time v =
@@ -203,7 +219,6 @@ let push t ~time v =
     ring_push t v
   end
   else begin
-    purge_dead_roots t;
     let seq = t.next_seq in
     t.next_seq <- t.next_seq + 1;
     if t.ring_len = 0 && (t.size = 0 || time < t.times.(0)) then begin
@@ -213,52 +228,24 @@ let push t ~time v =
     else heap_push t ~time ~seq v no_cell
   end
 
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let c = t.cells.(i) in
-    if c.dead then c.pos <- -1
-    else begin
-      if i <> !j then move t ~src:i ~dst:!j;
-      incr j
-    end
-  done;
-  for k = !j to t.size - 1 do
-    t.vals.(k) <- dummy ();
-    t.cells.(k) <- no_cell
-  done;
-  t.size <- !j;
-  t.dead <- 0;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
 let push_removable t ~time v =
   if Float.is_nan time then invalid_arg "Pqueue.push_removable: NaN time";
-  (* Removable entries always live in the heap (a cancelled ring slot
-     could not be compacted away).  If the ring is active at exactly
-     this time, it is flushed first so FIFO order across the two
-     structures survives. *)
+  (* Removable entries always live in the heap, where their cell can
+     find them.  If the ring is active at exactly this time, it is
+     flushed first so FIFO order across the two structures survives. *)
   if t.ring_len > 0 && time = t.ring_time then flush_ring t;
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
-  let cell = { pos = -1; dead = false } in
+  let cell = { pos = -1 } in
   heap_push t ~time ~seq v cell;
-  fun () ->
-    if (not cell.dead) && cell.pos >= 0 then begin
-      cell.dead <- true;
-      t.dead <- t.dead + 1;
-      if 2 * t.dead > t.size then compact t
-    end
+  fun () -> if cell.pos >= 0 then remove t cell.pos
 
 let pop t =
-  purge_dead_roots t;
-  if t.ring_len > 0 && (t.size = 0 || t.ring_time <= t.times.(0)) then
-    Some (t.ring_time, ring_pop t)
+  if ring_first t then Some (t.ring_time, ring_pop t)
   else if t.size = 0 then None
   else begin
     let time = t.times.(0) and v = t.vals.(0) in
-    heap_drop_root t;
+    remove t 0;
     Some (time, v)
   end
 
@@ -266,8 +253,7 @@ let pop t =
    timestamp is left in [last_time] (read it with {!last_time}) instead
    of being returned in a boxed pair. *)
 let take t =
-  purge_dead_roots t;
-  if t.ring_len > 0 && (t.size = 0 || t.ring_time <= t.times.(0)) then begin
+  if ring_first t then begin
     t.last_time <- t.ring_time;
     ring_pop t
   end
@@ -275,30 +261,13 @@ let take t =
   else begin
     t.last_time <- t.times.(0);
     let v = t.vals.(0) in
-    heap_drop_root t;
+    remove t 0;
     v
   end
 
 let last_time t = t.last_time
 
 let peek_time t =
-  purge_dead_roots t;
-  if t.ring_len > 0 && (t.size = 0 || t.ring_time <= t.times.(0)) then
-    Some t.ring_time
+  if ring_first t then Some t.ring_time
   else if t.size = 0 then None
   else Some t.times.(0)
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    t.vals.(i) <- dummy ();
-    let c = t.cells.(i) in
-    if c != no_cell then c.pos <- -1;
-    t.cells.(i) <- no_cell
-  done;
-  t.size <- 0;
-  t.dead <- 0;
-  for k = 0 to Array.length t.ring_vals - 1 do
-    t.ring_vals.(k) <- dummy ()
-  done;
-  t.ring_head <- 0;
-  t.ring_len <- 0

@@ -3,9 +3,8 @@
     An array binary heap keyed by [(time, sequence)] — among equal
     times, insertion order wins, which makes simulator runs
     deterministic — with a FIFO fast path for runs of events sharing
-    the current minimum time, and removable entries that are excluded
-    from {!length} as soon as they are cancelled (the heap compacts
-    once cancelled entries outnumber live ones). *)
+    the current minimum time, and removable entries that leave the
+    heap as soon as they are cancelled. *)
 
 type 'a t
 
@@ -18,11 +17,10 @@ val push : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument if [time] is NaN. *)
 
 val push_removable : 'a t -> time:float -> 'a -> unit -> unit
-(** Like {!push}, but returns a cancel thunk.  Cancelling is O(1)
-    (amortized: it may trigger compaction), idempotent, and a no-op
-    once the entry has been popped; a cancelled entry is never
-    returned by {!pop} and stops counting toward {!length}
-    immediately.
+(** Like {!push}, but returns a cancel thunk.  Cancelling removes the
+    entry from the heap at once, in O(log n): it is never returned by
+    {!pop} and stops counting toward {!length} immediately.  A second
+    cancel, or one after the entry was popped, is a no-op.
     @raise Invalid_argument if [time] is NaN. *)
 
 val pop : 'a t -> (float * 'a) option
@@ -39,4 +37,3 @@ val last_time : 'a t -> float
 (** Timestamp of the event most recently removed by {!take}. *)
 
 val peek_time : 'a t -> float option
-val clear : 'a t -> unit

@@ -318,10 +318,11 @@ let after t ~peer ~delay_ms callback =
   Pqueue.push t.queue ~time:(t.now +. delay_ms) (Timer { peer; callback })
 
 let after_cancellable t ~peer ~delay_ms callback =
-  if delay_ms < 0.0 then invalid_arg "Sim.after: negative delay";
-  (* True removal: a cancelled timer leaves the queue (satellite of the
-     scaling refactor), so it neither inflates {!pending} nor lingers
-     in the heap until its time comes up. *)
+  if delay_ms < 0.0 then invalid_arg "Sim.after_cancellable: negative delay";
+  (* Cancelling removes the timer from the queue at once, in O(log n):
+     it neither counts toward {!pending} nor waits in the heap for its
+     time to come up.  Most retransmission and delayed-ack timers end
+     this way. *)
   Pqueue.push_removable t.queue
     ~time:(t.now +. delay_ms)
     (Timer { peer; callback })

@@ -12,7 +12,7 @@ module Pqueue = Net.Pqueue
 module System = Runtime.System
 module Scenarios = Workload.Scenarios
 
-(* --- Pqueue: take/last_time, cancellation, compaction ------------- *)
+(* --- Pqueue: take/last_time, cancellation ------------------------ *)
 
 let test_take_matches_pop () =
   let mk () =
@@ -86,8 +86,9 @@ let test_cancelled_excluded_from_length () =
   Alcotest.(check int) "empty afterwards" 0 (Pqueue.length q)
 
 let test_compaction_preserves_order () =
-  (* Cancel more than half the heap so compact fires, then verify the
-     survivors still drain in (time, insertion) order. *)
+  (* Cancel two thirds of the heap, each cancel removing its entry at
+     once, then verify the survivors still drain in (time, insertion)
+     order. *)
   let q = Pqueue.create () in
   let n = 200 in
   let cancels =
@@ -126,6 +127,109 @@ let test_cancel_after_pop_is_noop () =
   Alcotest.(check int) "y still live" 1 (Pqueue.length q);
   Alcotest.(check (option string)) "y pops" (Some "y")
     (Option.map snd (Pqueue.pop q))
+
+(* --- Pqueue against a sorted-list model -------------------------- *)
+
+type pq_op =
+  | Push of float
+  | Push_removable of float
+  | Cancel of int
+      (** the [k mod n]th of the [n] handles so far: it may have been
+          cancelled or popped already *)
+  | Pop
+  | Take
+  | Peek_time
+  | Length
+
+let pp_pq_op = function
+  | Push t -> Printf.sprintf "push %g" t
+  | Push_removable t -> Printf.sprintf "push_removable %g" t
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Pop -> "pop"
+  | Take -> "take"
+  | Peek_time -> "peek_time"
+  | Length -> "length"
+
+(* Times on a 0.5 ms grid over [0, 4]: equal-time runs are common, so
+   pushes go through the same-time ring and [push_removable] flushes
+   it. *)
+let pq_ops_arb =
+  let open QCheck.Gen in
+  let time = map (fun k -> 0.5 *. float_of_int k) (int_bound 8) in
+  let op =
+    frequency
+      [
+        (3, map (fun t -> Push t) time);
+        (3, map (fun t -> Push_removable t) time);
+        (3, map (fun k -> Cancel k) nat);
+        (2, return Pop);
+        (2, return Take);
+        (1, return Peek_time);
+        (1, return Length);
+      ]
+  in
+  QCheck.make ~print:(QCheck.Print.list pp_pq_op) ~shrink:QCheck.Shrink.list
+    (list_size (0 -- 300) op)
+
+(* Replay [ops] on a queue and on a list of (time, insertion index)
+   kept sorted, the queue's contract; every observation, and a final
+   drain, must agree. *)
+let pqueue_matches_model ops =
+  let q = Pqueue.create () in
+  let model = ref [] and next_id = ref 0 in
+  let handles = Array.make (List.length ops) (-1, ignore) in
+  let n_handles = ref 0 in
+  let insert time =
+    let id = !next_id in
+    incr next_id;
+    model := List.merge compare !model [ (time, id) ];
+    id
+  in
+  let model_pop () =
+    match !model with
+    | [] -> None
+    | x :: rest ->
+        model := rest;
+        Some x
+  in
+  let step = function
+    | Push time ->
+        Pqueue.push q ~time (insert time);
+        true
+    | Push_removable time ->
+        let id = insert time in
+        handles.(!n_handles) <- (id, Pqueue.push_removable q ~time id);
+        incr n_handles;
+        true
+    | Cancel k ->
+        if !n_handles > 0 then begin
+          let id, cancel = handles.(k mod !n_handles) in
+          cancel ();
+          model := List.filter (fun (_, i) -> i <> id) !model
+        end;
+        true
+    | Pop -> Pqueue.pop q = model_pop ()
+    | Take -> (
+        let expected = model_pop () in
+        match Pqueue.take q with
+        | exception Pqueue.Empty -> expected = None
+        | id -> expected = Some (Pqueue.last_time q, id))
+    | Peek_time ->
+        Pqueue.peek_time q = Option.map fst (List.nth_opt !model 0)
+    | Length -> Pqueue.length q = List.length !model
+  in
+  let rec drain () =
+    match (Pqueue.pop q, model_pop ()) with
+    | None, None -> true
+    | got, expected -> got = expected && drain ()
+  in
+  List.for_all step ops && drain ()
+
+let pqueue_model_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"pqueue: random push/cancel/pop ≡ sorted model" pq_ops_arb
+       pqueue_matches_model)
 
 (* --- Determinism of the refactored hot paths ---------------------- *)
 
@@ -211,6 +315,7 @@ let suite =
       test_compaction_preserves_order;
     Alcotest.test_case "pqueue: cancel after pop is a no-op" `Quick
       test_cancel_after_pop_is_noop;
+    pqueue_model_prop;
     Alcotest.test_case "determinism: V-series plans replay identically"
       `Quick test_plan_determinism;
     Alcotest.test_case "flash crowd: smoke" `Quick test_flash_crowd_smoke;
