@@ -26,7 +26,7 @@ let quantile l q =
 let reduction base v = 1.0 -. (float_of_int v /. float_of_int (max 1 base))
 let arm_is name r = gets r "arm" = name
 
-(* --- E17: indexed document stores vs naive evaluation ------------ *)
+(* --- E17: structural indexes vs naive evaluation ----------------- *)
 
 type e17 = {
   sizes : int list; rounds : int; maint_sizes : int list; estimate_items : int;
@@ -209,8 +209,9 @@ let e17_run t _ =
   say
     "\npart C — planner output estimates for query(doc) with and without\n\
      store statistics: \"before\" is the flat input/5 heuristic, \"after\"\n\
-     reads exact per-label counts off the document's index\n\
-     (Selectivity.sketch).  err = |estimate - actual| / actual.\n\n";
+     reads the store's exact per-label counts (Store.stats_of, one walk\n\
+     of the document) into Selectivity.sketch.\n\
+     err = |estimate - actual| / actual.\n\n";
   let topo = Net.Topology.full_mesh ~link:Paper.default_link [ p1; p2 ] in
   let estimates =
     List.concat_map
@@ -275,7 +276,7 @@ let e17_run t _ =
 let e17 =
   E
     {
-      id = "E17"; title = "indexed store vs naive evaluation";
+      id = "E17"; title = "structural index vs naive evaluation";
       about =
         "part A — one query, two evaluators over the same document: naive is\n\
          the seed interpreter Query.Eval (full traversal per descendant step),\n\

@@ -105,26 +105,15 @@ let cpu env ~peer ~bytes =
 let site_peer ~ctx expr =
   match Expr.site expr with Names.At p -> p | Names.Any -> ctx
 
-(* A query's text, and so its length, is fixed by its AST: the lengths
-   are kept across searches.  Bounded like [Compile]'s memo. *)
-let text_bytes : (Axml_query.Ast.t, int) Hashtbl.t = Hashtbl.create 64
-
-let query_text_bytes q =
-  match Hashtbl.find_opt text_bytes q with
-  | Some n -> n
-  | None ->
-      let n = String.length (Axml_query.Ast.to_string q) in
-      if Hashtbl.length text_bytes >= 1024 then Hashtbl.reset text_bytes;
-      Hashtbl.replace text_bytes q n;
-      n
-
 (* Resolve the query of an application: its textual size, the peer
    where the value initially lives, and its AST when visible. *)
 let rec query_info env = function
-  | Expr.Q_val { q; at } -> (query_text_bytes q, at, Some q)
+  | Expr.Q_val { q; at } -> (Expr_xml.query_text_bytes q, at, Some q)
   | Expr.Q_service r ->
       let q = env.service_query r in
-      let bytes = match q with Some q -> query_text_bytes q | None -> 256 in
+      let bytes =
+        match q with Some q -> Expr_xml.query_text_bytes q | None -> 256
+      in
       let at =
         match r.Names.Service_ref.at with
         | Names.At p -> Some p
@@ -134,7 +123,7 @@ let rec query_info env = function
   | Expr.Q_send { dest; q } ->
       let _, _, ast = query_info env q in
       (match ast with
-      | Some ast -> (query_text_bytes ast, dest, Some ast)
+      | Some ast -> (Expr_xml.query_text_bytes ast, dest, Some ast)
       | None -> (256, dest, None))
 
 let rec of_expr env ~ctx expr =

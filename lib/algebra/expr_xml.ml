@@ -20,54 +20,48 @@ let l_q_service = l "q-service"
 let l_q_send = l "q-send"
 let l_args = l "args"
 
+(* Attribute lists shared by the encoder and {!byte_size}. *)
+let at_attr p = [ ("at", Peer_id.to_string p) ]
+
+let dest_attrs = function
+  | Expr.To_peer p -> [ ("kind", "peer"); ("peer", Peer_id.to_string p) ]
+  | Expr.To_nodes targets ->
+      [
+        ("kind", "nodes");
+        ( "nodes",
+          String.concat ";" (List.map Names.Node_ref.to_string targets) );
+      ]
+  | Expr.To_doc (d, p) ->
+      [
+        ("kind", "doc");
+        ("doc", Names.Doc_name.to_string d);
+        ("peer", Peer_id.to_string p);
+      ]
+
+let shared_attrs name at =
+  [ ("name", Names.Doc_name.to_string name); ("at", Peer_id.to_string at) ]
+
 let rec to_tree ~gen (e : Expr.t) =
   match e with
   | Expr.Data_at { forest; at } ->
-      Tree.element ~gen l_tree
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_tree ~attrs:(at_attr at)
         (Axml_xml.Forest.copy ~gen forest)
   | Expr.Doc r ->
       Tree.element ~gen l_doc
         ~attrs:[ ("ref", Names.Doc_ref.to_string r) ]
         []
   | Expr.Query_app { query; args; at } ->
-      Tree.element ~gen l_apply
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_apply ~attrs:(at_attr at)
         (query_to_tree ~gen query
         :: [ Tree.element ~gen l_args (List.map (to_tree ~gen) args) ])
   | Expr.Sc { sc; at } ->
-      Tree.element ~gen l_sc
-        ~attrs:[ ("at", Peer_id.to_string at) ]
-        [ Axml_doc.Sc.to_tree ~gen sc ]
+      Tree.element ~gen l_sc ~attrs:(at_attr at) [ Axml_doc.Sc.to_tree ~gen sc ]
   | Expr.Send { dest; expr } ->
-      let dest_attrs =
-        match dest with
-        | Expr.To_peer p -> [ ("kind", "peer"); ("peer", Peer_id.to_string p) ]
-        | Expr.To_nodes targets ->
-            [
-              ("kind", "nodes");
-              ( "nodes",
-                String.concat ";"
-                  (List.map Names.Node_ref.to_string targets) );
-            ]
-        | Expr.To_doc (d, p) ->
-            [
-              ("kind", "doc");
-              ("doc", Names.Doc_name.to_string d);
-              ("peer", Peer_id.to_string p);
-            ]
-      in
-      Tree.element ~gen l_send ~attrs:dest_attrs [ to_tree ~gen expr ]
+      Tree.element ~gen l_send ~attrs:(dest_attrs dest) [ to_tree ~gen expr ]
   | Expr.Eval_at { at; expr } ->
-      Tree.element ~gen l_eval
-        ~attrs:[ ("at", Peer_id.to_string at) ]
-        [ to_tree ~gen expr ]
+      Tree.element ~gen l_eval ~attrs:(at_attr at) [ to_tree ~gen expr ]
   | Expr.Shared { name; at; value; body } ->
-      Tree.element ~gen l_shared
-        ~attrs:
-          [ ("name", Names.Doc_name.to_string name);
-            ("at", Peer_id.to_string at);
-          ]
+      Tree.element ~gen l_shared ~attrs:(shared_attrs name at)
         [
           Tree.element ~gen l_value [ to_tree ~gen value ];
           Tree.element ~gen l_body [ to_tree ~gen body ];
@@ -76,8 +70,7 @@ let rec to_tree ~gen (e : Expr.t) =
 and query_to_tree ~gen (q : Expr.query_expr) =
   match q with
   | Expr.Q_val { q; at } ->
-      Tree.element ~gen l_q_val
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_q_val ~attrs:(at_attr at)
         [ Tree.text (Axml_query.Ast.to_string q) ]
   | Expr.Q_service r ->
       Tree.element ~gen l_q_service
@@ -255,9 +248,59 @@ let of_xml_string s =
   | Error e -> Error (Format.asprintf "%a" Axml_xml.Parser.pp_error e)
   | Ok t -> of_tree t
 
-(* Counts the serialized size without materializing the XML string;
-   the tree is still built (cheap — one node per syntactic form) but
-   the O(output) string is not. *)
-let byte_size e =
-  let gen = Axml_xml.Node_id.Gen.create ~namespace:"expr" in
-  Axml_xml.Serializer.serialized_length (to_tree ~gen e)
+(* --- sizing ------------------------------------------------------ *)
+
+module Serializer = Axml_xml.Serializer
+
+(* A query's text is fixed by its AST: it is rendered once, and its
+   length and escaped length are kept across plans and searches.
+   Bounded like [Compile]'s memo. *)
+let query_texts : (Axml_query.Ast.t, int * int) Hashtbl.t = Hashtbl.create 64
+
+let query_text_lengths q =
+  match Hashtbl.find_opt query_texts q with
+  | Some n -> n
+  | None ->
+      let s = Axml_query.Ast.to_string q in
+      let n = (String.length s, Serializer.escaped_length ~quot:false s) in
+      if Hashtbl.length query_texts >= 1024 then Hashtbl.reset query_texts;
+      Hashtbl.replace query_texts q n;
+      n
+
+let query_text_bytes q = fst (query_text_lengths q)
+
+let element = Serializer.element_length
+
+(* [String.length (to_xml_string e)], computed over the expression: no
+   tree is built, no [Data_at] forest copied, and each query's text is
+   rendered once per AST ([query_text_lengths]).  Mirrors [to_tree]
+   constructor by constructor; a property in the algebra suite pins
+   the equality. *)
+let rec byte_size (e : Expr.t) =
+  match e with
+  | Expr.Data_at { forest; at } ->
+      element l_tree (at_attr at) (Serializer.forest_serialized_length forest)
+  | Expr.Doc r -> element l_doc [ ("ref", Names.Doc_ref.to_string r) ] 0
+  | Expr.Query_app { query; args; at } ->
+      element l_apply (at_attr at)
+        (query_size query
+        + element l_args []
+            (List.fold_left (fun acc a -> acc + byte_size a) 0 args))
+  | Expr.Sc { sc; at } ->
+      element l_sc (at_attr at) (Axml_doc.Sc.serialized_length sc)
+  | Expr.Send { dest; expr } ->
+      element l_send (dest_attrs dest) (byte_size expr)
+  | Expr.Eval_at { at; expr } -> element l_eval (at_attr at) (byte_size expr)
+  | Expr.Shared { name; at; value; body } ->
+      element l_shared (shared_attrs name at)
+        (element l_value [] (byte_size value)
+        + element l_body [] (byte_size body))
+
+and query_size (q : Expr.query_expr) =
+  match q with
+  | Expr.Q_val { q; at } ->
+      element l_q_val (at_attr at) (snd (query_text_lengths q))
+  | Expr.Q_service r ->
+      element l_q_service [ ("ref", Names.Service_ref.to_string r) ] 0
+  | Expr.Q_send { dest; q } ->
+      element l_q_send [ ("peer", Peer_id.to_string dest) ] (query_size q)

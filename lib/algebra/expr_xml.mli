@@ -19,5 +19,11 @@ val to_xml_string : Expr.t -> string
 val of_xml_string : string -> (Expr.t, string) result
 
 val byte_size : Expr.t -> int
-(** Size of the serialized form — the shipping cost of the plan
-    itself. *)
+(** [String.length (to_xml_string e)] — the shipping cost of the plan
+    itself, and what the Xml wire charges for it — computed over the
+    expression: no tree is built and no literal forest copied. *)
+
+val query_text_bytes : Axml_query.Ast.t -> int
+(** [String.length (Axml_query.Ast.to_string q)].  The text is
+    rendered once per AST (in a bounded table that also keeps its
+    escaped length for {!byte_size}). *)

@@ -48,6 +48,26 @@ let to_tree ~gen sc =
   in
   Tree.element ~gen sc_label kids
 
+(* [to_tree]'s element, sized without building it. *)
+let serialized_length sc =
+  let module S = Axml_xml.Serializer in
+  let text_elem label s =
+    S.element_length label [] (S.escaped_length ~quot:false s)
+  in
+  let params =
+    List.mapi
+      (fun i forest ->
+        S.element_length (param_label i) [] (S.forest_serialized_length forest))
+      sc.params
+  in
+  S.element_length sc_label []
+    (text_elem peer_label (Format.asprintf "%a" Names.pp_location sc.provider)
+    + text_elem service_label (Names.Service_name.to_string sc.service)
+    + List.fold_left ( + ) 0 params
+    + List.fold_left
+        (fun acc r -> acc + text_elem forw_label (Names.Node_ref.to_string r))
+        0 sc.forward)
+
 let of_element (e : Tree.element) =
   if not (Label.equal e.label sc_label) then Error "element is not labeled sc"
   else begin

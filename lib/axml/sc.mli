@@ -38,6 +38,10 @@ val make :
 val to_tree : gen:Axml_xml.Node_id.Gen.t -> t -> Axml_xml.Tree.t
 (** Encode as an [sc] element (fresh identifiers throughout). *)
 
+val serialized_length : t -> int
+(** [Axml_xml.Serializer.serialized_length (to_tree ~gen sc)], without
+    building the tree or copying the parameters. *)
+
 val of_element : Axml_xml.Tree.element -> (t, string) result
 (** Decode an element labeled [sc].  Parameters are collected in
     [param1], [param2], … index order regardless of child order. *)

@@ -1,11 +1,11 @@
-module Index = Axml_xml.Index
 module Timeseries = Axml_obs.Timeseries
+module Stats = Axml_query.Selectivity.Stats
 
 type t = {
   docs : (Names.Doc_name.t, Document.t) Hashtbl.t;
-  indexes : (Names.Doc_name.t, Index.t) Hashtbl.t;
-      (* Lazily built, dropped on any mutation the index can't absorb
-         incrementally; [index_of] rebuilds on demand. *)
+  stats : (Names.Doc_name.t, Stats.t) Hashtbl.t;
+      (* Planner statistics, computed on demand and dropped by every
+         mutation of their document. *)
   reads : (Names.Doc_name.t, Timeseries.handle) Hashtbl.t;
       (* Per-document [doc/<name>/reads] series, bound lazily so
          stores created with telemetry off pay nothing. *)
@@ -30,7 +30,7 @@ let next_stamp () =
 let create () =
   {
     docs = Hashtbl.create 16;
-    indexes = Hashtbl.create 16;
+    stats = Hashtbl.create 16;
     reads = Hashtbl.create 16;
     versions = Hashtbl.create 16;
     on_mutate = ignore;
@@ -38,6 +38,7 @@ let create () =
 
 let bump t name =
   Hashtbl.replace t.versions name (next_stamp ());
+  Hashtbl.remove t.stats name;
   t.on_mutate name
 
 let version_of t name = Hashtbl.find_opt t.versions name
@@ -62,8 +63,6 @@ let note_read t name =
     in
     Timeseries.record h 1.0
   end
-
-let invalidate t name = Hashtbl.remove t.indexes name
 
 let add t doc =
   let name = Document.name doc in
@@ -118,7 +117,7 @@ let remove t name =
   let existed = Hashtbl.mem t.docs name in
   Hashtbl.remove t.docs name;
   Hashtbl.remove t.versions name;
-  invalidate t name;
+  Hashtbl.remove t.stats name;
   (* No stamp to record for an absent document — [version_of] goes
      [None], which every cache probe treats as stale — but the mutation
      hook must still fire for eager invalidation. *)
@@ -128,8 +127,7 @@ let update t doc =
   let name = Document.name doc in
   if not (Hashtbl.mem t.docs name) then raise Not_found;
   Hashtbl.replace t.docs name doc;
-  bump t name;
-  invalidate t name
+  bump t name
 
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.docs []
@@ -145,22 +143,18 @@ let update_root t name f =
   | Some doc ->
       Hashtbl.replace t.docs name (Document.with_root doc (f (Document.root doc)));
       bump t name;
-      invalidate t name;
       true
 
-let index_of t name =
-  match Hashtbl.find_opt t.indexes name with
-  | Some ix -> Some ix
+let stats_of t name =
+  match Hashtbl.find_opt t.stats name with
+  | Some st -> Some st
   | None -> (
       match Hashtbl.find_opt t.docs name with
       | None -> None
       | Some doc ->
-          let ix = Index.build (Document.root doc) in
-          Hashtbl.replace t.indexes name ix;
-          Some ix)
-
-let stats_of t name =
-  Option.map Axml_query.Selectivity.Stats.of_index (index_of t name)
+          let st = Stats.of_forest [ Document.root doc ] in
+          Hashtbl.replace t.stats name st;
+          Some st)
 
 let insert_under t name ~node forest =
   match Hashtbl.find_opt t.docs name with
@@ -171,20 +165,4 @@ let insert_under t name ~node forest =
       | Some doc' ->
           Hashtbl.replace t.docs name doc';
           bump t name;
-          (match Hashtbl.find_opt t.indexes name with
-          | None -> ()
-          | Some ix ->
-              (* The appended forest is physically shared between the
-                 new root and [forest] (Tree.insert_children), so the
-                 index absorbs it as a segment in O(subtree).  When
-                 the append can't be taken (id reuse, unusable index)
-                 or the appended volume caught up with the base,
-                 drop the index — the next [index_of] rebuild is the
-                 geometric compaction step. *)
-              if
-                not
-                  (Index.append ix ~new_root:(Document.root doc') ~under:node
-                     forest)
-                || Index.needs_compaction ix
-              then invalidate t name);
           Some doc')

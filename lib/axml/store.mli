@@ -70,22 +70,16 @@ val update_root :
   t -> Names.Doc_name.t -> (Axml_xml.Tree.t -> Axml_xml.Tree.t) -> bool
 (** Apply a root transformation in place; [false] if absent. *)
 
-(** {1 Structural indexes}
-
-    Every document can carry a structural index
-    ({!Axml_xml.Index}); it is built lazily on first demand and
-    invalidated by any mutation it cannot absorb incrementally
-    ({!update}, {!update_root}, {!remove}).  {!insert_under} — the
-    continuous-query append path — is absorbed in O(subtree). *)
-
-val index_of : t -> Names.Doc_name.t -> Axml_xml.Index.t option
-(** The document's index, building and caching it if needed;
-    [None] if the document is absent. *)
+(** {1 Planner statistics} *)
 
 val stats_of :
   t -> Names.Doc_name.t -> Axml_query.Selectivity.Stats.t option
-(** Exact per-label statistics from the document's index (for the
-    planner's cost model). *)
+(** Exact per-label statistics of the document, for the planner's cost
+    model ({!Axml_query.Selectivity.Stats.of_forest} of its root);
+    [None] if the document is absent.  Computed on first demand and
+    kept until the next mutation of that document: every operation
+    that re-stamps it, and {!remove}, drops them.  A quiet read, like
+    {!peek}. *)
 
 val insert_under :
   t ->
@@ -94,6 +88,5 @@ val insert_under :
   Axml_xml.Forest.t ->
   Document.t option
 (** [insert_under t name ~node forest] appends [forest] under [node]
-    (as {!Document.insert_under}), stores the updated document and
-    maintains its index incrementally rather than dropping it.
+    (as {!Document.insert_under}) and stores the updated document.
     [None] if the document or target node is absent. *)

@@ -249,9 +249,11 @@ let pop t =
     Some (time, v)
   end
 
-(* Allocation-free pop for the simulator's hot loop: the minimum's
-   timestamp is left in [last_time] (read it with {!last_time}) instead
-   of being returned in a boxed pair. *)
+(* Pop for the simulator's hot loop: the minimum's timestamp is left in
+   [last_time] (read it with {!last_time}) instead of being returned in
+   a pair under an option.  Storing a time read from the unboxed
+   [times] array into that float field boxes it, 2 words per pop from
+   the heap; the ring's [ring_time] is already boxed and is shared. *)
 let take t =
   if ring_first t then begin
     t.last_time <- t.ring_time;

@@ -29,8 +29,11 @@ val pop : 'a t -> (float * 'a) option
 exception Empty
 
 val take : 'a t -> 'a
-(** Allocation-free {!pop} for hot loops: removes and returns the
-    earliest event, leaving its timestamp readable via {!last_time}.
+(** {!pop} for hot loops: removes and returns the earliest event,
+    leaving its timestamp readable via {!last_time}, with no option or
+    pair allocated.  An event taken from the heap still boxes its
+    timestamp into {!last_time}'s float field (2 words); one taken
+    from the same-time ring allocates nothing.
     @raise Empty when the queue has no live entries. *)
 
 val last_time : 'a t -> float

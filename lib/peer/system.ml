@@ -1372,26 +1372,17 @@ let find_document t p name =
   Axml_doc.Store.find_by_string (peer t p).Peer.store name
 
 (* A cost environment whose oracles read the live Σ: document sizes
-   from the stores, service implementations from the registries, link
-   and CPU pricing from the simulator — so a plan optimized against it
-   is optimized against the very system about to run it. *)
+   and statistics from the stores, service implementations from the
+   registries, link and CPU pricing from the simulator — so a plan
+   optimized against it is optimized against the very system about to
+   run it. *)
 let cost_env t =
   let topology = Sim.topology t.sim in
   let all_peer_ids = Axml_net.Topology.peers topology in
-  (* Planning is not demand: [peek] keeps cost estimates out of the
-     doc/<n>/reads series the placement controller reads. *)
-  let find_doc p (r : Names.Doc_ref.t) =
-    Option.bind (peer_slot t p) (fun peer ->
-        Axml_doc.Store.peek peer.Peer.store r.Names.Doc_ref.name)
-  in
-  let doc_bytes (r : Names.Doc_ref.t) =
-    let doc =
-      match r.Names.Doc_ref.at with
-      | Names.At p -> find_doc p r
-      | Names.Any -> List.find_map (fun p -> find_doc p r) all_peer_ids
-    in
-    match doc with Some d -> Axml_doc.Document.byte_size d | None -> 4096
-  in
+  (* Both document oracles read the store's statistics, kept until the
+     document changes: a document's size is its [total_bytes].  They
+     are quiet reads — planning is not demand, so cost estimates stay
+     out of the doc/<n>/reads series the placement controller reads. *)
   let doc_stats (r : Names.Doc_ref.t) =
     let stats_at p =
       Option.bind (peer_slot t p) (fun peer ->
@@ -1400,6 +1391,11 @@ let cost_env t =
     match r.Names.Doc_ref.at with
     | Names.At p -> stats_at p
     | Names.Any -> List.find_map stats_at all_peer_ids
+  in
+  let doc_bytes r =
+    match doc_stats r with
+    | Some st -> Axml_query.Selectivity.Stats.total_bytes st
+    | None -> 4096
   in
   let service_query (r : Names.Service_ref.t) =
     let visible p =

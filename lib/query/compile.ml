@@ -51,7 +51,12 @@ type flwr = {
           only binding [k] and one reading only earlier bindings, as
           (inner, outer).  Binding [k]'s values are hashed on the
           inner operand and probed with the outer. *)
-  wants_index : bool;
+  rewalks : bool array;
+      (** Per input: a descendant step walks its nodes more than once
+          in one evaluation — the on-the-fly indexing rule. *)
+  descends : bool array;
+      (** Per input: some descendant step reads it, so an index kept
+          across evaluations serves it. *)
   return_ : construct;
 }
 
@@ -90,14 +95,14 @@ let rec compile_construct positions = function
   | Ast.Elem { label; attrs; children } ->
       Elem { label; attrs; children = List.map (compile_construct positions) children }
 
-let path_descends path =
-  List.exists (fun (s : Ast.step) -> s.axis = Ast.Descendant) path
+let descents path =
+  List.length (List.filter (fun (s : Ast.step) -> s.axis = Ast.Descendant) path)
 
-let rec pred_descends = function
-  | Ast.True | Ast.Cmp _ -> false
-  | Ast.Exists (_, path) -> path_descends path
-  | Ast.And (a, b) | Ast.Or (a, b) -> pred_descends a || pred_descends b
-  | Ast.Not p -> pred_descends p
+let rec exists_paths = function
+  | True | Cmp _ -> []
+  | Exists (i, path) -> [ (i, path) ]
+  | And (a, b) | Or (a, b) -> exists_paths a @ exists_paths b
+  | Not p -> exists_paths p
 
 let binding_read = function
   | Const _ -> None
@@ -157,17 +162,47 @@ let compile_flwr (q : Ast.flwr) =
         | Var _ -> None)
       bindings
   in
-  let wants_index =
-    List.exists (fun (b : Ast.binding) -> path_descends b.path) q.bindings
-    || pred_descends q.where
+  (* The input each binding's values are drawn from. *)
+  let roots = Array.make n 0 in
+  Array.iteri
+    (fun k (src, _) ->
+      roots.(k) <- (match src with Input i -> i | Var j -> roots.(j)))
+    bindings;
+  let rewalks = Array.make q.arity false
+  and descends = Array.make q.arity false in
+  let mark k ~again =
+    descends.(roots.(k)) <- true;
+    if again then rewalks.(roots.(k)) <- true
   in
+  (* An input binding is selected once per evaluation, and a path with
+     one descendant step reaches pairwise disjoint subtrees through
+     it: one walk.  A second descendant step can walk nested matches
+     again, and a step from a variable, in a binding or in [where],
+     runs once per earlier tuple. *)
+  Array.iteri
+    (fun k (src, path) ->
+      let d = descents path in
+      match src with
+      | Input _ -> if d > 0 then mark k ~again:(d > 1)
+      | Var _ -> if d > 0 then mark k ~again:true)
+    bindings;
+  Array.iter
+    (fun conjuncts ->
+      List.iter
+        (fun c ->
+          List.iter
+            (fun (k, path) -> if descents path > 0 then mark k ~again:true)
+            (exists_paths c))
+        conjuncts)
+    schedule;
   {
     arity = q.arity;
     nvars = n;
     bindings;
     schedule;
     joins;
-    wants_index;
+    rewalks;
+    descends;
     return_ = compile_construct positions q.return_;
   }
 
@@ -386,18 +421,19 @@ let eval_flwr ~gen cnt (f : flwr) (inputs : (Forest.t * Index.t option) array) =
 
 (* Every index of a query input is built here, and counted: on the
    fly below, or kept by a continuous query ({!index_input}).  An input
-   is worth indexing when the query has descendant steps and the forest
-   is big enough to repay the build. *)
-let build_index cnt wants_index forest =
-  if wants_index && Forest.size forest >= !threshold then begin
+   is worth indexing when a descendant step will read it through the
+   index more than once and the forest is big enough to repay the
+   build. *)
+let build_index cnt wanted forest =
+  if wanted && Forest.size forest >= !threshold then begin
     cnt.builds <- cnt.builds + 1;
     Some (Index.build_forest forest)
   end
   else None
 
-let provision cnt wants_index (forest, idx) =
+let provision cnt wanted (forest, idx) =
   let idx =
-    match idx with None -> build_index cnt wants_index forest | Some _ -> idx
+    match idx with None -> build_index cnt wanted forest | Some _ -> idx
   in
   match idx with
   | Some ix when Index.usable ix -> (forest, Some ix)
@@ -406,22 +442,20 @@ let provision cnt wants_index (forest, idx) =
       (forest, None)
   | None -> (forest, None)
 
+let provision_all cnt (f : flwr) inputs =
+  Array.of_list
+    (List.mapi (fun i input -> provision cnt f.rewalks.(i) input) inputs)
+
 let rec eval_compiled ~gen cnt c (inputs : (Forest.t * Index.t option) list) =
   match c with
-  | Flwr f ->
-      eval_flwr ~gen cnt f
-        (Array.of_list (List.map (provision cnt f.wants_index) inputs))
+  | Flwr f -> eval_flwr ~gen cnt f (provision_all cnt f inputs)
   | Compose (head, subs) ->
       let intermediates, counts =
         List.split (List.map (fun s -> eval_compiled ~gen cnt s inputs) subs)
       in
-      let head_inputs =
-        List.map
-          (fun forest -> provision cnt head.wants_index (forest, None))
-          intermediates
-      in
       let out, head_count =
-        eval_flwr ~gen cnt head (Array.of_list head_inputs)
+        eval_flwr ~gen cnt head
+          (provision_all cnt head (List.map (fun f -> (f, None)) intermediates))
       in
       (out, head_count + List.fold_left ( + ) 0 counts)
 
@@ -465,13 +499,15 @@ let check_arity q inputs =
 let counters () = { hits = 0; fallbacks = 0; builds = 0 }
 
 (* The raw inputs feed the first block of each composed sub-query. *)
-let rec inputs_want_index = function
-  | Flwr f -> f.wants_index
-  | Compose (_, subs) -> List.exists inputs_want_index subs
+let rec reads_input which c i =
+  match c with
+  | Flwr f -> (which f).(i)
+  | Compose (_, subs) -> List.exists (fun s -> reads_input which s i) subs
 
-let index_input q forest =
+let index_input q ~input ~read_before forest =
+  let which f = if read_before then f.descends else f.rewalks in
   let cnt = counters () in
-  let ix = build_index cnt (inputs_want_index (compiled q)) forest in
+  let ix = build_index cnt (reads_input which (compiled q) input) forest in
   flush cnt;
   ix
 

@@ -9,6 +9,17 @@
     the cost of a step scales with its matches instead of the
     document.
 
+    An index is built on the fly only for an input that a descendant
+    step would walk more than once in one evaluation: an input some
+    [Var]-sourced binding or some [where] predicate reaches with a
+    descendant step (it runs once per earlier tuple), or one whose
+    input binding's path has a second descendant step ([$0//a//b]
+    over nested [a]s).  An input binding with a single descendant
+    step ([$0//auction], [$0/site//item]) is selected once per
+    evaluation, over disjoint subtrees: that traversal is one walk of
+    the input, where a build would walk it and also allocate an entry
+    per element.
+
     A binding whose source is an input ([$k]) does not depend on
     earlier bindings, so its values are selected once per evaluation,
     when first reached, not once per earlier tuple.  When such a
@@ -27,15 +38,20 @@
     testing oracle.
 
     Metrics (on {!Axml_obs.Metrics.default}, subsystem [query]):
-    [index_hits] (descendant steps served from postings; an input
-    binding's selection counts once per evaluation),
-    [index_builds], [fallback] (steps that had to traverse),
-    [compile_ms] (histogram, compile-cache misses only). *)
+    [index_hits] (descendant steps served from postings, one per node
+    stepped from: an input binding's selection counts once per tree
+    of the input), [index_builds], [fallback] (the same count for
+    steps answered by traversal, as on the inputs the rule walks,
+    plus one per unusable index), [compile_ms] (histogram,
+    compile-cache misses only). *)
 
 val set_index_threshold : int -> unit
 (** Minimum node count ({!Axml_xml.Forest.size}) before an input
-    forest is worth indexing on the fly; default 128.  Set to [0] to
-    force indexing (the property suites do). *)
+    forest is worth indexing; default 128.  Set to [0] to index every
+    input the rule above selects, whatever its size (the property
+    suites do); inputs the rule leaves to traversal stay unindexed —
+    to serve those from postings, pass prebuilt indexes to
+    {!eval_over}. *)
 
 val index_threshold : unit -> int
 
@@ -56,8 +72,8 @@ val eval :
   Axml_xml.Forest.t list ->
   Axml_xml.Forest.t
 (** Drop-in for {!Eval.eval}: same checks, same exceptions, same
-    results.  Compiles (cached) and indexes large inputs on the
-    fly. *)
+    results.  Compiles (cached) and indexes on the fly the inputs
+    the rule above selects. *)
 
 val eval_counted :
   gen:Axml_xml.Node_id.Gen.t ->
@@ -75,13 +91,20 @@ val eval_over :
   Axml_xml.Forest.t
 (** Evaluate with caller-provided prebuilt indexes (a document
     store's, or a continuous query's maintained input indexes).
-    [None] inputs are indexed on the fly under the usual threshold;
+    [None] inputs are indexed on the fly under the usual rule;
     unusable indexes fall back to traversal. *)
 
-val index_input : Ast.t -> Axml_xml.Forest.t -> Axml_xml.Index.t option
-(** The index an evaluation of the query would build on the fly for
-    this input forest, for a caller that keeps it across evaluations
-    ({!Incremental}): [None] when the query has no descendant step or
-    the forest is under the threshold.  Counted in [index_builds] like
-    every on-the-fly build.  The index may be unusable; {!eval_over}
-    then falls back to traversal. *)
+val index_input :
+  Ast.t ->
+  input:int ->
+  read_before:bool ->
+  Axml_xml.Forest.t ->
+  Axml_xml.Index.t option
+(** An index of input [input] for a caller that keeps it across
+    evaluations and extends it as the input grows ({!Incremental}).
+    With [read_before = false] it is the index an evaluation would
+    build on the fly; once an earlier evaluation has read the input,
+    any descendant step reading it is worth serving from a kept index.
+    [None] when neither holds or the forest is under the threshold.
+    Counted in [index_builds] like every on-the-fly build.  The index
+    may be unusable; {!eval_over} then falls back to traversal. *)

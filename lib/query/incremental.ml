@@ -5,10 +5,14 @@ type t = {
   query : Ast.t;
   seen : Forest.t array;
   indexes : Index.t option array;
-      (* Per-input structural indexes, built the first time an
-         evaluation reads the input and grown by [append_roots] as trees
-         arrive — so a long-lived continuous query pays O(subtree) per
-         arrival, not O(everything seen) per arrival. *)
+      (* Per-input structural indexes, built once a second evaluation
+         reads the input (on the first read when {!Compile}'s
+         on-the-fly rule would build one anyway) and grown by
+         [append_roots] as trees arrive — so a long-lived continuous
+         query pays O(subtree) per arrival, not O(everything seen) per
+         arrival, while an input one evaluation reads once is walked,
+         not indexed. *)
+  reads : int array;  (* Evaluations that have read each input. *)
   draws : int array option;
       (* Per input, how many bindings draw from it; [None] for a
          composed query. *)
@@ -32,7 +36,13 @@ let create q =
         Some draws
     | Ast.Compose _ -> None
   in
-  { query = q; seen = Array.make n []; indexes = Array.make n None; draws }
+  {
+    query = q;
+    seen = Array.make n [];
+    indexes = Array.make n None;
+    reads = Array.make n 0;
+    draws;
+  }
 
 let query t = t.query
 let seen t i = t.seen.(i)
@@ -56,11 +66,16 @@ let multiset_diff full old =
       | Some _ | None -> true)
     full
 
-(* Input [j] as an evaluation reads it: the trees seen so far, indexed
-   the first time they are read (under {!Compile}'s on-the-fly rule). *)
+(* Input [j] as an evaluation reads it: the trees seen so far, with
+   the index kept for them — built when the on-the-fly rule asks for
+   one, or when an earlier evaluation already read the input. *)
 let read t j =
+  t.reads.(j) <- t.reads.(j) + 1;
   (match t.indexes.(j) with
-  | None -> t.indexes.(j) <- Compile.index_input t.query t.seen.(j)
+  | None ->
+      t.indexes.(j) <-
+        Compile.index_input t.query ~input:j ~read_before:(t.reads.(j) > 1)
+          t.seen.(j)
   | Some _ -> ());
   (t.seen.(j), t.indexes.(j))
 

@@ -13,10 +13,12 @@
     draws at most one binding root per input, making evaluation
     monotone and distributive over input arrival).  A push whose query
     still waits for a tree on another input it draws from returns [[]]
-    without evaluating.  An input's structural index is built the first
-    time an evaluation reads the input, under {!Compile}'s on-the-fly
-    rule ({!Compile.index_input}), and absorbs later arrivals until
-    compaction drops it. *)
+    without evaluating.  An input's structural index is built once a
+    second evaluation reads the input — on the first read when
+    {!Compile}'s on-the-fly rule would build one anyway
+    ({!Compile.index_input}) — and absorbs later arrivals until
+    compaction drops it.  An input that one evaluation reads once is
+    walked, not indexed. *)
 
 type t
 

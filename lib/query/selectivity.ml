@@ -18,50 +18,59 @@ module Stats = struct
     total_bytes : int;
   }
 
-  let of_forest f =
-    let counts = ref Lmap.empty and bytes = ref Lmap.empty in
-    let nodes = ref 0 in
-    let visit t =
-      incr nodes;
-      match t with
-      | Tree.Element e ->
-          let add m k v =
-            m := Lmap.update k (fun x -> Some (v + Option.value ~default:0 x)) !m
-          in
-          add counts e.label 1;
-          add bytes e.label (Tree.byte_size t)
-      | Tree.Text _ -> ()
-    in
-    List.iter (fun t -> Tree.iter visit t) f;
-    {
-      counts = !counts;
-      bytes = !bytes;
-      total_nodes = !nodes;
-      total_bytes = Forest.byte_size f;
-    }
-
-  (* Same shape as [of_forest], but read off a structural index's
-     build-pass statistics — exact, and O(labels) instead of a
-     document walk. *)
-  let of_index ix =
+  let of_label_stats stats ~total_nodes ~total_bytes =
     let counts, bytes =
       List.fold_left
         (fun (c, b) (l, n, sub) -> (Lmap.add l n c, Lmap.add l sub b))
-        (Lmap.empty, Lmap.empty)
-        (Axml_xml.Index.label_stats ix)
+        (Lmap.empty, Lmap.empty) stats
     in
-    {
-      counts;
-      bytes;
-      total_nodes = Axml_xml.Index.total_nodes ix;
-      total_bytes = Axml_xml.Index.total_bytes ix;
-    }
+    { counts; bytes; total_nodes; total_bytes }
+
+  (* One walk: each element's subtree bytes are summed bottom-up from
+     its children's, by {!Tree.byte_size}'s formula — the same pass
+     {!Axml_xml.Index} makes when it builds. *)
+  let of_forest f =
+    let per_label : (Label.t, int * int) Hashtbl.t = Hashtbl.create 16 in
+    let nodes = ref 0 in
+    let rec walk t =
+      incr nodes;
+      match t with
+      | Tree.Text s -> String.length s
+      | Tree.Element e ->
+          let kids = List.fold_left (fun acc c -> acc + walk c) 0 e.children in
+          let attrs =
+            List.fold_left
+              (fun acc (k, v) -> acc + String.length k + String.length v + 4)
+              0 e.attrs
+          in
+          let tag = String.length (Label.to_string e.label) in
+          let sub = (2 * tag) + 5 + attrs + kids in
+          let c, b =
+            Option.value ~default:(0, 0) (Hashtbl.find_opt per_label e.label)
+          in
+          Hashtbl.replace per_label e.label (c + 1, b + sub);
+          sub
+    in
+    let total_bytes = List.fold_left (fun acc t -> acc + walk t) 0 f in
+    of_label_stats
+      (Hashtbl.fold (fun l (c, b) acc -> (l, c, b) :: acc) per_label [])
+      ~total_nodes:!nodes ~total_bytes
+
+  let of_index ix =
+    of_label_stats
+      (Axml_xml.Index.label_stats ix)
+      ~total_nodes:(Axml_xml.Index.total_nodes ix)
+      ~total_bytes:(Axml_xml.Index.total_bytes ix)
 
   let label_count t l = Option.value ~default:0 (Lmap.find_opt l t.counts)
 
   let avg_bytes t l =
     let n = label_count t l in
     if n = 0 then 0 else Option.value ~default:0 (Lmap.find_opt l t.bytes) / n
+
+  let labels t =
+    Lmap.fold (fun l n acc -> (l, n, Lmap.find l t.bytes) :: acc) t.counts []
+    |> List.rev
 
   let total_nodes t = t.total_nodes
   let total_bytes t = t.total_bytes

@@ -26,14 +26,24 @@ module Stats : sig
   type t
 
   val of_forest : Axml_xml.Forest.t -> t
+  (** One walk of the forest, allocating per label, not per node:
+      subtree bytes are summed bottom-up ({!Axml_xml.Tree.byte_size}'s
+      formula). *)
 
-  (** Exact statistics read off a structural index (accumulated during
-      its build pass) — no document walk. *)
   val of_index : Axml_xml.Index.t -> t
+  (** The same statistics read off a structural index (accumulated
+      during its build pass): equal to [of_forest] of the indexed
+      forest. *)
+
   val label_count : t -> Axml_xml.Label.t -> int
   val avg_bytes : t -> Axml_xml.Label.t -> int
+
+  val labels : t -> (Axml_xml.Label.t * int * int) list
+  (** Per label, in label order: (count, total subtree bytes). *)
+
   val total_nodes : t -> int
   val total_bytes : t -> int
+  (** {!Axml_xml.Forest.byte_size} of the forest. *)
 end
 
 val sketch : Ast.t -> Stats.t list -> estimate

@@ -82,6 +82,20 @@ let escaped_length ~quot s =
     s;
   !n
 
+(* [<name attrs/>] or [<name attrs>children</name>].  Children print
+   nothing exactly when [empty_content] holds: an element prints at
+   least [<x/>], a text node nothing only when it is empty. *)
+let element_length label attrs n =
+  let name = String.length (Label.to_string label) in
+  let attrs =
+    List.fold_left
+      (fun acc (k, v) ->
+        acc + 1 + String.length k + 2 + escaped_length ~quot:true v + 1)
+      0 attrs
+  in
+  if n = 0 then 1 + name + attrs + 2
+  else 1 + name + attrs + 1 + n + 2 + name + 1
+
 (* Mirror of [add_tree]/[to_string ~decl:false]: counts the serialized
    bytes without materializing the string.  Kept in lock-step with the
    writer above (self-closing rule included); a qcheck property pins
@@ -89,18 +103,8 @@ let escaped_length ~quot s =
 let rec serialized_length = function
   | Tree.Text s -> escaped_length ~quot:false s
   | Tree.Element e ->
-      let name = String.length (Label.to_string e.label) in
-      let attrs =
-        List.fold_left
-          (fun acc (k, v) ->
-            acc + 1 + String.length k + 2 + escaped_length ~quot:true v + 1)
-          0 e.attrs
-      in
-      if empty_content e.children then 1 + name + attrs + 2
-      else
-        1 + name + attrs + 1
-        + List.fold_left (fun acc c -> acc + serialized_length c) 0 e.children
-        + 2 + name + 1
+      element_length e.label e.attrs
+        (List.fold_left (fun acc c -> acc + serialized_length c) 0 e.children)
 
 let forest_serialized_length f =
   List.fold_left (fun acc t -> acc + serialized_length t) 0 f

@@ -29,5 +29,14 @@ val serialized_length : Tree.t -> int
 val forest_serialized_length : Tree.t list -> int
 (** [String.length (forest_to_string f)] without materializing. *)
 
+val escaped_length : quot:bool -> string -> int
+(** [String.length (escape_attr s)] when [quot], else
+    [String.length (escape_text s)], without building either. *)
+
+val element_length : Label.t -> (string * string) list -> int -> int
+(** [element_length label attrs n]: the serialized length of a [label]
+    element with these attributes whose children print [n] bytes —
+    the self-closing form when [n = 0], as the writer emits it. *)
+
 val pp : Format.formatter -> Tree.t -> unit
 (** Pretty rendering on a formatter. *)

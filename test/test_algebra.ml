@@ -125,6 +125,63 @@ let test_byte_size_positive () =
       Alcotest.(check bool) "positive" true (Algebra.Expr_xml.byte_size e > 0))
     (sample_exprs ())
 
+(* Plan sizing is arithmetic over the expression, and must be exactly
+   the length of the serialization the Xml wire ships: over every
+   sample, every one-step rewrite of one, each send destination kind,
+   [Shared], [Sc], [Q_send] and [Q_service] (all among the samples), a
+   literal forest that prints nothing (self-closing [e-data]) or only
+   text, and text the writer escapes. *)
+let test_byte_size_is_serialized_length () =
+  let g = gen () in
+  let tricky =
+    query
+      {|query(1) for $x in $0//item where attr($x, "k") = "a<b&\"c>" return <hit>{$x}</hit>|}
+  in
+  let escaped =
+    Xml.Tree.element ~gen:g (Xml.Label.of_string "a")
+      ~attrs:[ ("k", "x\"<&>\n\t\ry") ]
+      [ txt "1 < 2 & 3 > 0\r" ]
+  in
+  let sizing =
+    [
+      Expr.data_at [] ~at:p1;
+      Expr.data_at [ txt "" ] ~at:p1;
+      Expr.data_at [ txt ""; txt "" ] ~at:p1;
+      Expr.data_at [ txt "only text" ] ~at:p1;
+      Expr.data_at [ escaped; txt "" ] ~at:p2;
+      Expr.query_at tricky ~at:p1 ~args:[];
+      Expr.eval_at p2
+        (Expr.Query_app
+           {
+             query = Expr.Q_send { dest = p3; q = Expr.Q_val { q = tricky; at = p1 } };
+             args = [ Expr.doc "cat" ~at:"p2"; Expr.data_at [] ~at:p1 ];
+             at = p3;
+           });
+      Expr.sc
+        (Doc.Sc.make ~provider:Names.Any ~service:"svc"
+           [ []; [ txt "" ]; [ escaped ] ])
+        ~at:p2;
+    ]
+  in
+  let n = ref 0 in
+  let fresh () =
+    incr n;
+    Printf.sprintf "_tmp_s%d" !n
+  in
+  let check e =
+    Alcotest.(check int)
+      (Expr.to_string e)
+      (String.length (Algebra.Expr_xml.to_xml_string e))
+      (Algebra.Expr_xml.byte_size e)
+  in
+  List.iter
+    (fun e ->
+      check e;
+      List.iter
+        (fun (r : Algebra.Rewrite.rewrite) -> check r.result)
+        (Algebra.Rewrite.everywhere ~peers:[ p1; p2; p3 ] ~fresh e))
+    (sample_exprs () @ sizing)
+
 (* Cost model sanity. *)
 
 let topo = mesh ~latency:10.0 ~bandwidth:100.0 [ "p1"; "p2"; "p3" ]
@@ -201,4 +258,6 @@ let suite =
     ("cost: pushed selection cheaper", `Quick, test_cost_push_selection_cheaper);
     ("cost: dominance and weighting", `Quick, test_cost_dominates_weighted);
     ("cost: rule 13 sharing", `Quick, test_cost_shared_adds_latency_saves_bytes);
+    ("plan size = serialized length", `Quick,
+      test_byte_size_is_serialized_length);
   ]

@@ -35,8 +35,12 @@ let random_query ~rng ~arity =
   else Query_gen.random_flwr ~rng config
 
 (* The compiled path and the interpreter on the same inputs:
-   byte-identical output, identical tuple count. *)
-let engines_agree ~threshold seed =
+   byte-identical output, identical tuple count.  Forced indexing
+   indexes every input the on-the-fly rule selects; [~prebuilt] also
+   evaluates with an index of every input passed to [eval_over], so
+   input selections the rule leaves to traversal are served from
+   postings too. *)
+let engines_agree ~threshold ~prebuilt seed =
   let rng = Rng.create ~seed in
   let arity = 1 + Rng.int rng 2 in
   let q = random_query ~rng ~arity in
@@ -51,10 +55,73 @@ let engines_agree ~threshold seed =
       let indexed, i_count =
         Query.Compile.eval_counted ~gen:(fresh_gen ()) q inputs
       in
-      bytes_of naive = bytes_of indexed && n_count = i_count)
+      let over_prebuilt () =
+        Query.Compile.eval_over ~gen:(fresh_gen ()) q
+          (List.map (fun f -> (f, Some (Xml.Index.build_forest f))) inputs)
+      in
+      bytes_of naive = bytes_of indexed
+      && n_count = i_count
+      && ((not prebuilt) || bytes_of naive = bytes_of (over_prebuilt ())))
 
-let engines_agree_forced seed = engines_agree ~threshold:0 seed
-let engines_agree_default seed = engines_agree ~threshold:128 seed
+let engines_agree_forced seed = engines_agree ~threshold:0 ~prebuilt:true seed
+
+let engines_agree_default seed =
+  engines_agree ~threshold:128 ~prebuilt:false seed
+
+(* --- the on-the-fly indexing rule ---------------------------------- *)
+
+(* An input is indexed on the fly only when a descendant step would
+   walk it more than once in one evaluation: a second descendant step
+   in an input binding's path (over nested [a]s), a descendant step
+   from a variable, in a binding or in [where].  An input binding
+   with one descendant step walks its input once and builds nothing.
+   Results stay the interpreter's in every case. *)
+let test_index_rule () =
+  let g = fresh_gen () in
+  let nested =
+    Xml.Parser.parse_exn ~gen:g
+      "<r><a><b>1</b><a><b>2</b><a><b>3</b></a></a></a><a><b>4</b></a></r>"
+  in
+  let other = Xml.Parser.parse_exn ~gen:g "<s><c>1</c><c>4</c></s>" in
+  let counter name =
+    Obs.Metrics.counter_value Obs.Metrics.default ~subsystem:"query" name
+  in
+  Obs.Metrics.set_enabled Obs.Metrics.default true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled Obs.Metrics.default false;
+      Obs.Metrics.reset Obs.Metrics.default)
+    (fun () ->
+      with_threshold 0 (fun () ->
+          List.iter
+            (fun (text, inputs, want_builds) ->
+              let q = Query.Parser.parse_exn text in
+              Obs.Metrics.reset Obs.Metrics.default;
+              let out = Query.Compile.eval ~gen:(fresh_gen ()) q inputs in
+              Alcotest.(check int) (text ^ ": builds") want_builds
+                (counter "index_builds");
+              if want_builds > 0 then
+                Alcotest.(check bool) (text ^ ": postings served") true
+                  (counter "index_hits" > 0);
+              Alcotest.(check string) (text ^ ": = Eval")
+                (bytes_of (Query.Eval.eval ~gen:(fresh_gen ()) q inputs))
+                (bytes_of out))
+            [
+              ("query(1) for $x in $0//a return <o>{text($x)}</o>",
+                [ [ nested ] ], 0);
+              ("query(1) for $x in $0/a//b return <o>{text($x)}</o>",
+                [ [ nested ] ], 0);
+              ("query(1) for $x in $0//a//b return <o>{text($x)}</o>",
+                [ [ nested ] ], 1);
+              ("query(1) for $x in $0//a, $y in $x//b return <o>{text($y)}</o>",
+                [ [ nested ] ], 1);
+              ("query(1) for $x in $0//a where exists($x//a) \
+                return <o>{text($x)}</o>",
+                [ [ nested ] ], 1);
+              ("query(2) for $x in $0//a, $y in $x//b, $z in $1//c \
+                where text($y) = text($z) return <o>{text($z)}</o>",
+                [ [ nested ]; [ other ] ], 1);
+            ]))
 
 (* The compiled path raises exactly the interpreter's errors. *)
 let errors_agree seed =
@@ -330,46 +397,81 @@ let incremental_two_inputs_equals_naive seed =
       Xml.Canonical.equal_forest deltas total
       && bytes_of total = bytes_of naive)
 
-(* Store-level inserts maintain the index rather than rebuilding: the
-   indexed document keeps answering queries byte-identically. *)
-let store_insert_maintains_index seed =
+(* --- planner statistics -------------------------------------------- *)
+
+let stats_equal a b =
+  let module S = Query.Selectivity.Stats in
+  S.labels a = S.labels b
+  && S.total_nodes a = S.total_nodes b
+  && S.total_bytes a = S.total_bytes b
+
+(* Random forests, attributes included: one-pass statistics equal those
+   an index build accumulates — every label's count and subtree bytes,
+   the node and byte totals. *)
+let stats_one_pass_equals_index seed =
+  let rng = Rng.create ~seed in
+  let g = fresh_gen () in
+  let forest =
+    Xml_gen.random_forest ~gen:g ~rng ~trees:(1 + Rng.int rng 3) ()
+    @
+    if Rng.bool rng then
+      [ Xml_gen.catalog ~gen:g ~rng ~items:(Rng.int rng 5) ~selectivity:0.5 () ]
+    else []
+  in
+  let module S = Query.Selectivity.Stats in
+  stats_equal (S.of_forest forest) (S.of_index (Xml.Index.build_forest forest))
+  && S.total_bytes (S.of_forest forest) = Xml.Forest.byte_size forest
+
+(* The store keeps each document's statistics until that document
+   changes: after every random insert, update, root rewrite and
+   removal, [stats_of] equals the statistics of an index built afresh
+   over the current root ([None] while the document is gone). *)
+let store_stats_follow_mutations seed =
   let rng = Rng.create ~seed in
   let g = fresh_gen () in
   let store = Doc.Store.create () in
-  let root =
+  let root () =
     Xml.Tree.element ~gen:g
       (Xml.Label.of_string "root")
       [ Xml_gen.random_tree ~gen:g ~rng () ]
   in
-  Doc.Store.add store (Doc.Document.make ~name:"d" root);
+  Doc.Store.add store (Doc.Document.make ~name:"d" (root ()));
   let name = Doc.Names.Doc_name.of_string "d" in
-  ignore (Doc.Store.index_of store name);
-  let q =
-    Query.Parser.parse_exn
-      "query(1) for $x in $0//item return <out>{$x}</out>"
+  let current () =
+    Option.map
+      (fun doc ->
+        Query.Selectivity.Stats.of_index
+          (Xml.Index.build (Doc.Document.root doc)))
+      (Doc.Store.peek store name)
   in
-  with_threshold 0 (fun () ->
-      let ok = ref true in
-      for _ = 1 to 1 + Rng.int rng 4 do
-        let doc = Option.get (Doc.Store.find store name) in
+  let agrees () =
+    match (Doc.Store.stats_of store name, current ()) with
+    | Some a, Some b -> stats_equal a b
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  let ok = ref (agrees ()) in
+  for _ = 1 to 1 + Rng.int rng 6 do
+    (match Rng.int rng 4 with
+    | 0 | 1 ->
+        let doc = Option.get (Doc.Store.peek store name) in
         let targets = elements_of (Doc.Document.root doc) in
         let target = (Rng.pick rng targets).Xml.Tree.id in
         let forest = Xml_gen.random_forest ~gen:g ~rng ~trees:1 () in
-        match Doc.Store.insert_under store name ~node:target forest with
-        | None -> ok := false
-        | Some doc' ->
-            let inputs = [ [ Doc.Document.root doc' ] ] in
-            let indexed =
-              match Doc.Store.index_of store name with
-              | Some ix when Xml.Index.usable ix ->
-                  Query.Compile.eval_over ~gen:(fresh_gen ()) q
-                    [ ([ Doc.Document.root doc' ], Some ix) ]
-              | _ -> Query.Compile.eval ~gen:(fresh_gen ()) q inputs
-            in
-            let naive = Query.Eval.eval ~gen:(fresh_gen ()) q inputs in
-            if bytes_of indexed <> bytes_of naive then ok := false
-      done;
-      !ok)
+        if Doc.Store.insert_under store name ~node:target forest = None then
+          ok := false
+    | 2 -> Doc.Store.update store (Doc.Document.make ~name:"d" (root ()))
+    | _ ->
+        ignore
+          (Doc.Store.update_root store name (fun r ->
+               Xml.Tree.element ~gen:g (Xml.Label.of_string "wrap") [ r ]))
+    );
+    if not (agrees ()) then ok := false
+  done;
+  Doc.Store.remove store name;
+  let gone = agrees () in
+  Doc.Store.add store (Doc.Document.make ~name:"d" (root ()));
+  !ok && gone && agrees ()
 
 let suite =
   [
@@ -384,6 +486,9 @@ let suite =
       incremental_indexed_equals_naive;
     qtest ~count:150 "incremental, two inputs interleaved ≡ naive batch"
       incremental_two_inputs_equals_naive;
-    qtest ~count:60 "store insert maintains index"
-      store_insert_maintains_index;
+    ("on-the-fly index only for re-walked inputs", `Quick, test_index_rule);
+    qtest ~count:200 "one-pass statistics ≡ index statistics"
+      stats_one_pass_equals_index;
+    qtest ~count:60 "store statistics follow every mutation"
+      store_stats_follow_mutations;
   ]

@@ -127,32 +127,37 @@ let test_composed_incremental () =
     !deltas;
   Alcotest.(check int) "two outputs" 2 (List.length !deltas)
 
-(* Every index a continuous query builds for its inputs is counted,
-   and built only once an evaluation reads the input: a join whose
-   second input arrives first waits (no evaluation, no build); the first
-   input's arrival then indexes the waiting input and the arrival
-   itself.  Two builds, both in query/index_builds. *)
-let test_join_index_builds_counted () =
+(* A continuous query keeps an input's index only once a second
+   evaluation reads the input, and counts every build.  A join whose
+   second input arrives first waits (no evaluation, no build); the
+   first input's arrival then walks both inputs — each binding has one
+   descendant step, so one evaluation reads each input once — and
+   builds nothing.  The next arrival on the first input reads the
+   waiting input again: its index is built then, once, and counted in
+   query/index_builds.  Later arrivals on that input extend its index
+   (no rebuild), and the evaluations after them are served from its
+   postings. *)
+let test_join_index_kept_on_second_read () =
   let g = gen () in
   let q =
     query
       {|query(2) for $x in $0//l, $y in $1//r where text($x) = text($y) return <m>{text($x)}</m>|}
   in
-  let side root kid =
+  let side root kid n =
     parse ~g
       (Printf.sprintf "<%s>%s</%s>" root
          (String.concat ""
-            (List.init 70 (fun i -> Printf.sprintf "<%s>%d</%s>" kid i kid)))
+            (List.init n (fun i -> Printf.sprintf "<%s>%d</%s>" kid i kid)))
          root)
   in
-  let left = side "a" "l" and right = side "b" "r" in
+  let left = side "a" "l" 70 and right = side "b" "r" 70 in
   Alcotest.(check bool)
     "each input is over the threshold" true
     (Xml.Tree.size left >= 128 && Xml.Tree.size right >= 128);
-  let builds () =
-    Obs.Metrics.counter_value Obs.Metrics.default ~subsystem:"query"
-      "index_builds"
+  let counter name =
+    Obs.Metrics.counter_value Obs.Metrics.default ~subsystem:"query" name
   in
+  let builds () = counter "index_builds" and hits () = counter "index_hits" in
   let threshold = Query.Compile.index_threshold () in
   Obs.Metrics.set_enabled Obs.Metrics.default true;
   Obs.Metrics.reset Obs.Metrics.default;
@@ -164,12 +169,34 @@ let test_join_index_builds_counted () =
       Obs.Metrics.reset Obs.Metrics.default)
     (fun () ->
       let state = Inc.create q in
-      let d1 = Inc.push ~gen:g state ~input:1 right in
+      let push input tree = Inc.push ~gen:g state ~input tree in
+      let d1 = push 1 right in
       Alcotest.(check int) "no partner yet" 0 (List.length d1);
       Alcotest.(check int) "a waiting push builds nothing" 0 (builds ());
-      let d2 = Inc.push ~gen:g state ~input:0 left in
+      let d2 = push 0 left in
       Alcotest.(check int) "every pair joins" 70 (List.length d2);
-      Alcotest.(check int) "two builds, both counted" 2 (builds ()))
+      Alcotest.(check int) "one read of each input builds nothing" 0
+        (builds ());
+      Alcotest.(check int) "walked, not served from postings" 0 (hits ());
+      let d3 = push 0 (side "a" "l" 5) in
+      Alcotest.(check int) "five more pairs" 5 (List.length d3);
+      Alcotest.(check int) "second read builds the waiting input's index" 1
+        (builds ());
+      Alcotest.(check int) "and reads its postings" 1 (hits ());
+      let d4 = push 1 (side "b" "r" 2) in
+      Alcotest.(check int) "r0 and r1 meet both left trees" 4
+        (List.length d4);
+      let d5 = push 0 (side "a" "l" 2) in
+      Alcotest.(check int) "l0 and l1 meet both right trees" 4
+        (List.length d5);
+      Alcotest.(check int) "the arrival extended the index: no rebuild" 1
+        (builds ());
+      (* One hit per tree of the indexed input: its two trees. *)
+      Alcotest.(check int) "both trees served from the extended index" 3
+        (hits ());
+      check_canonical_forests "deltas = batch"
+        (Inc.total_output ~gen:g state)
+        (d1 @ d2 @ d3 @ d4 @ d5))
 
 let suite =
   [
@@ -182,6 +209,6 @@ let suite =
     ("seen bookkeeping", `Quick, test_seen);
     ("input range check", `Quick, test_out_of_range_input);
     ("composed query incremental", `Quick, test_composed_incremental);
-    ("join: every input index build counted", `Quick,
-      test_join_index_builds_counted);
+    ("join: an input index is kept from its second read", `Quick,
+      test_join_index_kept_on_second_read);
   ]
