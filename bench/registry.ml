@@ -28,9 +28,7 @@ let arm_is name r = gets r "arm" = name
 
 (* --- E17: structural indexes vs naive evaluation ----------------- *)
 
-type e17 = {
-  sizes : int list; rounds : int; maint_sizes : int list; estimate_items : int;
-}
+type e17 = { sizes : int list; estimate_items : int }
 
 (* CPU milliseconds of the best of [n] runs (first-run noise —
    allocation, lazy compilation — must not be charged to either
@@ -131,82 +129,6 @@ let e17_run t _ =
   Obs.Metrics.set_enabled Obs.Metrics.default false;
   Obs.Metrics.reset Obs.Metrics.default;
   say
-    "\npart B — streaming appends: one small item appended per round at a\n\
-     random existing node; the index absorbs each append as a fresh\n\
-     segment (cost bounded by the appended subtree and the rebuilt\n\
-     spine), versus rebuilding the index from scratch each round\n\
-     (cost proportional to the whole document).\n\n";
-  table ~name:"maintenance"
-    (List.map
-       (fun items ->
-         let rng = Workload.Rng.create ~seed:18 in
-         let g = Xml.Node_id.Gen.create ~namespace:"e17b" in
-         let doc = ref (promo_catalog ~gen:g ~rng ~items ~sel:0.1) in
-         let nodes0 = Xml.Tree.size !doc in
-         let targets =
-           let rec collect acc = function
-             | Xml.Tree.Text _ -> acc
-             | Xml.Tree.Element e ->
-                 List.fold_left collect (e.id :: acc) e.children
-           in
-           Array.of_list (collect [] !doc)
-         in
-         let ix = Xml.Index.build !doc in
-         let insert_ms = ref 0.0
-         and maintain_ms = ref 0.0
-         and rebuild_ms = ref 0.0 in
-         let rebuilds = ref 0 and accepted = ref true in
-         for i = 1 to t.rounds do
-           let under = targets.(Workload.Rng.int rng (Array.length targets)) in
-           let forest =
-             [
-               Xml.Tree.element ~gen:g (Xml.Label.of_string "item")
-                 ~attrs:
-                   [ ("id", Printf.sprintf "new%d" i); ("category", "wanted") ]
-                 [
-                   Xml.Tree.element ~gen:g (Xml.Label.of_string "name")
-                     [ Xml.Tree.text (Printf.sprintf "fresh-%d" i) ];
-                 ];
-             ]
-           in
-           let t', ms =
-             cpu_ms (fun () ->
-                 Option.get (Xml.Tree.insert_children ~under forest !doc))
-           in
-           insert_ms := !insert_ms +. ms;
-           let ok, ms =
-             cpu_ms (fun () -> Xml.Index.append ix ~new_root:t' ~under forest)
-           in
-           maintain_ms := !maintain_ms +. ms;
-           accepted := !accepted && ok;
-           (* Sample the from-scratch alternative sparsely: at 1e5 nodes
-              a full rebuild costs ~100ms and would dominate the run. *)
-           if i mod 10 = 1 then begin
-             let _, ms = cpu_ms (fun () -> Xml.Index.build t') in
-             rebuild_ms := !rebuild_ms +. ms;
-             incr rebuilds
-           end;
-           doc := t'
-         done;
-         let per x = x /. float_of_int t.rounds in
-         let rebuild_per = !rebuild_ms /. float_of_int (max 1 !rebuilds) in
-         let q = Workload.Xml_gen.selection_query () in
-         let out_i =
-           Query.Compile.eval_over ~gen:(eval_gen ()) q [ ([ !doc ], Some ix) ]
-         in
-         let out_n = Query.Eval.eval ~gen:(eval_gen ()) q [ [ !doc ] ] in
-         [
-           ("items", int items); ("nodes", int nodes0); ("appends", int t.rounds);
-           ("insert_ms_per_append", num "%.4f" (per !insert_ms));
-           ("maintain_ms_per_append", num "%.4f" (per !maintain_ms));
-           ("rebuild_ms_per_append", num "%.3f" rebuild_per);
-           ("ratio", ratio (rebuild_per /. max (per !maintain_ms) 1e-4));
-           ("segments", int (Xml.Index.segment_count ix));
-           ("appends_accepted", flag !accepted);
-           ("identical", flag (same_output out_i out_n));
-         ])
-       t.maint_sizes);
-  say
     "\npart C — planner output estimates for query(doc) with and without\n\
      store statistics: \"before\" is the flat input/5 heuristic, \"after\"\n\
      reads the store's exact per-label counts (Store.stats_of, one walk\n\
@@ -268,10 +190,8 @@ let e17_run t _ =
   say
     "\nshape: the index pays off exactly where traversal dominated — the\n\
      rare-label speedup grows with document size and scarcity while the\n\
-     candidate-bound query is flat; per-append maintenance stays roughly\n\
-     constant as rebuild cost grows with the document; statistics shrink\n\
-     the planner's output-size error by an order of magnitude on the\n\
-     label-bound query\n"
+     candidate-bound query is flat; statistics shrink the planner's\n\
+     output-size error by an order of magnitude on the label-bound query\n"
 
 let e17 =
   E
@@ -284,22 +204,13 @@ let e17 =
          \"rare-label\" binds //promo (matches only the selected fraction);\n\
          \"attr-sel\" binds //item and filters on an attribute (candidate\n\
          work dominates — the honest case where indexing helps less).";
-      smoke =
-        Some
-          { sizes = [ 14; 143 ]; rounds = 10; maint_sizes = [ 143 ];
-            estimate_items = 143 };
-      full =
-        { sizes = [ 14; 143; 1_430; 14_300 ]; rounds = 50;
-          maint_sizes = [ 143; 1_430; 14_300 ]; estimate_items = 1_430 };
+      smoke = Some { sizes = [ 14; 143 ]; estimate_items = 143 };
+      full = { sizes = [ 14; 143; 1_430; 14_300 ]; estimate_items = 1_430 };
       arms = []; run = e17_run;
       gates =
         [
           gate ~table:"sweep" "indexed outputs equal naive outputs"
             (every "identical");
-          gate ~table:"maintenance"
-            "the maintained index accepts every append and answers like a \
-             traversal" (fun rows ->
-              every "appends_accepted" rows && every "identical" rows);
         ];
     }
 
@@ -427,12 +338,10 @@ let e18 =
 (* Coalescing ablation (DESIGN.md §13): the same chatty workloads run
    at the Reliable window's 0/0 defaults (each message shipped bare and
    acked on arrival) and with its flush/ack-delay knobs raised; the
-   delta prices per-message envelopes and per-message acks.  Three
+   delta prices per-message envelopes and per-message acks.  Two
    traffic shapes: a continuous service streaming many tiny responses
-   (envelope-dominated), repeated two-site joins (request/response,
-   where acks ride reverse batches), and a double catalog fetch
-   (identical in-flight transfers, so within-frame sharing — rule (13)
-   at the transport layer — fires).  Every batched run must reproduce
+   (envelope-dominated) and repeated two-site joins (request/response,
+   where acks ride reverse batches).  Every batched run must reproduce
    its 0/0 twin's answer and final Σ. *)
 
 type e19 = { stream_k : int; items : int; join_rounds : int }
@@ -493,18 +402,6 @@ let e19_run t arms =
       (List.init t.join_rounds (fun i ->
            Runtime.Exec.run_to_quiescence ~reset_stats:(i = 0) sys ~ctx:p1 plan))
   in
-  (* dup: both join inputs fetch the same catalog from p2, so two
-     identical transfers are in flight in the same flush window. *)
-  let dup knobs =
-    let sys = system [ p1; p2 ] knobs in
-    catalog_at sys ~items:t.items ~seed:191 p2;
-    let fetch = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
-    finish sys
-      [
-        Runtime.Exec.run_to_quiescence sys ~ctx:p1
-          (Expr.query_at join ~at:p1 ~args:[ fetch; fetch ]);
-      ]
-  in
   let rows =
     List.concat_map
       (fun (workload, run) ->
@@ -523,7 +420,6 @@ let e19_run t arms =
               ("batched_messages", int rc.batched_messages);
               ("piggybacked_acks", int rc.piggybacked_acks);
               ("delayed_acks", int rc.delayed_acks);
-              ("dedup_shared_bytes", int rc.dedup_shared_bytes);
               ("message_reduction", pct (reduction st0.messages st.messages));
               ("byte_reduction", pct (reduction st0.bytes st.bytes));
               ( "correct",
@@ -533,11 +429,11 @@ let e19_run t arms =
                   && String.equal fp0 fp) );
             ])
           runs)
-      [ ("stream", stream); ("join", join_rounds); ("dup", dup) ]
+      [ ("stream", stream); ("join", join_rounds) ]
   in
   table rows;
-  (* Headline: aggregate frame/byte reduction across the three
-     workloads at the recommended 2/8 knobs. *)
+  (* Headline: aggregate frame/byte reduction across both workloads at
+     the recommended 2/8 knobs. *)
   let sum arm col =
     List.fold_left (fun a r -> if arm_is arm r then a + geti r col else a) 0 rows
   in
@@ -555,18 +451,16 @@ let e19_run t arms =
   say
     "\nshape: the chatty stream collapses into a handful of frames — the\n\
      flush window removes envelopes and the ack delay removes standalone\n\
-     acks (piggybacked on reverse batches where traffic flows both ways);\n\
-     the dup workload additionally ships its second identical transfer\n\
-     as a back-reference\n"
+     acks (piggybacked on reverse batches where traffic flows both ways)\n"
 
 let e19 =
   E
     {
       id = "E19"; title = "batched transport ablation";
       about =
-        "workloads: stream (chatty continuous service), join (request/response\n\
-         rounds), dup (identical concurrent transfers); each runs at the\n\
-         Reliable window's defaults (flush 0/ack 0) and with batching on";
+        "workloads: stream (chatty continuous service) and join\n\
+         (request/response rounds); each runs at the Reliable window's\n\
+         defaults (flush 0/ack 0) and with batching on";
       smoke = Some { stream_k = 15; items = 15; join_rounds = 2 };
       full = { stream_k = 40; items = 30; join_rounds = 3 };
       arms =

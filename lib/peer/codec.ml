@@ -443,16 +443,13 @@ let kind_of = function
   | Message.Migrate_doc _ -> 9
   | Message.Retract_doc _ -> 10
 
-(* [forests] selects whether forest sections are emitted: [`Inline]
-   for ordinary messages, [`Omit] for the deduplicated body of a
-   [Shared] batch item (the receiver resolves the back-reference). *)
-let rec buf_payload b ~forests p =
+let rec buf_payload b p =
   Buffer.add_char b (Char.chr (kind_of p));
   match p with
   | Message.Stream { key; forest; final } ->
       buf_zv b key;
       buf_bool b final;
-      (match forests with `Inline -> buf_forest b forest | `Omit -> ())
+      buf_forest b forest
   | Message.Eval_request { expr; replies; ack } ->
       let blob = encode_tree_blob (expr_tree expr) in
       buf_uv b (Bytes.length blob);
@@ -467,15 +464,12 @@ let rec buf_payload b ~forests p =
   | Message.Insert { node; forest; notify } ->
       buf_node_id b node;
       buf_notify b notify;
-      (match forests with `Inline -> buf_forest b forest | `Omit -> ())
-  | Message.Install_doc { name; forest; notify } ->
-      buf_str b name;
-      buf_notify b notify;
-      (match forests with `Inline -> buf_forest b forest | `Omit -> ())
+      buf_forest b forest
+  | Message.Install_doc { name; forest; notify }
   | Message.Migrate_doc { name; forest; notify } ->
       buf_str b name;
       buf_notify b notify;
-      (match forests with `Inline -> buf_forest b forest | `Omit -> ())
+      buf_forest b forest
   | Message.Retract_doc { name; notify } ->
       buf_str b name;
       buf_notify b notify
@@ -490,35 +484,28 @@ let rec buf_payload b ~forests p =
   | Message.Batch { items; ack } ->
       buf_zv b ack;
       buf_uv b (List.length items);
+      (* Each item: tag 0x00, then its length-prefixed sub-body.  The
+         tag is constant; it stays so that the frame format does not
+         change, and the decoder rejects any other tag. *)
       List.iter
-        (function
-          | Message.Full m ->
-              Buffer.add_char b '\x00';
-              buf_uv b (subbody_size ~forests:`Inline m);
-              buf_subbody b ~forests:`Inline m
-          | Message.Shared { msg; of_seq; saved } ->
-              Buffer.add_char b '\x01';
-              buf_zv b of_seq;
-              buf_uv b saved;
-              buf_uv b (subbody_size ~forests:`Omit msg);
-              buf_subbody b ~forests:`Omit msg)
+        (fun m ->
+          Buffer.add_char b '\x00';
+          buf_uv b (subbody_size m);
+          buf_subbody b m)
         items
 
-and buf_subbody b ~forests (m : Message.t) =
+and buf_subbody b (m : Message.t) =
   buf_zv b m.corr;
   buf_zv b m.seq;
   buf_zv b m.op;
-  buf_payload b ~forests m.payload
+  buf_payload b m.payload
 
-and payload_size ~forests p =
+and payload_size p =
   1
   +
   match p with
   | Message.Stream { key; forest; _ } ->
-      zv_size key + 1
-      + (match forests with
-        | `Inline -> forest_section_size forest
-        | `Omit -> 0)
+      zv_size key + 1 + forest_section_size forest
   | Message.Eval_request { expr; replies; ack } ->
       (* Not [tree_blob_len]: every expression tree reuses the
          [wire-expr] node ids and would evict forest entries from the
@@ -531,20 +518,10 @@ and payload_size ~forests p =
       + List.fold_left (fun acc f -> acc + forest_section_size f) 0 params
       + dests_size replies
   | Message.Insert { node; forest; notify } ->
-      node_id_size node + notify_size notify
-      + (match forests with
-        | `Inline -> forest_section_size forest
-        | `Omit -> 0)
-  | Message.Install_doc { name; forest; notify } ->
-      str_size name + notify_size notify
-      + (match forests with
-        | `Inline -> forest_section_size forest
-        | `Omit -> 0)
+      node_id_size node + notify_size notify + forest_section_size forest
+  | Message.Install_doc { name; forest; notify }
   | Message.Migrate_doc { name; forest; notify } ->
-      str_size name + notify_size notify
-      + (match forests with
-        | `Inline -> forest_section_size forest
-        | `Omit -> 0)
+      str_size name + notify_size notify + forest_section_size forest
   | Message.Retract_doc { name; notify } -> str_size name + notify_size notify
   | Message.Deploy { prefix; query; reply } ->
       str_size prefix
@@ -561,21 +538,17 @@ and payload_size ~forests p =
    call, and this runs once per flushed frame on the hot path. *)
 and batch_items_size acc = function
   | [] -> acc
-  | Message.Full m :: rest ->
-      let s = subbody_size ~forests:`Inline m in
+  | m :: rest ->
+      let s = subbody_size m in
       batch_items_size (acc + 1 + uv_size s + s) rest
-  | Message.Shared { msg; of_seq; saved } :: rest ->
-      let s = subbody_size ~forests:`Omit msg in
-      batch_items_size (acc + 1 + zv_size of_seq + uv_size saved + uv_size s + s) rest
 
-and subbody_size ~forests (m : Message.t) =
-  zv_size m.corr + zv_size m.seq + zv_size m.op + payload_size ~forests m.payload
+and subbody_size (m : Message.t) =
+  zv_size m.corr + zv_size m.seq + zv_size m.op + payload_size m.payload
 
 (* ---------- frames ---------- *)
 
 let body_size (m : Message.t) =
-  2 + zv_size m.corr + zv_size m.seq + zv_size m.op
-  + payload_size ~forests:`Inline m.payload
+  2 + zv_size m.corr + zv_size m.seq + zv_size m.op + payload_size m.payload
 
 let frame_bytes (m : Message.t) =
   let b = body_size m in
@@ -589,16 +562,16 @@ let encode (m : Message.t) =
   buf_zv b m.corr;
   buf_zv b m.seq;
   buf_zv b m.op;
-  buf_payload b ~forests:`Inline m.payload;
+  buf_payload b m.payload;
   Buffer.to_bytes b
 
-let rec rd_payload r ~forest_src =
+let rec rd_payload r =
   let kind = rd_byte r in
   match kind with
   | 0 ->
       let key = rd_zv r in
       let final = rd_bool r in
-      let forest = rd_forest_or_ref r forest_src in
+      let forest = rd_forest r in
       Message.Stream { key; forest; final }
   | 1 ->
       let expr = rd_expr r in
@@ -618,17 +591,17 @@ let rec rd_payload r ~forest_src =
   | 3 ->
       let node = rd_node_id r in
       let notify = rd_notify r in
-      let forest = rd_forest_or_ref r forest_src in
+      let forest = rd_forest r in
       Message.Insert { node; forest; notify }
   | 4 ->
       let name = rd_str r in
       let notify = rd_notify r in
-      let forest = rd_forest_or_ref r forest_src in
+      let forest = rd_forest r in
       Message.Install_doc { name; forest; notify }
   | 9 ->
       let name = rd_str r in
       let notify = rd_notify r in
-      let forest = rd_forest_or_ref r forest_src in
+      let forest = rd_forest r in
       Message.Migrate_doc { name; forest; notify }
   | 10 ->
       let name = rd_str r in
@@ -647,47 +620,23 @@ let rec rd_payload r ~forest_src =
   | 8 ->
       let ack = rd_zv r in
       let nitems = rd_count r ~per:2 in
-      (* Maps an item's sequence number to its shareable forest, for
-         resolving back-references.  Sharing is reconstructed exactly:
-         a [Shared] item's payload holds the {e same} decoded forest as
-         its referent. *)
-      let shared : (int, Axml_xml.Forest.t) Hashtbl.t = Hashtbl.create 8 in
       let items =
         List.init nitems (fun _ ->
             match rd_byte r with
-            | 0 ->
-                let m = rd_subitem r ~forest_src:`Inline in
-                (match Message.shareable_forest m.Message.payload with
-                | Some f -> Hashtbl.replace shared m.Message.seq f
-                | None -> ());
-                Message.Full m
-            | 1 ->
-                let of_seq = rd_zv r in
-                let saved = rd_uv r in
-                let f =
-                  match Hashtbl.find_opt shared of_seq with
-                  | Some f -> f
-                  | None -> malformed "dangling batch back-reference"
-                in
-                let msg = rd_subitem r ~forest_src:(`Ref f) in
-                Message.Shared { msg; of_seq; saved }
+            | 0 -> rd_subitem r
             | k -> malformed (Printf.sprintf "unknown batch item tag %#x" k))
       in
       Message.Batch { items; ack }
   | k -> malformed (Printf.sprintf "unknown payload kind %#x" k)
 
-and rd_forest_or_ref r = function
-  | `Inline -> rd_forest r
-  | `Ref f -> f
-
-and rd_subitem r ~forest_src =
+and rd_subitem r =
   let sublen = rd_len r in
   let sub = { buf = r.buf; pos = r.pos; limit = r.pos + sublen } in
   rd_skip r sublen;
   let corr = rd_zv sub in
   let seq = rd_zv sub in
   let op = rd_zv sub in
-  let payload = rd_payload sub ~forest_src in
+  let payload = rd_payload sub in
   if sub.pos <> sub.limit then malformed "trailing bytes in batch item";
   Message.make ~corr ~seq ~op payload
 
@@ -702,7 +651,7 @@ let decode buf =
     let corr = rd_zv r in
     let seq = rd_zv r in
     let op = rd_zv r in
-    let payload = rd_payload r ~forest_src:`Inline in
+    let payload = rd_payload r in
     if r.pos <> r.limit then malformed "trailing payload bytes";
     Ok (Message.make ~corr ~seq ~op payload)
   with

@@ -8,7 +8,12 @@
     body   := magic version zv(corr) zv(seq) zv(op) kind payload
     forest := uvarint(ntrees) { uvarint(blob_len) tree_blob }*
     blob   := string table (labels, attr names, id namespaces) + nodes
+    batch  := zv(ack) uvarint(nitems) { 0x00 uvarint(item_len) item }*
+    item   := zv(corr) zv(seq) zv(op) kind payload
     v}
+
+    Every batch item carries its whole message, forests and node ids
+    included; an item tag other than [0x00] is malformed.
 
     Two properties the rest of the stack builds on:
 

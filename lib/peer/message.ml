@@ -48,11 +48,7 @@ type payload =
     }
   | Query_shipped of { key : int; query : Axml_query.Ast.t }
   | Ack of { seq : int }
-  | Batch of { items : batch_item list; ack : int }
-
-and batch_item =
-  | Full of t
-  | Shared of { msg : t; of_seq : int; saved : int }
+  | Batch of { items : t list; ack : int }
 
 and t = { payload : payload; corr : int; seq : int; op : int }
 
@@ -69,9 +65,6 @@ let item_header = 16
    length prefix — much smaller than a full envelope, which is where
    batching's fixed-cost saving comes from. *)
 
-let backref_bytes = 4
-(* A dedup back-reference: "same forest as item #n of this batch". *)
-
 let rec bytes = function
   | Stream { forest; _ } -> envelope + Forest.byte_size forest
   | Eval_request { expr; _ } -> envelope + Axml_algebra.Expr_xml.byte_size expr
@@ -87,58 +80,10 @@ let rec bytes = function
   | Ack _ -> envelope
   | Batch { items; _ } ->
       List.fold_left
-        (fun acc -> function
-          | Full m -> acc + item_header + (bytes m.payload - envelope)
-          | Shared { msg; saved; _ } ->
-              acc + item_header + (bytes msg.payload - envelope) - saved
-              + backref_bytes)
+        (fun acc m -> acc + item_header + (bytes m.payload - envelope))
         envelope items
 
-(* The forest a payload materializes at the destination — the only
-   part of a message bulky enough to be worth sharing inside a batch
-   (rule (13), transfer sharing, applied at the transport layer). *)
-let shareable_forest = function
-  | Stream { forest; _ }
-  | Insert { forest; _ }
-  | Install_doc { forest; _ }
-  | Migrate_doc { forest; _ } ->
-      if forest = [] then None else Some forest
-  | Eval_request _ | Invoke _ | Deploy _ | Query_shipped _ | Ack _ | Batch _
-  | Retract_doc _ ->
-      None
-
-let batch ~ack msgs =
-  (* Dedup within the frame: an item is [Shared] when an earlier item
-     carries the same forest in full, matched by pointer or by
-     [Forest.equal_shape] — "same serialized forest" without the
-     serializer.  Carried forests have pairwise distinct shapes, so at
-     most one can match. *)
-  let carried = ref [] in
-  let items =
-    List.map
-      (fun (m : t) ->
-        match shareable_forest m.payload with
-        | None -> Full m
-        | Some f -> (
-            let same (f0, _) = f0 == f || Forest.equal_shape f0 f in
-            match List.find_opt same !carried with
-            | Some (_, of_seq) ->
-                Shared { msg = m; of_seq; saved = Forest.byte_size f }
-            | None ->
-                carried := (f, m.seq) :: !carried;
-                Full m))
-      msgs
-  in
-  Batch { items; ack }
-
-let item_message = function Full m -> m | Shared { msg; _ } -> msg
-
-let batch_saved = function
-  | Batch { items; _ } ->
-      List.fold_left
-        (fun acc -> function Full _ -> acc | Shared { saved; _ } -> acc + saved)
-        0 items
-  | _ -> 0
+let batch ~ack items = Batch { items; ack }
 
 let batch_size = function
   | Batch { items; _ } -> List.length items
@@ -185,16 +130,10 @@ let rec pp fmt = function
   | Query_shipped { key; _ } -> Format.fprintf fmt "query-shipped[%d]" key
   | Ack { seq } -> Format.fprintf fmt "ack[%d]" seq
   | Batch { items; ack } as b ->
-      Format.fprintf fmt "batch(%d item%s, ack %d, %dB" (List.length items)
+      Format.fprintf fmt "batch(%d item%s, ack %d, %dB): " (List.length items)
         (if List.length items = 1 then "" else "s")
         ack (bytes b);
-      (match batch_saved b with
-      | 0 -> ()
-      | saved -> Format.fprintf fmt ", %dB shared" saved);
-      Format.fprintf fmt "): ";
       Format.pp_print_list
         ~pp_sep:(fun fmt () -> Format.fprintf fmt "; ")
-        (fun fmt item ->
-          let m = item_message item in
-          Format.fprintf fmt "#%d %a" m.seq pp m.payload)
+        (fun fmt m -> Format.fprintf fmt "#%d %a" m.seq pp m.payload)
         fmt items

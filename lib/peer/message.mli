@@ -90,23 +90,14 @@ type payload =
           number (see {!System}); acks themselves are unsequenced.
           Under batching, acknowledgements are {e cumulative}: [seq]
           acknowledges every sequence number up to and including it. *)
-  | Batch of { items : batch_item list; ack : int }
+  | Batch of { items : t list; ack : int }
       (** A coalesced frame of sequenced messages for one (src, dst)
           pair, in ascending sequence order, plus the sender's {e
           cumulative} acknowledgement of the reverse direction
-          ([0] = nothing to acknowledge).  Built by {!batch}, which
-          also applies within-frame transfer sharing (rule (13) at the
-          transport layer): an item whose forest structurally equals
-          an earlier item's is carried as a back-reference and charged
-          {!backref_bytes} instead of the forest's size. *)
-
-and batch_item =
-  | Full of t
-  | Shared of { msg : t; of_seq : int; saved : int }
-      (** [msg]'s forest is structurally identical to the one item
-          [of_seq] carries; only a back-reference crosses the wire,
-          saving [saved] bytes.  The full payload is retained so
-          delivery needs no reassembly step. *)
+          ([0] = nothing to acknowledge).  Every item is carried
+          whole, its own node ids included: sharing a transfer is the
+          plan's decision (rule (13), [Axml_algebra.Expr.Shared]),
+          not the transport's. *)
 
 and t = { payload : payload; corr : int; seq : int; op : int }
 (** The wire envelope: a payload plus the correlation id of the
@@ -133,8 +124,8 @@ val bytes : payload -> int
     correlation id rides inside the fixed envelope budget).  A [Batch]
     charges one envelope for the frame plus a small per-item header —
     coalescing n messages saves [(n-1) * (envelope - item_header)]
-    bytes of fixed cost before any dedup sharing.  Only the XML wire
-    uses this model; the binary wire charges {!Codec.frame_bytes}. *)
+    bytes of fixed cost.  Only the XML wire uses this model; the
+    binary wire charges {!Codec.frame_bytes}. *)
 
 val envelope : int
 (** Fixed per-message framing cost in bytes (XML wire model). *)
@@ -142,24 +133,10 @@ val envelope : int
 val item_header : int
 (** Per-item framing cost inside a [Batch] frame (XML wire model). *)
 
-val backref_bytes : int
-(** Wire cost of a dedup back-reference inside a [Batch] (XML wire
-    model). *)
-
 val batch : ack:int -> t list -> payload
 (** Build a [Batch] frame from sequenced messages (given in send
     order) with the cumulative reverse-direction acknowledgement
-    [ack].  Items whose forest structurally duplicates an earlier item
-    of the same frame become [Shared] back-references.  An item's
-    forest is compared with each forest an earlier item of the frame
-    carries in full, by pointer equality or
-    {!Axml_xml.Forest.equal_shape}, without serializing. *)
-
-val item_message : batch_item -> t
-(** The enclosed message (back-references carry their full payload). *)
-
-val batch_saved : payload -> int
-(** Total bytes saved by dedup back-references ([0] for non-batches). *)
+    [ack]: one item per message, in that order. *)
 
 val batch_size : payload -> int
 (** Number of logical messages a payload carries: the item count of a
@@ -172,7 +149,3 @@ val tag : payload -> string
     metric keys. *)
 
 val pp : Format.formatter -> payload -> unit
-
-val shareable_forest : payload -> Axml_xml.Forest.t option
-(** The forest a payload materializes at the destination, if non-empty
-    — the dedup candidate inside a batch. *)

@@ -61,7 +61,6 @@ type reliability_counters = {
   mutable batched_messages : int;  (* ... the items they carried ... *)
   mutable piggybacked_acks : int;  (* ... the owed acks they carried *)
   mutable delayed_acks : int;  (* standalone acks fired after a deferral *)
-  mutable dedup_shared_bytes : int;  (* bytes within-frame sharing saved *)
 }
 
 type conn = {
@@ -106,7 +105,6 @@ type t = {
   cpu_ms_per_kb : float;
   transport : transport;
   wire : wire;
-  max_retries : int;
   flush_ms : float;
   ack_delay_ms : float;
   conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
@@ -149,7 +147,6 @@ let no_counters () =
     batched_messages = 0;
     piggybacked_acks = 0;
     delayed_acks = 0;
-    dedup_shared_bytes = 0;
   }
 
 let add_counters a b =
@@ -162,7 +159,6 @@ let add_counters a b =
     batched_messages = a.batched_messages + b.batched_messages;
     piggybacked_acks = a.piggybacked_acks + b.piggybacked_acks;
     delayed_acks = a.delayed_acks + b.delayed_acks;
-    dedup_shared_bytes = a.dedup_shared_bytes + b.dedup_shared_bytes;
   }
 
 let reliability_counters t =
@@ -307,12 +303,15 @@ let raw_send t ~src ~dst (msg : Message.t) =
     ~msgs:(Message.batch_size msg.Message.payload)
     t.sim ~src ~dst ~bytes msg
 
-(* The retransmission timer's one constant: a direction's RTO before
-   its first RTT sample, and the floor under every later estimate (the
-   pairing RFC 6298 §2 makes with its 1 s); the pre-sample doubling
-   stops at 4 · [rto_ms] = 160 ms and a backed-off wait at
-   32 · [rto_ms] = 1280 ms. *)
+(* The retransmission timer's constants.  [rto_ms] is a direction's
+   RTO before its first RTT sample, and the floor under every later
+   estimate (the pairing RFC 6298 §2 makes with its 1 s); the
+   pre-sample doubling stops at 4 · [rto_ms] = 160 ms and a backed-off
+   wait at 32 · [rto_ms] = 1280 ms.  [max_retries] timeouts of one
+   window abandon it, so a permanently dead destination cannot keep
+   the simulation alive forever. *)
 let rto_ms = 40.0
+let max_retries = 30
 
 let conn_key a b = (Peer_id.index a lsl 31) lor Peer_id.index b
 
@@ -376,8 +375,7 @@ let cum_ack (c : conn) = c.next_expected - 1
 
 (* A frame of several messages, or of one message plus an owed ack:
    one [Message.Batch] carrying a piggybacked cumulative ack of the
-   reverse direction, with identical payload forests shipped once per
-   frame (transfer sharing, rule (13), at the transport layer). *)
+   reverse direction. *)
 let send_batch t ~src ~dst (d : conn) msgs =
   if d.ack_due then begin
     (* The pending standalone ack is subsumed by this frame's
@@ -388,10 +386,8 @@ let send_batch t ~src ~dst (d : conn) msgs =
   end;
   let payload = Message.batch ~ack:(cum_ack d) msgs in
   let items = Message.batch_size payload in
-  let saved = Message.batch_saved payload in
   d.counts.batches_sent <- d.counts.batches_sent + 1;
   d.counts.batched_messages <- d.counts.batched_messages + items;
-  d.counts.dedup_shared_bytes <- d.counts.dedup_shared_bytes + saved;
   if Trace.sampled () then
     Trace.instant ~cat:"net"
       ~peer:(Peer_id.to_string src)
@@ -401,7 +397,6 @@ let send_batch t ~src ~dst (d : conn) msgs =
           ("dst", Peer_id.to_string dst);
           ("items", string_of_int items);
           ("ack", string_of_int (cum_ack d));
-          ("shared_bytes", string_of_int saved);
         ]
       "batch";
   raw_send t ~src ~dst (Message.make payload)
@@ -467,8 +462,7 @@ let ship t ~src ~dst (d : conn) ~fresh msgs =
    retransmission and on ack progress; a fresh frame joining a busy
    window leaves it running (RFC 6298 §5.1), so steady new traffic
    cannot postpone the re-ship of an old loss.  It gives up after
-   [max_retries], counting the abandonment, so a permanently dead
-   destination cannot keep the simulation alive forever.  The
+   [max_retries], counting the abandonment.  The
    connection record is captured by the timer closure — records are
    never replaced, so the capture cannot go stale. *)
 let rec arm_retry t (d : conn) ~src ~dst =
@@ -487,7 +481,7 @@ let rec arm_retry t (d : conn) ~src ~dst =
 and retry_window t (d : conn) ~src ~dst =
   match d.unacked with
   | [] -> ()
-  | unacked when d.attempt >= t.max_retries ->
+  | unacked when d.attempt >= max_retries ->
       let n = List.length unacked in
       d.unacked <- [];
       d.attempt <- 0;
@@ -503,7 +497,7 @@ and retry_window t (d : conn) ~src ~dst =
           "abandoned";
       Log.warn (fun m ->
           m "peer %a: abandoning %d message(s) to %a after %d retries"
-            Peer_id.pp src n Peer_id.pp dst t.max_retries)
+            Peer_id.pp src n Peer_id.pp dst max_retries)
   | unacked ->
       d.attempt <- d.attempt + 1;
       if d.srtt < 0.0 then d.rto <- Float.min (2.0 *. d.rto) (4.0 *. rto_ms);
@@ -991,9 +985,7 @@ let on_message t p ~src (msg : Message.t) =
   match msg.Message.payload with
   | Message.Batch { items; ack } ->
       if ack > 0 then handle_cum_ack t ~at:p ~from:src ack;
-      List.iter
-        (fun item -> receive_sequenced t p ~src (Message.item_message item))
-        items
+      List.iter (receive_sequenced t p ~src) items
   | Message.Ack { seq } -> handle_cum_ack t ~at:p ~from:src seq
   | _ when msg.Message.seq = 0 -> dispatch t (peer t p) ~src msg
   | _ -> receive_sequenced t p ~src msg
@@ -1088,8 +1080,8 @@ let resync_replicas t p =
     (peers t)
 
 let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
-    ?(transport = Raw) ?(wire = Xml) ?(max_retries = 30)
-    ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0) topology =
+    ?(transport = Raw) ?(wire = Xml) ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0)
+    topology =
   if flush_ms < 0.0 then invalid_arg "System.create: negative flush_ms";
   if ack_delay_ms < 0.0 then invalid_arg "System.create: negative ack_delay_ms";
   let sim = Sim.create topology in
@@ -1104,7 +1096,6 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       cpu_ms_per_kb;
       transport;
       wire;
-      max_retries;
       flush_ms;
       ack_delay_ms;
       conns = Hashtbl.create 64;

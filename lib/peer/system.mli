@@ -48,7 +48,6 @@ val create :
   ?cpu_ms_per_kb:float ->
   ?transport:transport ->
   ?wire:wire ->
-  ?max_retries:int ->
   ?flush_ms:float ->
   ?ack_delay_ms:float ->
   Axml_net.Topology.t ->
@@ -58,9 +57,9 @@ val create :
     1.0); [cpu_ms_per_kb] prices local query evaluation (default
     0.01).  [transport] defaults to [Raw] (the fault-free simulator
     needs no protocol; the knob exists for ablation); under
-    [Reliable], [max_retries] bounds the retransmissions of a
-    direction's window (default 30) so a permanently unreachable
-    destination cannot keep the run alive forever.  The retry timer
+    [Reliable], 30 retransmissions of a direction's window abandon it,
+    so a permanently unreachable destination cannot keep the run
+    alive forever.  The retry timer
     counts from the latest expected arrival of the window's frames
     (departure after the sender's busy CPU, plus the link's transfer
     time for the frame's bytes) plus [ack_delay_ms], and then waits
@@ -72,10 +71,9 @@ val create :
     [flush_ms] and [ack_delay_ms] (defaults 0.0) set the Reliable
     window.  Sequenced messages to the same destination are held for
     up to [flush_ms] and coalesced into one {!Message.Batch} frame
-    carrying a piggybacked cumulative ack, with identical payload
-    forests shipped once per frame (transfer sharing, rule (13), at
-    the transport layer); at [flush_ms = 0] each message ships inside
-    {!send}, bare unless it has an ack to carry.  Standalone acks are
+    carrying a piggybacked cumulative ack, every message whole; at
+    [flush_ms = 0] each message ships inside {!send}, bare unless it
+    has an ack to carry.  Standalone acks are
     deferred by [ack_delay_ms] and suppressed when reverse traffic
     piggybacks them first; at [ack_delay_ms = 0] a receiver acks each
     in-order message on arrival, before dispatching it.  Both knobs
@@ -86,7 +84,8 @@ val create :
     codec.  The wire never changes what is delivered, only how it is
     charged/carried: same-seed runs reach the same Σ fingerprints
     under every wire.
-    @raise Invalid_argument on negative knob values. *)
+    @raise Invalid_argument if [flush_ms] or [ack_delay_ms] is
+    negative. *)
 
 val transport : t -> transport
 val wire : t -> wire
@@ -234,7 +233,8 @@ val availability : t -> from:Peer_id.t -> Peer_id.t -> bool
 type reliability_counters = private {
   mutable retransmits : int;
   mutable dup_suppressed : int;
-  mutable abandoned : int;  (** sends given up after [max_retries] *)
+  mutable abandoned : int;
+      (** sends given up after 30 retransmissions of their window *)
   mutable acks_sent : int;
   mutable batches_sent : int;  (** [Message.Batch] frames shipped *)
   mutable batched_messages : int;
@@ -245,8 +245,6 @@ type reliability_counters = private {
   mutable delayed_acks : int;
       (** standalone acks that did fire after the [ack_delay_ms]
           deferral (also counted in [acks_sent]) *)
-  mutable dedup_shared_bytes : int;
-      (** bytes saved by within-frame transfer sharing *)
 }
 (** The transport's per-peer record, exported read-only: callers read
     and match its fields but cannot build or assign it.  The two
@@ -255,8 +253,8 @@ type reliability_counters = private {
 
 val reliability_counters : t -> reliability_counters
 (** Always-on transport counters: the sum of {!reliability_by_peer}.
-    [batches_sent], [batched_messages] and [dedup_shared_bytes] count
-    real {!Message.Batch} frames only: a bare message is not a batch,
+    [batches_sent] and [batched_messages] count real
+    {!Message.Batch} frames only: a bare message is not a batch,
     so at [flush_ms = ack_delay_ms = 0] they move only when a timeout
     re-ships two or more unacked messages together. *)
 

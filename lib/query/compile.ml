@@ -240,7 +240,7 @@ let compiled q =
 
 (* A bound value: the node, plus its index entry when the node came
    from an indexed forest — entries make descendant steps postings
-   lookups; bare nodes fall back to traversal. *)
+   lookups; bare nodes are walked. *)
 type v = { node : Tree.t; info : (Index.t * Index.entry) option }
 
 type counters = {
@@ -302,7 +302,6 @@ let step_select cnt (step : Ast.step) values =
                 (fun en -> { node = Index.node en; info = Some (ix, en) })
                 (Index.descendants ?label ix e)
           | None ->
-              cnt.fallbacks <- cnt.fallbacks + 1;
               List.rev
                 (List.fold_left
                    (fun acc c -> descendants_matching_acc step.test c acc)

@@ -40,10 +40,11 @@
     Metrics (on {!Axml_obs.Metrics.default}, subsystem [query]):
     [index_hits] (descendant steps served from postings, one per node
     stepped from: an input binding's selection counts once per tree
-    of the input), [index_builds], [fallback] (the same count for
-    steps answered by traversal, as on the inputs the rule walks,
-    plus one per unusable index), [compile_ms] (histogram,
-    compile-cache misses only). *)
+    of the input), [index_builds], [fallback] (one per input whose
+    index was built or passed but is not {!Axml_xml.Index.usable},
+    so its steps are walked instead; a traversal the rule chooses is
+    not a fallback), [compile_ms] (histogram, compile-cache misses
+    only). *)
 
 val set_index_threshold : int -> unit
 (** Minimum node count ({!Axml_xml.Forest.size}) before an input

@@ -3,7 +3,6 @@ type t = Tree.t list
 let empty = []
 let size f = List.fold_left (fun acc t -> acc + Tree.size t) 0 f
 let byte_size f = List.fold_left (fun acc t -> acc + Tree.byte_size t) 0 f
-let equal_shape = List.equal Tree.equal_shape
 let copy ~gen f = List.map (Tree.copy ~gen) f
 let concat_map = List.concat_map
 let elements f = List.concat_map Tree.elements f

@@ -10,11 +10,6 @@ val size : t -> int
 val byte_size : t -> int
 (** Sum of {!Tree.byte_size} over the trees, walked on every call. *)
 
-val equal_shape : t -> t -> bool
-(** Same length and {!Tree.equal_shape} tree by tree: node identifiers
-    are ignored, order is not.  The peer runtime's in-frame transfer
-    sharing matches forests with it. *)
-
 val copy : gen:Node_id.Gen.t -> t -> t
 val concat_map : (Tree.t -> t) -> t -> t
 val elements : t -> Tree.element list

@@ -1,37 +1,22 @@
 (* Structural index: preorder interval numbering + label postings,
-   with LSM-style segments absorbing streaming appends.
+   with LSM-style segments absorbing new top-level trees.
 
    Within one segment every element has [pre] (preorder rank among the
    segment's elements) and [post] (largest rank in its subtree), so
    descendancy is interval containment and a labelled descendant step
-   is a binary search in that label's postings.  An appended forest
-   becomes a fresh segment attached at its insertion entry; global
-   document order across segments falls out of the attachment chain:
-   a segment attached at entry [a] with sequence number [q] sorts as
-   the pair [(a.post, q)] — after every base node of [a]'s subtree
-   (pairs [(pre, 0)] with [pre <= a.post]) and before the first node
-   outside it, later attachments after earlier ones. *)
+   is a binary search in that label's postings.  A forest appended by
+   [append_roots] becomes a fresh segment of new roots: an entry's
+   descendants all live in its own segment. *)
 
-type entry = {
-  mutable enode : Tree.t;
-  pre : int;
-  mutable post : int;
-  seg : seg;
-}
-
-and attach = Base | Top of int | At of entry * int
+type entry = { enode : Tree.t; pre : int; mutable post : int; seg : seg }
 
 and seg = {
-  attach : attach;
   labels : (Label.t, entry array) Hashtbl.t;
   mutable elems : entry array;
-  mutable kids : (int * seg) list;  (* (attach entry's pre, segment) *)
 }
 
 type t = {
   by_id : entry Node_id.Table.t;
-  mutable segs : int;
-  mutable next_seq : int;
   mutable base_elems : int;
   mutable appended_elems : int;
   mutable nodes : int;
@@ -41,11 +26,8 @@ type t = {
 }
 
 let usable t = t.usable
-let element_count t = t.base_elems + t.appended_elems
 let total_nodes t = t.nodes
 let total_bytes t = t.bytes
-let segment_count t = t.segs
-let appended_elements t = t.appended_elems
 let node e = e.enode
 let find t id = Node_id.Table.find_opt t.by_id id
 
@@ -54,8 +36,7 @@ let entry_of t tree =
   | Tree.Text _ -> None
   | Tree.Element e -> (
       (* The entry stands for this subtree only while the tree is the
-         one indexed (append repairs spines, so pointer equality is
-         the right test — an id-equal copy has different content). *)
+         one indexed: an id-equal copy may have different content. *)
       match find t e.id with
       | Some ent when ent.enode == tree -> Some ent
       | Some _ | None -> None)
@@ -108,14 +89,12 @@ let index_forest t seg forest =
   seg.elems <- by_pre !all;
   !counter
 
-let fresh_seg attach = { attach; labels = Hashtbl.create 16; elems = [||]; kids = [] }
+let fresh_seg () = { labels = Hashtbl.create 16; elems = [||] }
 
 let build_forest forest =
   let t =
     {
       by_id = Node_id.Table.create 256;
-      segs = 1;
-      next_seq = 1;
       base_elems = 0;
       appended_elems = 0;
       nodes = 0;
@@ -124,7 +103,7 @@ let build_forest forest =
       usable = true;
     }
   in
-  t.base_elems <- index_forest t (fresh_seg Base) forest;
+  t.base_elems <- index_forest t (fresh_seg ()) forest;
   t
 
 let build tree = build_forest [ tree ]
@@ -140,80 +119,11 @@ let rec forest_has_indexed_id t forest =
           Node_id.Table.mem t.by_id e.id || forest_has_indexed_id t e.children)
     forest
 
-(* Re-point entries along the rebuilt spine.  Functional inserts copy
-   exactly the root-to-target path; every unchanged subtree (and the
-   freshly indexed forest) is physically shared, so the walk stops at
-   the first pointer that still agrees. *)
-let rec repair_walk t tree =
-  match tree with
-  | Tree.Text _ -> ()
-  | Tree.Element e -> (
-      match Node_id.Table.find_opt t.by_id e.id with
-      | Some ent when ent.enode != tree ->
-          ent.enode <- tree;
-          List.iter (repair_walk t) e.children
-      | Some _ | None -> ())
-
-(* O(spine) repair: the entry registered for [new_root]'s id still
-   holds the PREVIOUS root, so walking old and new in lockstep finds
-   the rebuilt path with pointer comparisons alone — a table lookup
-   is paid only for the nodes actually re-pointed.  Children appended
-   by the insert (the freshly indexed forest, physically shared) show
-   up as a new-side suffix and need no repair.  Any positional id
-   mismatch means the tree changed in a shape this diff does not
-   understand; fall back to the full walk for that subtree. *)
-let repair t new_root =
-  let rec sync old_ new_ =
-    if old_ != new_ then
-      match (old_, new_) with
-      | Tree.Element oe, Tree.Element ne when Node_id.equal oe.id ne.id ->
-          (match Node_id.Table.find_opt t.by_id ne.id with
-          | Some ent -> ent.enode <- new_
-          | None -> ());
-          sync_kids oe.children ne.children
-      | _ -> repair_walk t new_
-  and sync_kids olds news =
-    match (olds, news) with
-    | o :: os, n :: ns ->
-        sync o n;
-        sync_kids os ns
-    | [], _ | _, [] -> ()
-  in
-  match new_root with
-  | Tree.Text _ -> ()
-  | Tree.Element e -> (
-      match Node_id.Table.find_opt t.by_id e.id with
-      | Some root_ent -> sync root_ent.enode new_root
-      | None -> repair_walk t new_root)
-
-let attach_seg t attach forest =
-  let seg = fresh_seg attach in
-  let n = index_forest t seg forest in
-  t.appended_elems <- t.appended_elems + n;
-  t.segs <- t.segs + 1;
-  seg
-
-let append t ~new_root ~under forest =
-  if not t.usable then false
-  else
-    match Node_id.Table.find_opt t.by_id under with
-    | None -> false
-    | Some _ when forest_has_indexed_id t forest -> false
-    | Some a ->
-        let q = t.next_seq in
-        t.next_seq <- t.next_seq + 1;
-        let seg = attach_seg t (At (a, q)) forest in
-        a.seg.kids <- (a.pre, seg) :: a.seg.kids;
-        repair t new_root;
-        t.usable
-
 let append_roots t forest =
   if not t.usable then false
   else if forest_has_indexed_id t forest then false
   else begin
-    let q = t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    ignore (attach_seg t (Top q) forest);
+    t.appended_elems <- t.appended_elems + index_forest t (fresh_seg ()) forest;
     t.usable
   end
 
@@ -242,41 +152,9 @@ let postings seg label =
   | Some l -> Option.value ~default:[||] (Hashtbl.find_opt seg.labels l)
   | None -> seg.elems
 
-(* Every entry of [seg] and of its transitively attached segments
-   (document order restored by the caller's sort). *)
-let rec seg_all label seg acc =
-  let acc = Array.fold_left (fun acc e -> e :: acc) acc (postings seg label) in
-  List.fold_left (fun acc (_, kid) -> seg_all label kid acc) acc seg.kids
-
-(* One key element per attachment level: base entries are [(pre,0,0)];
-   a segment attached at [a] contributes [(a.post, max_int - a.pre, q)]
-   — after every base node of [a]'s subtree (first component), and
-   when two attachment points share a [post] (one's subtree is the
-   suffix of the other's) the deeper one first (second component),
-   later appends at the same point after earlier ones (third). *)
-let rec key_prefix seg acc =
-  match seg.attach with
-  | Base -> acc
-  | Top q -> (max_int, 0, q) :: acc
-  | At (a, q) -> key_prefix a.seg ((a.post, max_int - a.pre, q) :: acc)
-
-let sort_key e = key_prefix e.seg [] @ [ (e.pre, 0, 0) ]
-
 let descendants ?label t c =
   ignore t;
-  let base = slice (postings c.seg label) c.pre c.post in
-  let attached =
-    List.filter (fun (p, _) -> p >= c.pre && p <= c.post) c.seg.kids
-  in
-  match attached with
-  | [] -> base
-  | _ ->
-      let all =
-        List.fold_left (fun acc (_, seg) -> seg_all label seg acc) base attached
-      in
-      List.map (fun e -> (sort_key e, e)) all
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
+  slice (postings c.seg label) c.pre c.post
 
 (* --- statistics -------------------------------------------------- *)
 

@@ -7,13 +7,14 @@
     costs a binary search plus the matches — it scales with the
     result, not the document.
 
-    Streaming appends (continuous query results accumulating under a
-    node) are absorbed in O(subtree): each appended forest becomes a
-    {e segment} with its own local numbering, attached at the target
-    entry.  Cross-segment document order is recovered from the
-    attachment chain ([sort_key]); when the appended volume exceeds
-    the base volume the whole index is rebuilt (geometric compaction,
-    so maintenance stays amortized O(subtree) per appended tree).
+    New top-level trees (a growing query input) are absorbed in
+    O(subtree) by {!append_roots}: each appended forest becomes a
+    {e segment} with its own local numbering.  When the appended
+    volume reaches the base volume, {!needs_compaction} tells the
+    holder to rebuild (geometric compaction, so maintenance stays
+    amortized O(subtree) per appended tree).  The index never absorbs
+    an edit under an existing node: an edited document is indexed
+    again.
 
     The index is an acceleration structure, never an oracle: lookups
     return entries only for trees it has indexed, and {!usable} is
@@ -34,9 +35,6 @@ val usable : t -> bool
 (** [false] when duplicate element ids were seen — id-keyed lookups
     would be ambiguous, so consumers must fall back to traversal. *)
 
-val element_count : t -> int
-(** Elements indexed, across all segments. *)
-
 val total_nodes : t -> int
 (** Every node including text leaves (matches
     [Selectivity.Stats.total_nodes]). *)
@@ -44,36 +42,22 @@ val total_nodes : t -> int
 val total_bytes : t -> int
 (** Serialized byte estimate, as {!Tree.byte_size}. *)
 
-val segment_count : t -> int
-
-val appended_elements : t -> int
-(** Elements living in appended segments (0 right after a build). *)
-
 val find : t -> Node_id.t -> entry option
 val entry_of : t -> Tree.t -> entry option
 (** [None] for text nodes and unindexed trees. *)
 
 val node : entry -> Tree.t
-(** The indexed subtree.  Kept current across {!append}: ancestors of
-    an append point are re-pointed at the rebuilt spine. *)
+(** The indexed subtree. *)
 
 val descendants : ?label:Label.t -> t -> entry -> entry list
 (** Strict descendants of the entry that are elements (of [label]
     when given), in document order — exactly the nodes
     [Query.Eval]'s descendant axis visits. *)
 
-val append : t -> new_root:Tree.t -> under:Node_id.t -> Forest.t -> bool
-(** [append t ~new_root ~under forest] absorbs an
-    [insert_children ~under forest] edit that produced [new_root]:
-    the forest becomes a new segment attached at [under], and stale
-    subtree pointers along the rebuilt spine of [new_root] are
-    repaired (the forest must be physically shared between [new_root]
-    and [forest], as {!Tree.insert_children} guarantees).  [false] if
-    [under] is unknown or the forest reuses an indexed id — the
-    caller should rebuild instead.  O(spine + subtree). *)
-
 val append_roots : t -> Forest.t -> bool
-(** Absorb new top-level trees (a growing input forest). *)
+(** Absorb new top-level trees (a growing input forest).  [false] if
+    the forest reuses an indexed id or the index is not {!usable} —
+    the caller should rebuild instead. *)
 
 val needs_compaction : t -> bool
 (** Appended volume exceeds the base segment — rebuilding now keeps

@@ -3,10 +3,10 @@
    Two layers of properties:
 
    - the codec itself: encode/decode round-trips every payload variant
-     (including batch frames with dedup back-references), [frame_bytes]
-     is exactly [Bytes.length (encode m)] without materializing the
-     frame, and truncated/corrupt/over-length/padded frames are
-     rejected with [Error], never an exception;
+     (batch frames included, each item with its own node ids),
+     [frame_bytes] is exactly [Bytes.length (encode m)] without
+     materializing the frame, and truncated/corrupt/over-length/padded
+     frames are rejected with [Error], never an exception;
 
    - the system: chaos replays and the flash-crowd scenario reach the
      same canonical results and Σ fingerprint under the XML, binary
@@ -93,8 +93,9 @@ let queries =
         {|query(2) for $x in $0//a, $y in $1//b where text($x) = text($y) return <p>{$x}{$y}</p>|};
     ]
 
-(* Sequenced messages a batch could legally carry; duplicate forests
-   (from a shared pool) exercise the dedup back-reference path. *)
+(* Sequenced messages a batch could legally carry; forests from a
+   shared pool put one forest value in several items of a frame, each
+   carried whole. *)
 let rand_batchable ~gen ~pool rng seq =
   let forest =
     if Rng.int rng 2 = 0 then pool.(Rng.int rng (Array.length pool))
@@ -238,36 +239,8 @@ let rec payload_equal p p' =
   | Message.Batch a, Message.Batch b ->
       a.ack = b.ack
       && List.length a.items = List.length b.items
-      && List.for_all2 item_equal a.items b.items
+      && List.for_all2 msg_equal a.items b.items
   | _ -> false
-
-and item_equal a b =
-  match (a, b) with
-  | Message.Full m, Message.Full m' -> msg_equal m m'
-  | Message.Shared a, Message.Shared b ->
-      (* A decoded [Shared] item aliases its referent's forest — the
-         referent's node ids — so its forest compares by shape, which
-         is exactly the relation dedup matched on. *)
-      a.of_seq = b.of_seq && a.saved = b.saved
-      && a.msg.Message.corr = b.msg.Message.corr
-      && a.msg.Message.seq = b.msg.Message.seq
-      && a.msg.Message.op = b.msg.Message.op
-      && payload_shape_equal a.msg.Message.payload b.msg.Message.payload
-  | _ -> false
-
-and payload_shape_equal p p' =
-  match (p, p') with
-  | Message.Stream a, Message.Stream b ->
-      a.key = b.key && a.final = b.final
-      && Xml.Forest.equal_shape a.forest b.forest
-  | Message.Insert a, Message.Insert b ->
-      Xml.Node_id.equal a.node b.node
-      && a.notify = b.notify
-      && Xml.Forest.equal_shape a.forest b.forest
-  | Message.Install_doc a, Message.Install_doc b ->
-      String.equal a.name b.name && a.notify = b.notify
-      && Xml.Forest.equal_shape a.forest b.forest
-  | _ -> payload_equal p p'
 
 and msg_equal (m : Message.t) (m' : Message.t) =
   m.corr = m'.corr && m.seq = m'.seq && m.op = m'.op
@@ -366,7 +339,34 @@ let padded_blob_frame () =
   Bytes.set padded 10 (Char.chr (blob_len + 3));
   Bytes.to_string padded
 
+(* Two one-tree [Insert]s of one shape, the first from generator [a],
+   the second from [b], as sequenced messages 1 and 2. *)
+let same_shape_inserts () =
+  let insert ns seq =
+    let g = Xml.Node_id.Gen.create ~namespace:ns in
+    let forest = [ parse ~g "<item k=\"y\"><name>alpha</name></item>" ] in
+    Message.make ~seq
+      (Message.Insert
+         { node = Xml.Node_id.Gen.fresh (gen ()); forest; notify = None })
+  in
+  [ insert "a" 1; insert "b" 2 ]
+
+(* A batch frame of [same_shape_inserts] whose second item tag is
+   0x01, the retired in-frame back-reference.  Both frames here are
+   under 128 bytes, so their length prefixes are one byte each and the
+   second item starts where the one-item frame ends. *)
+let backref_tag_frame () =
+  let msgs = same_shape_inserts () in
+  let one = Codec.encode (Message.make (Message.batch ~ack:0 [ List.hd msgs ])) in
+  let two = Codec.encode (Message.make (Message.batch ~ack:0 msgs)) in
+  Alcotest.(check bool) "one-byte length prefixes" true (Bytes.length two < 128);
+  let at = Bytes.length one in
+  Alcotest.(check char) "second item tag" '\x00' (Bytes.get two at);
+  Bytes.set two at '\x01';
+  Bytes.to_string two
+
 let test_garbage_rejected () =
+  let backref = backref_tag_frame () in
   List.iter
     (fun bytes ->
       match Codec.decode (Bytes.of_string bytes) with
@@ -374,8 +374,39 @@ let test_garbage_rejected () =
       | Ok _ -> Alcotest.failf "accepted garbage %S" bytes)
     [
       ""; "\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"; "\x05hello";
-      padded_blob_frame ();
-    ]
+      padded_blob_frame (); backref;
+    ];
+  match Codec.decode (Bytes.of_string backref) with
+  | Error (Codec.Malformed _) -> ()
+  | Error Codec.Truncated -> Alcotest.fail "item tag 0x01: truncated, not malformed"
+  | Ok _ -> Alcotest.fail "item tag 0x01 accepted"
+
+(* Items of one shape under different node ids reach the receiver with
+   their own ids: a frame carries every message whole. *)
+let test_batch_items_keep_ids () =
+  let sent = same_shape_inserts () in
+  let forest_of (m : Message.t) =
+    match m.payload with
+    | Message.Insert { forest; _ } -> forest
+    | _ -> Alcotest.fail "expected an Insert"
+  in
+  let root_id m =
+    Xml.Node_id.to_string (Option.get (Xml.Tree.id (List.hd (forest_of m))))
+  in
+  Alcotest.(check (list string)) "sent roots" [ "a:1"; "b:1" ]
+    (List.map root_id sent);
+  match
+    (Codec.roundtrip (Message.make (Message.batch ~ack:0 sent))).payload
+  with
+  | Message.Batch { items; _ } ->
+      Alcotest.(check (list string)) "delivered roots" [ "a:1"; "b:1" ]
+        (List.map root_id items);
+      List.iter2
+        (fun s d ->
+          Alcotest.(check bool) "forest equal_strict to the sent one" true
+            (List.equal Xml.Tree.equal_strict (forest_of s) (forest_of d)))
+        sent items
+  | _ -> Alcotest.fail "expected a Batch"
 
 (* --- the system under the binary wire ------------------------------ *)
 
@@ -499,6 +530,7 @@ let suite =
     truncation_prop;
     corruption_prop;
     ("garbage frames rejected", `Quick, test_garbage_rejected);
+    ("batch items keep their own node ids", `Quick, test_batch_items_keep_ids);
     ("chaos replay: wires agree on results and Σ", `Quick, test_chaos_cross_wire);
     ("flash crowd: wires agree, binary is smaller", `Quick,
      test_flash_crowd_cross_wire);

@@ -166,7 +166,6 @@ let transport_counters : (string * (System.reliability_counters -> int)) list =
     ("batched_messages", fun r -> r.batched_messages);
     ("piggybacked_acks", fun r -> r.piggybacked_acks);
     ("delayed_acks", fun r -> r.delayed_acks);
-    ("dedup_shared_bytes", fun r -> r.dedup_shared_bytes);
   ]
 
 (* Each event is counted once, in an always-on store: frames, bytes and

@@ -4,10 +4,9 @@
    0.0 defaults of [flush_ms]/[ack_delay_ms] each message ships bare
    the moment it is sent and is acked the moment it arrives, before
    its handler runs.  With the knobs raised, coalescing must cut
-   physical message counts (and the fixed envelope cost), delayed acks
-   must be piggybacked on reverse traffic or fired standalone, and
-   within-frame transfer sharing must dedup identical forests — all
-   without changing the delivered results or the final Σ. *)
+   physical message counts (and the fixed envelope cost) and delayed
+   acks must be piggybacked on reverse traffic or fired standalone —
+   all without changing the delivered results or the final Σ. *)
 
 open Axml
 open Helpers
@@ -33,8 +32,6 @@ let test_batch_bytes () =
   let m2 = stream_msg ~g ~seq:2 "<c>two two two</c>" in
   let payload = Message.batch ~ack:5 [ m1; m2 ] in
   Alcotest.(check int) "item count" 2 (Message.batch_size payload);
-  Alcotest.(check int) "no dedup on distinct forests" 0
-    (Message.batch_saved payload);
   let body m = Message.bytes m.Message.payload - Message.envelope in
   Alcotest.(check int) "one envelope + per-item headers"
     (Message.envelope
@@ -46,52 +43,16 @@ let test_batch_bytes () =
     (Message.bytes payload
     < Message.bytes m1.Message.payload + Message.bytes m2.Message.payload)
 
-let test_batch_dedup () =
+(* An interleaved frame of eight messages: two shapes, three carriers
+   each (the original, the same forest by pointer and a re-parse with
+   fresh ids), an item with no forest and one whose forest is empty.
+   Every message is one item, in send order, charged in full. *)
+let test_batch_items_whole () =
   let g = gen () in
-  let xml = "<item k=\"y\"><name>alpha</name></item>" in
-  let m1 = stream_msg ~g ~seq:1 xml in
-  let m2 = stream_msg ~g ~seq:2 xml in
-  let m3 = stream_msg ~g ~seq:3 "<other/>" in
-  let payload = Message.batch ~ack:0 [ m1; m2; m3 ] in
-  let forest_bytes =
-    match m1.Message.payload with
-    | Message.Stream { forest; _ } -> Xml.Forest.byte_size forest
-    | _ -> assert false
-  in
-  Alcotest.(check int) "second copy shipped as a back-reference"
-    forest_bytes
-    (Message.batch_saved payload);
-  (match payload with
-  | Message.Batch { items; _ } -> (
-      match items with
-      | [ Message.Full _; Message.Shared { of_seq; saved; msg }; Message.Full _ ]
-        ->
-          Alcotest.(check int) "back-reference targets the first carrier" 1
-            of_seq;
-          Alcotest.(check int) "saved = forest size" forest_bytes saved;
-          Alcotest.(check int) "full payload retained for delivery" 2
-            msg.Message.seq
-      | _ -> Alcotest.fail "expected [Full; Shared; Full]")
-  | _ -> Alcotest.fail "expected a Batch");
-  let no_dedup =
-    Message.envelope
-    + List.fold_left
-        (fun acc (m : Message.t) ->
-          acc + Message.item_header
-          + (Message.bytes m.Message.payload - Message.envelope))
-        0 [ m1; m2; m3 ]
-  in
-  Alcotest.(check int) "frame bytes discounted by saved - backref"
-    (no_dedup - forest_bytes + Message.backref_bytes)
-    (Message.bytes payload);
-  (* A second frame interleaves two shapes, three carriers each: the
-     original, the same forest by pointer and a re-parse with fresh
-     ids.  Between them ride an item with no forest and one whose
-     forest is empty.  Each shape's first carrier ships in full, and
-     every later copy refers to it. *)
+  let xml_a = "<item k=\"y\"><name>alpha</name></item>" in
   let xml_b = "<item k=\"y\"><name>beta</name></item>" in
-  let fa = [ parse ~g xml ] and fb = [ parse ~g xml_b ] in
-  let fa' = [ parse ~g xml ] and fb' = [ parse ~g xml_b ] in
+  let fa = [ parse ~g xml_a ] and fb = [ parse ~g xml_b ] in
+  let fa' = [ parse ~g xml_a ] and fb' = [ parse ~g xml_b ] in
   Alcotest.(check bool) "the re-parse has fresh ids" false
     (List.equal Xml.Tree.equal_strict fa fa');
   let node = Xml.Node_id.Gen.fresh g in
@@ -111,31 +72,23 @@ let test_batch_dedup () =
       stream 8 fb;
     ]
   in
-  (* seq -> the first carrier of its shape, for the later copies *)
-  let expected =
-    [ (1, None); (2, None); (3, None); (4, Some (1, fa)); (5, None);
-      (6, Some (2, fb)); (7, Some (1, fa)); (8, Some (2, fb)) ]
-  in
-  match Message.batch ~ack:0 frame with
+  let payload = Message.batch ~ack:0 frame in
+  (match payload with
   | Message.Batch { items; _ } ->
-      Alcotest.(check int) "interleaved: one item per message" 8
-        (List.length items);
-      List.iter2
-        (fun item (seq, want) ->
-          let label = Printf.sprintf "interleaved #%d" seq in
-          Alcotest.(check int) (label ^ ": frame order") seq
-            (Message.item_message item).Message.seq;
-          match (item, want) with
-          | Message.Full _, None -> ()
-          | Message.Shared { of_seq; saved; _ }, Some (first, f) ->
-              Alcotest.(check int) (label ^ ": refers to the first carrier")
-                first of_seq;
-              Alcotest.(check int) (label ^ ": saved = forest size")
-                (Xml.Forest.byte_size f) saved
-          | Message.Full _, Some _ -> Alcotest.failf "%s: expected Shared" label
-          | Message.Shared _, None -> Alcotest.failf "%s: expected Full" label)
-        items expected
-  | _ -> Alcotest.fail "expected a Batch"
+      Alcotest.(check (list int)) "one item per message, in send order"
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        (List.map (fun (m : Message.t) -> m.seq) items);
+      Alcotest.(check bool) "each item is the message sent" true
+        (List.for_all2 ( == ) frame items)
+  | _ -> Alcotest.fail "expected a Batch");
+  Alcotest.(check int) "bytes = envelope + every item in full"
+    (Message.envelope
+    + List.fold_left
+        (fun acc (m : Message.t) ->
+          acc + Message.item_header
+          + (Message.bytes m.Message.payload - Message.envelope))
+        0 frame)
+    (Message.bytes payload)
 
 (* --- 0/0 knobs: one bare frame per message ------------------------- *)
 
@@ -328,22 +281,6 @@ let test_piggybacked_acks () =
   let _, _, rc = run_plan ~flush_ms:2.0 ~ack_delay_ms:20.0 plan in
   Alcotest.(check bool) "some acks rode on reverse batches" true
     (rc.System.piggybacked_acks > 0)
-
-(* --- within-frame transfer sharing --------------------------------- *)
-
-let test_dedup_in_flight () =
-  let plan =
-    List.assoc "duplicate-transfer"
-      (Test_rules_exec.base_plans
-         (snd (Test_rules_exec.build_system ())))
-  in
-  let out_off, fp_off, _ = run_plan plan in
-  let out_on, fp_on, rc_on = run_plan ~flush_ms:2.0 ~ack_delay_ms:8.0 plan in
-  Alcotest.(check string) "same Σ fingerprint" fp_off fp_on;
-  Alcotest.(check bool) "identical payload shipped once" true
-    (rc_on.System.dedup_shared_bytes > 0);
-  Alcotest.(check bool) "dedup shows up as fewer bytes" true
-    (out_on.Exec.stats.Net.Stats.bytes < out_off.Exec.stats.Net.Stats.bytes)
 
 (* --- faults: retransmission re-batches ----------------------------- *)
 
@@ -563,12 +500,11 @@ let test_timer_crash_resets_estimator () =
 let suite =
   [
     ("batch frame byte accounting", `Quick, test_batch_bytes);
-    ("batch dedup back-references", `Quick, test_batch_dedup);
+    ("batch frames carry each message whole", `Quick, test_batch_items_whole);
     ("0/0 knobs: bare frames, one per message", `Quick, test_zero_knobs_ship_bare);
     ("ack departs before the handler runs", `Quick, test_ack_before_dispatch);
     ("coalescing cuts messages and bytes", `Quick, test_coalescing_reduces_messages);
     ("acks piggyback on reverse batches", `Quick, test_piggybacked_acks);
-    ("identical forests dedup within a frame", `Quick, test_dedup_in_flight);
     ("retransmission re-batches pending messages", `Quick, test_batched_retransmission);
     ("timer: a round trip above the initial RTO", `Quick, test_timer_slow_round_trip);
     ("timer: a transfer above the initial RTO", `Quick, test_timer_long_transfer);
@@ -578,7 +514,7 @@ let suite =
       test_timer_sample_waits_for_earlier_frames);
     ("timer: fresh frames do not postpone a re-ship", `Quick,
       test_timer_fresh_frames_do_not_postpone);
-    ("timer: 150 Binary round trips ship once", `Quick, test_timer_long_exchange);
     ("timer: a crash resets the estimator, not the cursors", `Quick,
       test_timer_crash_resets_estimator);
+    ("timer: 150 Binary round trips ship once", `Quick, test_timer_long_exchange);
   ]
