@@ -88,6 +88,7 @@ end
 module Runtime = struct
   module Message = Axml_peer.Message
   module Codec = Axml_peer.Codec
+  module Transport = Axml_peer.Transport
   module Peer = Axml_peer.Peer
   module System = Axml_peer.System
   module Exec = Axml_peer.Exec

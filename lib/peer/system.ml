@@ -21,95 +21,41 @@ type cont_entry = {
 
 type transport = Raw | Reliable
 
-(* Which wire encoding the simulator charges (and, for
-   [Binary_strict], actually runs).  [Xml] is the original model:
-   bytes = XML serialization size plus a fixed envelope.  [Binary]
-   charges the exact encoded frame length computed by {!Codec} without
-   materializing frames.  [Binary_strict] charges what [Binary] does
-   and additionally encodes and decodes every physical transmission,
-   so the whole stack (transport, chaos plans, dispatch) exercises
-   the codec end to end. *)
 type wire = Xml | Binary | Binary_strict
 
-(* Reliable-transport state: one connection record per ordered peer
-   pair (a, b), bundling every role [a] plays in its conversation with
-   [b]: the sequence cursors, the sender-side window for a→b traffic
-   (the unflushed [queue] and the sent-but-[unacked] messages under
-   one retry timer, and the RTT estimator that sets it), and the
-   receiver-side state for b→a traffic (the early-arrival [buffer] and
-   the delayed standalone ack).  Each message does one int-keyed probe
-   (packed dense peer indexes) to reach all of its state.
-
-   Durability: [next_seq] / [next_expected] model WAL-backed cursors
-   and survive a crash of [a], so a restarted peer neither reuses
-   sequence numbers (which would be mistaken for duplicates) nor
-   re-accepts old ones.  Everything else in the record is volatile and
-   reset by {!handle_crash} — safe because a buffered message is never
-   acked, so losing the buffer just means the sender retransmits.  The
-   record itself is created on first contact and never removed. *)
-
-(* The transport's counters for one peer — what its windows sent and
-   the duplicates it discarded — and the only count of those events.
-   They are the system's bookkeeping, not the peer's state: a crash
-   leaves them alone.  The same record is the public, read-only view. *)
-type reliability_counters = {
-  mutable retransmits : int;  (* window timeouts that re-shipped *)
-  mutable dup_suppressed : int;  (* duplicates discarded *)
-  mutable abandoned : int;  (* messages given up on *)
-  mutable acks_sent : int;  (* standalone acks ... *)
-  mutable batches_sent : int;  (* Batch frames ... *)
-  mutable batched_messages : int;  (* ... the items they carried ... *)
-  mutable piggybacked_acks : int;  (* ... the owed acks they carried *)
-  mutable delayed_acks : int;  (* standalone acks fired after a deferral *)
+(* The Reliable transport's per-peer counts, re-exported read-only. *)
+type reliability_counters = Transport.counters = private {
+  mutable retransmits : int;
+  mutable dup_suppressed : int;
+  mutable abandoned : int;
+  mutable acks_sent : int;
+  mutable batches_sent : int;
+  mutable batched_messages : int;
+  mutable piggybacked_acks : int;
+  mutable delayed_acks : int;
 }
 
-type conn = {
-  c_src : Peer_id.t;  (* a *)
-  c_dst : Peer_id.t;  (* b *)
-  counts : reliability_counters;  (* a's, shared by all of a's conns *)
-  mutable next_seq : int;  (* last seq assigned to a→b traffic *)
-  mutable next_expected : int;  (* next in-order seq awaited from b *)
-  mutable queue : Message.t list;  (* awaiting flush, newest first *)
-  mutable flush_pending : bool;
-  mutable unacked : Message.t list;  (* sent, ascending seq *)
-  mutable attempt : int;
-  mutable cancel_retry : unit -> unit;
-  mutable arrival : float;  (* latest expected arrival of a shipped frame *)
-  mutable srtt : float;  (* smoothed RTT; negative until the first sample *)
-  mutable rttvar : float;
-  mutable rto : float;  (* the un-backed-off timeout *)
-  mutable timed_seq : int;  (* the message being timed, 0 = none ... *)
-  mutable timed_at : float;  (* ... and [arrival] when it shipped *)
-  buffer : (int, Message.t) Hashtbl.t;  (* seq -> early arrival from b *)
-  mutable ack_due : bool;  (* a standalone ack timer is armed *)
-  mutable cancel_ack : unit -> unit;
-}
-
-(* Pre-resolved per-peer metric handles for the routing/stream hot
-   path — a keyed [Metrics.incr] allocates a key tuple and hashes
-   three strings per call, which showed up at the E21 1000-peer tier —
-   and the peer's [peer/<p>/inflight] series. *)
-type peer_metrics = {
-  m_routed : Metrics.counter_handle;
-  m_stream_batches : Metrics.hist_handle;
-  t_inflight : Timeseries.handle;
+(* One per topology member, at its dense [Peer_id.index]: the
+   per-dispatch peer lookup is an array load instead of a string hash
+   + probe.  A crash replaces [peer] and resets the endpoint's windows.
+   [metrics] holds the routing/stream hot path's handles — a keyed
+   [Metrics.incr] allocates a key tuple and hashes three strings per
+   call — made on first use, since most runs never turn metrics on. *)
+type slot = {
+  mutable peer : Peer.t;
+  endpoint : Transport.endpoint;
+  mutable metrics : (Metrics.counter_handle * Metrics.hist_handle) option;
 }
 
 type t = {
   sim : Message.t Sim.t;
-  mutable peers : Peer.t option array;  (* indexed by dense Peer_id.index *)
-  mutable pmetrics : peer_metrics option array;  (* same index *)
+  slots : slot option array;
   conts : (int, cont_entry) Hashtbl.t;
   mutable next_key : int;
   response_delay_ms : float;
   cpu_ms_per_kb : float;
   transport : transport;
   wire : wire;
-  flush_ms : float;
-  ack_delay_ms : float;
-  conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
-  counts : reliability_counters Peer_id.Table.t;
-      (* created with a peer's first conn *)
   mutable failover_save : Peer_id.t -> unit;
   mutable failover_load : Peer_id.t -> unit;
   mutable qcache_capacity : int option;
@@ -133,91 +79,44 @@ let sim t = t.sim
 let response_delay_ms t = t.response_delay_ms
 let cpu_ms_per_kb t = t.cpu_ms_per_kb
 let transport t = t.transport
-let wire t = t.wire
-let flush_ms t = t.flush_ms
-let ack_delay_ms t = t.ack_delay_ms
 
-let no_counters () =
-  {
-    retransmits = 0;
-    dup_suppressed = 0;
-    abandoned = 0;
-    acks_sent = 0;
-    batches_sent = 0;
-    batched_messages = 0;
-    piggybacked_acks = 0;
-    delayed_acks = 0;
-  }
-
-let add_counters a b =
-  {
-    retransmits = a.retransmits + b.retransmits;
-    dup_suppressed = a.dup_suppressed + b.dup_suppressed;
-    abandoned = a.abandoned + b.abandoned;
-    acks_sent = a.acks_sent + b.acks_sent;
-    batches_sent = a.batches_sent + b.batches_sent;
-    batched_messages = a.batched_messages + b.batched_messages;
-    piggybacked_acks = a.piggybacked_acks + b.piggybacked_acks;
-    delayed_acks = a.delayed_acks + b.delayed_acks;
-  }
-
-let reliability_counters t =
-  Peer_id.Table.fold (fun _ c acc -> add_counters acc c) t.counts
-    (no_counters ())
-
-(* Copies, so a caller's list does not move with the live counts. *)
-let reliability_by_peer t =
-  Peer_id.Table.fold
-    (fun p c acc -> (p, add_counters (no_counters ()) c) :: acc)
-    t.counts []
-  |> List.sort (fun (a, _) (b, _) -> Peer_id.compare a b)
-
-(* Dense per-peer slots: the per-dispatch peer lookup is an array load
-   instead of a string hash + probe. *)
-let peer_slot t p =
+let slot_opt t p =
   let i = Peer_id.index p in
-  if i < Array.length t.peers then t.peers.(i) else None
+  if i < Array.length t.slots then t.slots.(i) else None
 
-let peer t p =
-  match peer_slot t p with Some peer -> peer | None -> raise Not_found
+let slot t p =
+  match slot_opt t p with Some s -> s | None -> raise Not_found
 
-let peer_metrics t p =
-  let i = Peer_id.index p in
-  if i >= Array.length t.pmetrics then begin
-    let arr = Array.make (max (i + 1) (2 * Array.length t.pmetrics)) None in
-    Array.blit t.pmetrics 0 arr 0 (Array.length t.pmetrics);
-    t.pmetrics <- arr
-  end;
-  match t.pmetrics.(i) with
-  | Some h -> h
+let peer t p = (slot t p).peer
+
+let metrics t p =
+  let s = slot t p in
+  match s.metrics with
+  | Some m -> m
   | None ->
       let peer = Peer_id.to_string p in
-      let h =
-        {
-          m_routed =
-            Metrics.counter_handle Metrics.default ~peer ~subsystem:"peer"
-              "routed_batches";
-          m_stream_batches =
-            Metrics.hist_handle Metrics.default ~peer ~subsystem:"stream"
-              "batches";
-          t_inflight =
-            Timeseries.handle Timeseries.default ("peer/" ^ peer ^ "/inflight");
-        }
+      let m =
+        ( Metrics.counter_handle Metrics.default ~peer ~subsystem:"peer"
+            "routed_batches",
+          Metrics.hist_handle Metrics.default ~peer ~subsystem:"stream"
+            "batches" )
       in
-      t.pmetrics.(i) <- Some h;
-      h
-
-let set_peer t p v =
-  let i = Peer_id.index p in
-  if i >= Array.length t.peers then begin
-    let arr = Array.make (max (i + 1) (2 * Array.length t.peers)) None in
-    Array.blit t.peers 0 arr 0 (Array.length t.peers);
-    t.peers <- arr
-  end;
-  t.peers.(i) <- Some v
+      s.metrics <- Some m;
+      m
 
 let peers t =
   Axml_net.Topology.peers (Sim.topology t.sim) |> List.map (peer t)
+
+let reliability_by_peer t =
+  Axml_net.Topology.peers (Sim.topology t.sim)
+  |> List.filter_map (fun p ->
+         Option.map (fun c -> (p, c)) (Transport.counters (slot t p).endpoint))
+  |> List.sort (fun (a, _) (b, _) -> Peer_id.compare a b)
+
+let reliability_counters t = Transport.sum (List.map snd (reliability_by_peer t))
+
+let rto t ~src ~dst =
+  Option.bind (slot_opt t src) (fun s -> Transport.rto s.endpoint ~dst)
 
 let gen_of t p = (peer t p).Peer.gen
 
@@ -249,15 +148,13 @@ let enable_qcache ?(capacity = 256) t =
   t.qcache_capacity <- Some capacity;
   List.iter (fun (pr : Peer.t) -> attach_qcache t pr.Peer.id) (peers t)
 
-let qcache_enabled t = t.qcache_capacity <> None
-
 let doc_version t ~peer:p ~doc =
-  match peer_slot t p with
+  match slot_opt t p with
   | None -> None
-  | Some pr -> (
+  | Some s -> (
       match Names.Doc_name.of_string_opt doc with
       | None -> None
-      | Some n -> Axml_doc.Store.version_of pr.Peer.store n)
+      | Some n -> Axml_doc.Store.version_of s.peer.Peer.store n)
 
 let qcache_stats t =
   List.fold_left
@@ -282,339 +179,35 @@ let note_of payload =
   if Trace.sampled () then Some (Format.asprintf "%a" Message.pp payload)
   else None
 
-let raw_send t ~src ~dst (msg : Message.t) =
+let raw_send ~wire sim ~src ~dst (msg : Message.t) =
   (* The charged size is the wire's: the XML model walks the payload,
      the binary wire reads cached encoded-frame lengths.  Strict mode
      then replaces the in-flight message with its encode→decode round
      trip, so the receiver works off what the decoder rebuilt from a
      real frame.  Returns the frame's expected arrival ({!Sim.send}). *)
   let bytes =
-    match t.wire with
+    match wire with
     | Xml -> Message.bytes msg.Message.payload
     | Binary | Binary_strict -> Codec.frame_bytes msg
   in
   let msg =
-    match t.wire with
+    match wire with
     | Xml | Binary -> msg
     | Binary_strict -> Codec.roundtrip msg
   in
   Sim.send
     ?note:(note_of msg.Message.payload)
     ~msgs:(Message.batch_size msg.Message.payload)
-    t.sim ~src ~dst ~bytes msg
-
-(* The retransmission timer's constants.  [rto_ms] is a direction's
-   RTO before its first RTT sample, and the floor under every later
-   estimate (the pairing RFC 6298 §2 makes with its 1 s); the
-   pre-sample doubling stops at 4 · [rto_ms] = 160 ms and a backed-off
-   wait at 32 · [rto_ms] = 1280 ms.  [max_retries] timeouts of one
-   window abandon it, so a permanently dead destination cannot keep
-   the simulation alive forever. *)
-let rto_ms = 40.0
-let max_retries = 30
-
-let conn_key a b = (Peer_id.index a lsl 31) lor Peer_id.index b
-
-let counts_of t p =
-  match Peer_id.Table.find_opt t.counts p with
-  | Some c -> c
-  | None ->
-      let c = no_counters () in
-      Peer_id.Table.add t.counts p c;
-      c
-
-let conn t a b =
-  let key = conn_key a b in
-  match Hashtbl.find t.conns key with
-  | c -> c
-  | exception Not_found ->
-      let c =
-        {
-          c_src = a;
-          c_dst = b;
-          counts = counts_of t a;
-          next_seq = 0;
-          next_expected = 1;
-          queue = [];
-          flush_pending = false;
-          unacked = [];
-          attempt = 0;
-          cancel_retry = ignore;
-          arrival = 0.0;
-          srtt = -1.0;
-          rttvar = 0.0;
-          rto = rto_ms;
-          timed_seq = 0;
-          timed_at = 0.0;
-          buffer = Hashtbl.create 8;
-          ack_due = false;
-          cancel_ack = ignore;
-        }
-      in
-      Hashtbl.add t.conns key c;
-      c
-
-(* Lookup that must not create: used where the old tables answered
-   [None] for a pair that never communicated. *)
-let conn_opt t a b =
-  match Hashtbl.find t.conns (conn_key a b) with
-  | c -> Some c
-  | exception Not_found -> None
-
-(* --- the sequenced window (sender side) --------------------------- *)
-
-(* Under [Reliable] every sequenced message joins its direction's
-   window: it waits in [queue] until the next flush (immediately when
-   [flush_ms = 0], otherwise after a Nagle-style coalescing window),
-   then stays in [unacked] until a cumulative ack covers it.  One
-   retry timer per direction guards the whole window. *)
-
-(* Highest sequence number [c.c_src] has delivered from [c.c_dst] —
-   what a cumulative ack acknowledges ([0] = nothing yet). *)
-let cum_ack (c : conn) = c.next_expected - 1
-
-(* A frame of several messages, or of one message plus an owed ack:
-   one [Message.Batch] carrying a piggybacked cumulative ack of the
-   reverse direction. *)
-let send_batch t ~src ~dst (d : conn) msgs =
-  if d.ack_due then begin
-    (* The pending standalone ack is subsumed by this frame's
-       piggybacked cumulative ack. *)
-    d.cancel_ack ();
-    d.ack_due <- false;
-    d.counts.piggybacked_acks <- d.counts.piggybacked_acks + 1
-  end;
-  let payload = Message.batch ~ack:(cum_ack d) msgs in
-  let items = Message.batch_size payload in
-  d.counts.batches_sent <- d.counts.batches_sent + 1;
-  d.counts.batched_messages <- d.counts.batched_messages + items;
-  if Trace.sampled () then
-    Trace.instant ~cat:"net"
-      ~peer:(Peer_id.to_string src)
-      ~ts:(Sim.now t.sim)
-      ~args:
-        [
-          ("dst", Peer_id.to_string dst);
-          ("items", string_of_int items);
-          ("ack", string_of_int (cum_ack d));
-        ]
-      "batch";
-  raw_send t ~src ~dst (Message.make payload)
-
-(* The retransmission timeout adapts to each direction's round trip
-   (Jacobson 1988; RFC 6298 gains).  The sender knows when its frames
-   depart and how long their bytes take on the link ({!Sim.send}'s
-   expected arrival); the estimator learns the rest of the round trip
-   — the receiver's delay and the ack's way back — from one timed
-   message at a time ([ship] starts a sample, [handle_cum_ack] ends
-   it).  Only a message shipped once is timed: the ack of a re-shipped
-   message may answer either copy (Karn).  Until the first sample
-   [rto] is [rto_ms], doubled by each timeout up to [4 · rto_ms], so a
-   direction whose round trip outlasts the initial timeout still gets
-   a message through once and yields a sample.  After it, [rto] never
-   drops below [rto_ms]: repeated equal samples shrink [rttvar]
-   towards zero, and without the floor the first ack held back a few
-   ms — by a busy receiver's CPU, say — would lose to the timer. *)
-let rtt_sample (d : conn) r =
-  if d.srtt < 0.0 then begin
-    d.srtt <- r;
-    d.rttvar <- r /. 2.0
-  end
-  else begin
-    d.rttvar <- (0.75 *. d.rttvar) +. (0.25 *. Float.abs (d.srtt -. r));
-    d.srtt <- (0.875 *. d.srtt) +. (0.125 *. r)
-  end;
-  d.rto <- Float.max rto_ms (d.srtt +. (4.0 *. d.rttvar))
-
-let rto t ~src ~dst = Option.map (fun (d : conn) -> d.rto) (conn_opt t src dst)
-
-(* Ship one frame.  A flush carries only the window's fresh messages;
-   a retransmission timeout re-ships the whole unacked window
-   (go-back-N on loss only — re-shipping on every flush would go
-   quadratic when the flush window is shorter than the RTT).  A lone
-   message with no ack to carry ships bare, so at
-   [flush_ms = ack_delay_ms = 0] every physical message is one logical
-   message.  The frame's expected arrival — departure (after the
-   sender's busy CPU) plus the link's transfer time for its bytes —
-   joins the window's.  A fresh frame (the whole queue, so its last
-   message is [next_seq]) starts an RTT sample if none is running,
-   from the window's latest expected arrival: a cumulative ack covers
-   the frame only once every earlier one has arrived too.  A re-ship
-   cancels the running sample (Karn). *)
-let ship t ~src ~dst (d : conn) ~fresh msgs =
-  let arrival =
-    match msgs with
-    | [ msg ] when not d.ack_due -> raw_send t ~src ~dst msg
-    | _ -> send_batch t ~src ~dst d msgs
-  in
-  d.arrival <- Float.max d.arrival arrival;
-  if not fresh then d.timed_seq <- 0
-  else if d.timed_seq = 0 then begin
-    d.timed_seq <- d.next_seq;
-    d.timed_at <- d.arrival
-  end
-
-(* (Re)start the direction's retry timer.  It fires at the window's
-   latest expected frame arrival (or now, if that has passed), plus
-   [ack_delay_ms], plus [rto] doubled per attempt and capped at
-   [32 · rto_ms]: no single wait past an expected ack is longer.  It
-   starts when a flush finds the window idle and restarts on a
-   retransmission and on ack progress; a fresh frame joining a busy
-   window leaves it running (RFC 6298 §5.1), so steady new traffic
-   cannot postpone the re-ship of an old loss.  It gives up after
-   [max_retries], counting the abandonment.  The
-   connection record is captured by the timer closure — records are
-   never replaced, so the capture cannot go stale. *)
-let rec arm_retry t (d : conn) ~src ~dst =
-  let now = Sim.now t.sim in
-  let wait =
-    Float.min
-      (d.rto *. (2.0 ** float_of_int (min d.attempt 5)))
-      (32.0 *. rto_ms)
-  in
-  d.cancel_retry ();
-  d.cancel_retry <-
-    Sim.after_cancellable t.sim ~peer:src
-      ~delay_ms:(Float.max 0.0 (d.arrival -. now) +. t.ack_delay_ms +. wait)
-      (fun () -> retry_window t d ~src ~dst)
-
-and retry_window t (d : conn) ~src ~dst =
-  match d.unacked with
-  | [] -> ()
-  | unacked when d.attempt >= max_retries ->
-      let n = List.length unacked in
-      d.unacked <- [];
-      d.attempt <- 0;
-      d.timed_seq <- 0;
-      d.counts.abandoned <- d.counts.abandoned + n;
-      (* SLO breach: the whole unacked window was given up on. *)
-      if Trace.sampled () then
-        Trace.instant ~cat:"slo"
-          ~peer:(Peer_id.to_string src)
-          ~ts:(Sim.now t.sim)
-          ~args:
-            [ ("dst", Peer_id.to_string dst); ("count", string_of_int n) ]
-          "abandoned";
-      Log.warn (fun m ->
-          m "peer %a: abandoning %d message(s) to %a after %d retries"
-            Peer_id.pp src n Peer_id.pp dst max_retries)
-  | unacked ->
-      d.attempt <- d.attempt + 1;
-      if d.srtt < 0.0 then d.rto <- Float.min (2.0 *. d.rto) (4.0 *. rto_ms);
-      d.counts.retransmits <- d.counts.retransmits + 1;
-      ship t ~src ~dst d ~fresh:false unacked;
-      arm_retry t d ~src ~dst
-
-let flush t ~src ~dst (d : conn) =
-  d.flush_pending <- false;
-  match List.rev d.queue with
-  | [] -> ()  (* stale timer, e.g. surviving a crash+restart *)
-  | fresh ->
-      d.queue <- [];
-      let idle = d.unacked = [] in
-      d.unacked <- d.unacked @ fresh;
-      ship t ~src ~dst d ~fresh:true fresh;
-      if idle then arm_retry t d ~src ~dst
-
-(* [unacked] is in ascending seq order, so what a cumulative ack
-   covers is a prefix. *)
-let rec drop_acked upto = function
-  | (m : Message.t) :: rest when m.Message.seq <= upto -> drop_acked upto rest
-  | rest -> rest
-
-(* Everything up to [upto] is delivered at the far side.  Progress
-   may complete an RTT sample, resets the backoff and restarts the
-   retry timer for the rest of the window; an emptied window parks
-   it. *)
-let handle_cum_ack t ~at ~from upto =
-  match conn_opt t at from with
-  | None -> ()
-  | Some d -> (
-      match drop_acked upto d.unacked with
-      | rest when rest == d.unacked -> ()
-      | rest ->
-          if d.timed_seq > 0 && d.timed_seq <= upto then begin
-            rtt_sample d (Sim.now t.sim -. d.timed_at);
-            d.timed_seq <- 0
-          end;
-          d.unacked <- rest;
-          d.attempt <- 0;
-          if rest = [] then begin
-            d.cancel_retry ();
-            d.cancel_retry <- ignore
-          end
-          else arm_retry t d ~src:at ~dst:from)
-
-(* Sender-side congestion telemetry: how many sequenced messages to
-   [c.c_dst] are in flight (unacked window plus the unflushed queue)
-   the moment a new send joins them, recorded per sending peer — a
-   window's max is the peak over the peer's outgoing connections,
-   which is what [axmlctl top] shows. *)
-let note_inflight t (c : conn) =
-  (* [+ 1] counts the joining message itself: a quiet connection
-     reads 1, a saturating one its whole outstanding window. *)
-  Timeseries.record (peer_metrics t c.c_src).t_inflight
-    (float_of_int (1 + List.length c.unacked + List.length c.queue))
+    sim ~src ~dst ~bytes msg
 
 let send t ~src ~dst payload =
-  let corr = Trace.current_corr () in
-  let op = Trace.current_op () in
-  let sequenced =
-    match (t.transport, payload) with
-    | Raw, _ -> false
-    | Reliable, Message.Ack _ -> false
-    | Reliable, _ -> not (Peer_id.equal src dst)
-    (* Loopback delivery cannot be lost; acks are themselves the
-       protocol's feedback and must stay unsequenced or every ack
-       would need an ack. *)
-  in
-  if not sequenced then
-    ignore (raw_send t ~src ~dst (Message.make ~corr ~op payload))
-  else begin
-    let c = conn t src dst in
-    let seq = c.next_seq + 1 in
-    c.next_seq <- seq;
-    let msg = Message.make ~corr ~seq ~op payload in
-    if Timeseries.is_on Timeseries.default then note_inflight t c;
-    c.queue <- msg :: c.queue;
-    if t.flush_ms <= 0.0 then flush t ~src ~dst c
-    else if not c.flush_pending then begin
-      c.flush_pending <- true;
-      Sim.after t.sim ~peer:src ~delay_ms:t.flush_ms (fun () ->
-          flush t ~src ~dst c)
-    end
-  end
-
-(* --- the sequenced window (receiver side, ack scheduling) -------- *)
-
-(* A standalone cumulative ack of everything [d.c_src] has delivered
-   from [d.c_dst]. *)
-let send_ack t (d : conn) ~corr =
-  d.counts.acks_sent <- d.counts.acks_sent + 1;
-  ignore
-    (raw_send t ~src:d.c_src ~dst:d.c_dst
-       (Message.make ~corr (Message.Ack { seq = cum_ack d })))
-
-let fire_delayed_ack t (d : conn) =
-  if d.ack_due then begin
-    d.ack_due <- false;
-    d.counts.delayed_acks <- d.counts.delayed_acks + 1;
-    send_ack t d ~corr:0
-  end
-
-(* Owe the sender an acknowledgement.  With no delay configured a
-   standalone cumulative ack leaves immediately, carrying the
-   correlation id of the message that prompted it; otherwise a single
-   timer is armed (re-arming would starve the sender under a steady
-   stream) and cancelled if reverse traffic piggybacks first. *)
-let schedule_ack t ~corr (d : conn) =
-  if t.ack_delay_ms <= 0.0 then send_ack t d ~corr
-  else if not d.ack_due then begin
-    d.ack_due <- true;
-    d.cancel_ack <-
-      Sim.after_cancellable t.sim ~peer:d.c_src ~delay_ms:t.ack_delay_ms
-        (fun () -> fire_delayed_ack t d)
-  end
+  match t.transport with
+  | Reliable -> Transport.send (slot t src).endpoint ~dst payload
+  | Raw ->
+      ignore
+        (raw_send ~wire:t.wire t.sim ~src ~dst
+           (Message.make ~corr:(Trace.current_corr ()) ~op:(Trace.current_op ())
+              payload))
 
 let consume_cpu t ~peer ~bytes =
   Sim.consume_cpu t.sim ~peer
@@ -625,7 +218,7 @@ let route ?notify t ~src dest forest ~final =
      destination, after the side effect — a bare ack message would
      overtake the (larger, slower) data it acknowledges. *)
   if Metrics.is_on Metrics.default then
-    Metrics.incr_h (peer_metrics t src).m_routed ~by:1;
+    Metrics.incr_h (fst (metrics t src)) ~by:1;
   if Trace.sampled () then
     Trace.instant ~cat:"peer"
       ~peer:(Peer_id.to_string src)
@@ -825,8 +418,7 @@ let handle_retract t (self : Peer.t) name notify =
   | None -> ());
   ping t self notify
 
-let dispatch_payload t (self : Peer.t) ~src payload =
-  ignore src;
+let dispatch_payload t (self : Peer.t) payload =
   match payload with
   | Message.Stream { key; forest; final } -> (
       match Hashtbl.find_opt t.conts key with
@@ -842,7 +434,7 @@ let dispatch_payload t (self : Peer.t) ~src payload =
               Hashtbl.remove t.conts key;
               if Metrics.is_on Metrics.default then
                 Metrics.observe_h
-                  (peer_metrics t self.Peer.id).m_stream_batches
+                  (snd (metrics t self.Peer.id))
                   (float_of_int entry.batches)
             end
           end;
@@ -900,8 +492,8 @@ let dispatch_payload t (self : Peer.t) ~src payload =
           Hashtbl.remove t.conts key;
           entry.fn [] ~final:true)
   | Message.Ack _ | Message.Batch _ ->
-      (* Consumed by the transport layer (on_message) before dispatch:
-         a batch frame is unpacked into its items there. *)
+      (* Consumed by {!Transport.on_message} before dispatch: a batch
+         frame is unpacked into its items there. *)
       ()
 
 (* Delivery entry point: re-establish the sender's correlation id (and
@@ -915,7 +507,7 @@ let dispatch_payload t (self : Peer.t) ~src payload =
    are ever built. *)
 let dispatch t (self : Peer.t) ~src (msg : Message.t) =
   if not (Trace.enabled ()) then
-    dispatch_payload t self ~src msg.Message.payload
+    dispatch_payload t self msg.Message.payload
   else begin
     let corr0 = Trace.swap_corr msg.Message.corr in
     let op0 = Trace.swap_op msg.Message.op in
@@ -934,99 +526,25 @@ let dispatch t (self : Peer.t) ~src (msg : Message.t) =
       Trace.restore_op op0;
       Trace.restore_corr corr0
     in
-    match dispatch_payload t self ~src msg.Message.payload with
+    match dispatch_payload t self msg.Message.payload with
     | () -> finish ()
     | exception e ->
         finish ();
         raise e
   end
 
-(* Receiver-side transport stage, run before dispatch.  Sequenced
-   messages are delivered to the application exactly once and in send
-   order: early arrivals wait in a (volatile) buffer, duplicates are
-   suppressed, and an ack is owed only when a message is actually
-   delivered — never for a merely buffered one, so a crash that wipes
-   the buffer cannot lose anything the sender believes delivered.
-
-   The ack is owed {e before} the message is dispatched: a handler can
-   keep the peer busy for a long simulated time (a declarative service
-   charges [cpu_ms_per_kb]), and an ack sent after dispatch would
-   depart only when that CPU ends — late enough to fire the sender's
-   retry timer for a message that arrived in time. *)
-let rec deliver_ready t (c : conn) p ~src (msg : Message.t) =
-  let seq = msg.Message.seq in
-  c.next_expected <- seq + 1;
-  schedule_ack t ~corr:msg.Message.corr c;
-  dispatch t (peer t p) ~src msg;
-  match Hashtbl.find_opt c.buffer (seq + 1) with
-  | Some next ->
-      Hashtbl.remove c.buffer (seq + 1);
-      deliver_ready t c p ~src next
-  | None -> ()
-
-let receive_sequenced t p ~src (msg : Message.t) =
-  let c = conn t p src in
-  let seq = msg.Message.seq in
-  let expected = c.next_expected in
-  if seq < expected then begin
-    (* Already delivered — a lost ack or a go-back-N re-ship.  Owe a
-       (cumulative) re-ack so the sender's window drains. *)
-    c.counts.dup_suppressed <- c.counts.dup_suppressed + 1;
-    schedule_ack t ~corr:msg.Message.corr c
-  end
-  else if seq > expected then begin
-    if Hashtbl.mem c.buffer seq then
-      c.counts.dup_suppressed <- c.counts.dup_suppressed + 1
-    else Hashtbl.replace c.buffer seq msg
-  end
-  else deliver_ready t c p ~src msg
-
-let on_message t p ~src (msg : Message.t) =
-  match msg.Message.payload with
-  | Message.Batch { items; ack } ->
-      if ack > 0 then handle_cum_ack t ~at:p ~from:src ack;
-      List.iter (receive_sequenced t p ~src) items
-  | Message.Ack { seq } -> handle_cum_ack t ~at:p ~from:src seq
-  | _ when msg.Message.seq = 0 -> dispatch t (peer t p) ~src msg
-  | _ -> receive_sequenced t p ~src msg
-
 (* A crash wipes everything volatile the peer holds: its store,
-   registry, catalog, watchers — and the transport's in-flight state
-   on both sides of every conversation it participates in as the
-   crashed party.  The id generator and the sequence cursors are
-   durable (see [conn]); [failover_save] snapshots Σ members for a
-   later [failover_load] (wired up by {!Failover.enable} — without it
-   a restarted peer comes back empty). *)
+   registry, catalog, watchers and its endpoint's windows.  The id
+   generator and the sequence cursors are durable; [failover_save]
+   snapshots Σ members for a later [failover_load] (wired up by
+   {!Failover.enable} — without it a restarted peer comes back
+   empty). *)
 let handle_crash t p =
   t.failover_save p;
-  (* Every conn (p, _) holds all of p's volatile transport roles: its
-     send windows and their RTT estimators, its early-arrival buffers
-     and its owed delayed acks.  Reset them in place, keeping the
-     durable cursors.  (Conns (_, p) belong to live senders, which keep
-     retransmitting toward the outage as they should.) *)
-  let pi = Peer_id.index p in
-  Hashtbl.iter
-    (fun key (c : conn) ->
-      if key lsr 31 = pi then begin
-        c.queue <- [];
-        c.flush_pending <- false;
-        c.unacked <- [];
-        c.attempt <- 0;
-        c.cancel_retry ();
-        c.cancel_retry <- ignore;
-        c.arrival <- 0.0;
-        c.srtt <- -1.0;
-        c.rttvar <- 0.0;
-        c.rto <- rto_ms;
-        c.timed_seq <- 0;
-        Hashtbl.reset c.buffer;
-        c.ack_due <- false;
-        c.cancel_ack ();
-        c.cancel_ack <- ignore
-      end)
-    t.conns;
-  let old = peer t p in
-  set_peer t p (Peer.create ~gen:old.Peer.gen ~policy:old.Peer.policy p);
+  let s = slot t p in
+  Transport.crash s.endpoint;
+  let old = s.peer in
+  s.peer <- Peer.create ~gen:old.Peer.gen ~policy:old.Peer.policy p;
   (* The semantic cache is volatile: the replacement peer gets a fresh
      empty one (when caching is on), never the pre-crash contents —
      but what the old one counted stays counted. *)
@@ -1085,35 +603,42 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
   if flush_ms < 0.0 then invalid_arg "System.create: negative flush_ms";
   if ack_delay_ms < 0.0 then invalid_arg "System.create: negative ack_delay_ms";
   let sim = Sim.create topology in
+  let ids = Axml_net.Topology.peers topology in
   let t =
     {
       sim;
-      peers = Array.make 16 None;
-      pmetrics = Array.make 16 None;
+      slots =
+        Array.make
+          (List.fold_left (fun n p -> max n (Peer_id.index p + 1)) 0 ids)
+          None;
       conts = Hashtbl.create 64;
       next_key = 0;
       response_delay_ms;
       cpu_ms_per_kb;
       transport;
       wire;
-      flush_ms;
-      ack_delay_ms;
-      conns = Hashtbl.create 64;
-      counts = Peer_id.Table.create 16;
       failover_save = ignore;
       failover_load = ignore;
       qcache_capacity = None;
       qcache_retired = Axml_query.Qcache.zero_stats;
     }
   in
+  (* Delivery resolves the Peer.t at dispatch time: a crash replaces
+     the record behind [p], and a stale capture would resurrect
+     pre-crash state. *)
+  let window =
+    Transport.create sim ~flush_ms ~ack_delay_ms
+      ~send:(fun ~src ~dst msg -> raw_send ~wire sim ~src ~dst msg)
+      ~deliver:(fun p ~src msg -> dispatch t (peer t p) ~src msg)
+  in
   List.iter
     (fun p ->
-      set_peer t p (Peer.create p);
-      (* The handler resolves the Peer.t at dispatch time: a crash
-         replaces the record behind [p], and a stale capture here
-         would resurrect pre-crash state. *)
-      Sim.set_handler sim p (fun ~src msg -> on_message t p ~src msg))
-    (Axml_net.Topology.peers topology);
+      let endpoint = Transport.endpoint window p in
+      t.slots.(Peer_id.index p) <-
+        Some { peer = Peer.create p; endpoint; metrics = None };
+      Sim.set_handler sim p (fun ~src msg ->
+          Transport.on_message endpoint ~src msg))
+    ids;
   Sim.set_crash_hooks sim
     ~on_crash:(fun p -> handle_crash t p)
     ~on_restart:(fun p ->
@@ -1376,8 +901,8 @@ let cost_env t =
      out of the doc/<n>/reads series the placement controller reads. *)
   let doc_stats (r : Names.Doc_ref.t) =
     let stats_at p =
-      Option.bind (peer_slot t p) (fun peer ->
-          Axml_doc.Store.stats_of peer.Peer.store r.Names.Doc_ref.name)
+      Option.bind (slot_opt t p) (fun s ->
+          Axml_doc.Store.stats_of s.peer.Peer.store r.Names.Doc_ref.name)
     in
     match r.Names.Doc_ref.at with
     | Names.At p -> stats_at p
@@ -1390,8 +915,8 @@ let cost_env t =
   in
   let service_query (r : Names.Service_ref.t) =
     let visible p =
-      Option.bind (peer_slot t p) (fun peer ->
-          Axml_doc.Registry.visible_query peer.Peer.registry
+      Option.bind (slot_opt t p) (fun s ->
+          Axml_doc.Registry.visible_query s.peer.Peer.registry
             r.Names.Service_ref.name)
     in
     match r.Names.Service_ref.at with
@@ -1401,17 +926,3 @@ let cost_env t =
   Axml_algebra.Cost.default_env ~cpu_ms_per_kb:t.cpu_ms_per_kb
     ~cpu_factor:(fun p -> Sim.cpu_factor t.sim p)
     ~doc_bytes ~doc_stats ~service_query topology
-
-let pp_state fmt t =
-  List.iter
-    (fun (p : Peer.t) ->
-      Format.fprintf fmt "@[<v 2>peer %a:@ " Peer_id.pp p.Peer.id;
-      List.iter
-        (fun doc ->
-          Format.fprintf fmt "%a@ " Axml_doc.Document.pp doc)
-        (Axml_doc.Store.documents p.Peer.store);
-      List.iter
-        (fun svc -> Format.fprintf fmt "%a@ " Axml_doc.Service.pp svc)
-        (Axml_doc.Registry.services p.Peer.registry);
-      Format.fprintf fmt "@]@.")
-    (peers t)

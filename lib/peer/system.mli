@@ -22,11 +22,9 @@ type emit = Axml_xml.Forest.t -> final:bool -> unit
 type transport =
   | Raw  (** Messages ride the simulator as-is; a lost message is lost. *)
   | Reliable
-      (** One sequenced window per (src,dst) direction: sequence
-          numbers, cumulative acks, go-back-N retransmission on an
-          RTT-adaptive, exponentially backed-off timer and
-          receiver-side in-order dedup — effectively exactly-once,
-          in-order delivery over a lossy network. *)
+      (** One sequenced window per (src,dst) direction ({!Transport}):
+          effectively exactly-once, in-order delivery over a lossy
+          network. *)
 
 (** Which wire encoding the simulator charges for each transmission. *)
 type wire =
@@ -55,29 +53,11 @@ val create :
 (** One peer is created per topology member.  [response_delay_ms]
     spaces the successive responses of a continuous service (default
     1.0); [cpu_ms_per_kb] prices local query evaluation (default
-    0.01).  [transport] defaults to [Raw] (the fault-free simulator
-    needs no protocol; the knob exists for ablation); under
-    [Reliable], 30 retransmissions of a direction's window abandon it,
-    so a permanently unreachable destination cannot keep the run
-    alive forever.  The retry timer
-    counts from the latest expected arrival of the window's frames
-    (departure after the sender's busy CPU, plus the link's transfer
-    time for the frame's bytes) plus [ack_delay_ms], and then waits
-    the direction's RTO (see {!rto}), doubled per retry and never
-    longer than 1280 ms, so once faults go quiet every earlier loss is
-    re-shipped within busy wait + transfer + [ack_delay_ms] + 1280 ms
-    (DESIGN.md §12).
-
-    [flush_ms] and [ack_delay_ms] (defaults 0.0) set the Reliable
-    window.  Sequenced messages to the same destination are held for
-    up to [flush_ms] and coalesced into one {!Message.Batch} frame
-    carrying a piggybacked cumulative ack, every message whole; at
-    [flush_ms = 0] each message ships inside {!send}, bare unless it
-    has an ack to carry.  Standalone acks are
-    deferred by [ack_delay_ms] and suppressed when reverse traffic
-    piggybacks them first; at [ack_delay_ms = 0] a receiver acks each
-    in-order message on arrival, before dispatching it.  Both knobs
-    are ignored under [Raw].
+    0.01).  [transport] defaults to [Raw], all a fault-free run
+    needs; {!Placement.enable} requires [Reliable], and all four
+    benchmark workloads run it.  [flush_ms] and [ack_delay_ms] (defaults
+    0.0) set the Reliable window ({!Transport.create}); both are
+    ignored under [Raw].
 
     [wire] (default [Xml]) selects the byte-accounting model — and,
     for [Binary_strict], routes every transmission through the binary
@@ -88,14 +68,6 @@ val create :
     negative. *)
 
 val transport : t -> transport
-val wire : t -> wire
-
-val flush_ms : t -> float
-(** The coalescing window ([0.0] = ship on send). *)
-
-val ack_delay_ms : t -> float
-(** The standalone-ack deferral ([0.0] = immediate acks). *)
-
 val sim : t -> Message.t Axml_net.Sim.t
 val peer : t -> Peer_id.t -> Peer.t
 (** @raise Not_found for unknown peers. *)
@@ -140,11 +112,10 @@ val set_cont :
 val send : t -> src:Peer_id.t -> dst:Peer_id.t -> Message.payload -> unit
 (** Wrap the payload in a {!Message.t} envelope carrying the ambient
     correlation id ({!Axml_obs.Trace.current_corr}) and enqueue it on
-    the simulator.  Under the [Reliable] transport the message is
-    also sequenced and joins its direction's window until acked
-    (loopbacks and acks stay raw).  Each transmission is counted in
-    {!stats}; while {!Axml_obs.Trace} keeps the correlation, its [xfer]
-    span carries the {!Message.pp} rendering as its note. *)
+    the simulator, through {!Transport.send} under [Reliable].  Each
+    transmission is counted in {!stats}; while {!Axml_obs.Trace} keeps
+    the correlation, its [xfer] span carries the {!Message.pp}
+    rendering as its note. *)
 
 val route :
   ?notify:Peer_id.t * int ->
@@ -174,8 +145,6 @@ val activate_call :
 val activate_all : t -> ?peer:Peer_id.t -> unit -> int
 (** Activate every call in every (or one peer's) stored document;
     returns the number of calls activated. *)
-
-(** {1 Running and observing} *)
 
 (** {1 Faults and failover} *)
 
@@ -214,8 +183,6 @@ val enable_qcache : ?capacity:int -> t -> unit
 (** Attach a semantic cache (default capacity 256 entries) to every
     peer, now and after any future crash-recreation. *)
 
-val qcache_enabled : t -> bool
-
 val qcache_stats : t -> Axml_query.Qcache.stats
 (** Sum over all peers' caches, including the caches crashes
     discarded. *)
@@ -230,48 +197,27 @@ val availability : t -> from:Peer_id.t -> Peer_id.t -> bool
     peer is [from] itself or currently reachable from it
     ({!Axml_net.Sim.reachable}). *)
 
-type reliability_counters = private {
+type reliability_counters = Transport.counters = private {
   mutable retransmits : int;
   mutable dup_suppressed : int;
   mutable abandoned : int;
-      (** sends given up after 30 retransmissions of their window *)
   mutable acks_sent : int;
-  mutable batches_sent : int;  (** [Message.Batch] frames shipped *)
+  mutable batches_sent : int;
   mutable batched_messages : int;
-      (** logical messages those frames carried, re-ships included *)
   mutable piggybacked_acks : int;
-      (** standalone acks cancelled because a reverse-direction batch
-          carried the acknowledgement instead *)
   mutable delayed_acks : int;
-      (** standalone acks that did fire after the [ack_delay_ms]
-          deferral (also counted in [acks_sent]) *)
 }
-(** The transport's per-peer record, exported read-only: callers read
-    and match its fields but cannot build or assign it.  The two
-    accessors below return copies, which later traffic does not
-    move. *)
+(** The Reliable transport's always-on counts ({!Transport.counters}). *)
 
 val reliability_counters : t -> reliability_counters
-(** Always-on transport counters: the sum of {!reliability_by_peer}.
-    [batches_sent] and [batched_messages] count real
-    {!Message.Batch} frames only: a bare message is not a batch,
-    so at [flush_ms = ack_delay_ms = 0] they move only when a timeout
-    re-ships two or more unacked messages together. *)
+(** The sum of {!reliability_by_peer}. *)
 
 val reliability_by_peer : t -> (Peer_id.t * reliability_counters) list
-(** The same counters per peer, sorted by peer: what a peer's windows
-    sent ([retransmits], [abandoned], the batch and ack counts) and
-    the duplicates it suppressed.  They survive the peer's crashes;
-    peers that never sent or received a sequenced message are
-    absent. *)
+(** Each peer's {!Transport.counters}, sorted by peer; peers that never
+    sent or received a sequenced message are absent. *)
 
 val rto : t -> src:Peer_id.t -> dst:Peer_id.t -> float option
-(** The retransmission timeout of the [src]→[dst] window before
-    per-attempt backoff; [None] if [src] never exchanged a sequenced
-    message with [dst].  It is 40 ms until the window's first RTT
-    sample (doubled by each timeout before it, up to 160 ms) and
-    [max 40 (srtt + 4·rttvar)] after it (RFC 6298 with Karn's rule;
-    DESIGN.md §12).  Volatile: a crash of [src] resets it to 40 ms. *)
+(** {!Transport.rto} of [src]'s window toward [dst]. *)
 
 (** {1 Running and observing} *)
 
@@ -309,8 +255,6 @@ val cost_env : t -> Axml_algebra.Cost.env
     simulator.  The entry point of optimize-before-evaluate — see
     {!Exec.run_optimized}.  Its lookups are {!Axml_doc.Store.peek}s:
     planning records no [doc/<n>/reads] demand. *)
-
-val pp_state : Format.formatter -> t -> unit
 
 (** {1 Exec hook} *)
 

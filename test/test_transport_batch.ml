@@ -480,17 +480,25 @@ let test_timer_long_exchange () =
   Alcotest.(check int) "every leg delivered" 300 (ping_pong sys ~rounds:150);
   Alcotest.(check int) "no retransmission" 0 (retransmits sys)
 
-(* (g) The estimator is volatile, the sequence cursors durable. *)
+(* (g) The estimator is volatile, the sequence cursors durable, and a
+   crash touches only the crashed peer's windows: p2's estimator of
+   its window toward p1 keeps what it learned. *)
 let test_timer_crash_resets_estimator () =
   let sys = timer_system ~latency:30.0 () in
   Alcotest.(check int) "before: every leg delivered" 10
     (ping_pong sys ~rounds:5);
   let rto () = System.rto sys ~src:p1 ~dst:p2 in
+  let live () = System.rto sys ~src:p2 ~dst:p1 in
   Alcotest.(check bool) "the RTO was learned" true (rto () <> Some 40.0);
+  let learned = live () in
+  Alcotest.(check bool) "the live side's RTO was learned" true
+    (learned <> Some 40.0);
   System.crash sys p1;
   System.restart sys p1;
   Alcotest.(check (option (float 0.0))) "a crash resets the RTO" (Some 40.0)
     (rto ());
+  Alcotest.(check (option (float 0.0))) "the live side's RTO is unchanged"
+    learned (live ());
   Alcotest.(check int) "after: every leg delivered" 10
     (ping_pong sys ~rounds:5);
   let rc = System.reliability_counters sys in
