@@ -117,12 +117,10 @@ let e2 =
             there. *)
          let delegated =
            Expr.send_as_doc ~name:"res" ~at:p2
-             (Expr.Query_app
-                {
-                  query = Expr.Q_send { dest = p2; q = Expr.Q_val { q; at = p1 } };
-                  args = [ Expr.send_to_peer p2 (Expr.doc "cat" ~at:"p1") ];
-                  at = p2;
-                })
+             (Expr.query_app
+                (Expr.Q_send { dest = p2; q = Expr.Q_val { q; at = p1 } })
+                ~args:[ Expr.send_to_peer p2 (Expr.doc "cat" ~at:"p1") ]
+                ~at:p2)
          in
          let sys_l = build () in
          let out_l = run_plan sys_l local in
@@ -179,41 +177,25 @@ let e3 =
          in
          (* Centralized: fetch both documents and run everything at p1. *)
          let centralized =
-           Expr.Query_app
-             {
-               query =
-                 Expr.Q_val
-                   {
-                     q =
-                       Query.Parser.parse_exn
-                         {|compose { query(2) for $a in $0, $b in $1 return <pair>{$a}{$b}</pair> }
-                          ({ query(2) for $x in $0//item where attr($x, "category") = "wanted" return <hit>{$x}</hit> };
-                           { query(2) for $x in $1//item where attr($x, "category") = "wanted" return <hit>{$x}</hit> })|};
-                     at = p1;
-                   };
-               args = [ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ];
-               at = p1;
-             }
+           Expr.query_at
+             (Query.Parser.parse_exn
+                {|compose { query(2) for $a in $0, $b in $1 return <pair>{$a}{$b}</pair> }
+                 ({ query(2) for $x in $0//item where attr($x, "category") = "wanted" return <hit>{$x}</hit> };
+                  { query(2) for $x in $1//item where attr($x, "category") = "wanted" return <hit>{$x}</hit> })|})
+             ~at:p1
+             ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ]
          in
          (* Distributed: each selection runs at its data peer; only hits
             travel (rule 11 unfold + rule 10 per sub-query). *)
          let pushed_sub peer =
-           Expr.Query_app
-             {
-               query =
-                 Expr.Q_send
-                   { dest = peer; q = Expr.Q_val { q = sub_query peer; at = p1 } };
-               args = [ Expr.doc "cat" ~at:(Net.Peer_id.to_string peer) ];
-               at = peer;
-             }
+           Expr.query_app
+             (Expr.Q_send
+                { dest = peer; q = Expr.Q_val { q = sub_query peer; at = p1 } })
+             ~args:[ Expr.doc "cat" ~at:(Net.Peer_id.to_string peer) ]
+             ~at:peer
          in
          let distributed =
-           Expr.Query_app
-             {
-               query = Expr.Q_val { q = head; at = p1 };
-               args = [ pushed_sub p2; pushed_sub p3 ];
-               at = p1;
-             }
+           Expr.query_at head ~at:p1 ~args:[ pushed_sub p2; pushed_sub p3 ]
          in
          let out_c = run_plan (build ()) centralized in
          let out_d = run_plan (build ()) distributed in
@@ -255,12 +237,8 @@ let e4 =
          in
          let direct = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
          let relayed =
-           Expr.Send
-             {
-               dest = Expr.To_peer p1;
-               expr =
-                 Expr.Send { dest = Expr.To_peer p3; expr = Expr.doc "cat" ~at:"p2" };
-             }
+           Expr.send_to_peer p1
+             (Expr.send_to_peer p3 (Expr.doc "cat" ~at:"p2"))
          in
          let out_d = run_plan (build ()) direct in
          let out_r = run_plan (build ()) relayed in
@@ -362,9 +340,7 @@ let e6 =
          let sys1, sc1 = build () in
          let caller = run_plan sys1 (Expr.sc sc1 ~at:p1) in
          let sys2, sc2 = build () in
-         let relocated =
-           Expr.Eval_at { at = p2; expr = Expr.Sc { sc = sc2; at = p2 } }
-         in
+         let relocated = Expr.eval_at p2 (Expr.sc sc2 ~at:p2) in
          let reloc = run_plan sys2 relocated in
          [
            ("fan-out k", int k); ("at-caller B", bytes caller.stats.bytes);
@@ -408,21 +384,14 @@ let e7 =
            (sys, param)
          in
          let plan param =
-           Expr.Query_app
-             {
-               query = Expr.Q_val { q = probe; at = p1 };
-               args =
-                 [
-                   Expr.Sc
-                     {
-                       sc =
-                         Doc.Sc.make ~provider:(Names.At p2) ~service:"wanted"
-                           [ [ param ] ];
-                       at = p1;
-                     };
-                 ];
-               at = p1;
-             }
+           Expr.query_at probe ~at:p1
+             ~args:
+               [
+                 Expr.sc
+                   (Doc.Sc.make ~provider:(Names.At p2) ~service:"wanted"
+                      [ [ param ] ])
+                   ~at:p1;
+               ]
          in
          let sys1, param1 = build () in
          let naive = run_plan sys1 (plan param1) in
@@ -716,12 +685,10 @@ let e12 =
   in
   let local = Expr.query_at q ~at:p1 ~args:[ Expr.doc "cat" ~at:"p1" ] in
   let delegated =
-    Expr.Query_app
-      {
-        query = Expr.Q_send { dest = p2; q = Expr.Q_val { q; at = p1 } };
-        args = [ Expr.send_to_peer p2 (Expr.doc "cat" ~at:"p1") ];
-        at = p2;
-      }
+    Expr.query_app
+      (Expr.Q_send { dest = p2; q = Expr.Q_val { q; at = p1 } })
+      ~args:[ Expr.send_to_peer p2 (Expr.doc "cat" ~at:"p1") ]
+      ~at:p2
   in
   table
     (List.map
@@ -849,16 +816,14 @@ let e14 =
   let distributed =
     List.map
       (fun rp ->
-        Expr.Query_app
-          {
-            query = Expr.Q_send { dest = rp; q = Expr.Q_val { q = join_q; at = hub } };
-            args =
-              [
-                Expr.send_to_peer rp (Expr.doc "auctions" ~at:"p1");
-                Expr.doc "items" ~at:(Net.Peer_id.to_string rp);
-              ];
-            at = rp;
-          })
+        Expr.query_app
+          (Expr.Q_send { dest = rp; q = Expr.Q_val { q = join_q; at = hub } })
+          ~args:
+            [
+              Expr.send_to_peer rp (Expr.doc "auctions" ~at:"p1");
+              Expr.doc "items" ~at:(Net.Peer_id.to_string rp);
+            ]
+          ~at:rp)
       region_peers
   in
   let run_all sys plans =

@@ -74,11 +74,7 @@ let () =
   let transfer = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
   ignore (measure "direct p2 -> p1 (slow link)" (build ()) transfer);
   let relayed =
-    Expr.Send
-      {
-        dest = Expr.To_peer p1;
-        expr = Expr.Send { dest = Expr.To_peer p3; expr = Expr.doc "cat" ~at:"p2" };
-      }
+    Expr.send_to_peer p1 (Expr.send_to_peer p3 (Expr.doc "cat" ~at:"p2"))
   in
   ignore (measure "via p3 (two fast links)" (build ()) relayed);
 
@@ -108,12 +104,7 @@ let () =
       [ [ Xml.Parser.parse_exn ~gen:(Xml.Node_id.Gen.create ~namespace:"x") catalog_xml ] ]
   in
   let over_call =
-    Expr.Query_app
-      {
-        query = Expr.Q_val { q = probe; at = p1 };
-        args = [ Expr.Sc { sc; at = p1 } ];
-        at = p1;
-      }
+    Expr.query_at probe ~at:p1 ~args:[ Expr.sc sc ~at:p1 ]
   in
   let ref16 = measure "q over sc at caller" (build ()) over_call in
   (match Rewrite.r16_push_query_over_sc over_call with

@@ -29,15 +29,29 @@ let default_env ?(cpu_ms_per_kb = 0.01) ?(cpu_factor = fun _ -> 1.0)
     cpu_factor;
   }
 
-(* [f] behind a table: each distinct key is passed to [f] once. *)
+(* [f] behind a table: each distinct key is passed to [f] once.  A
+   search prices every candidate over the same few [Doc] leaves, so
+   the last few keys are recognized physically before the table hashes
+   and compares them structurally. *)
+let recent_keys = 4
+
 let memo f =
   let tbl = Hashtbl.create 8 in
+  let recent = ref [] in
   fun k ->
-    match Hashtbl.find_opt tbl k with
+    match List.assq_opt k !recent with
     | Some v -> v
     | None ->
-        let v = f k in
-        Hashtbl.add tbl k v;
+        let v =
+          match Hashtbl.find_opt tbl k with
+          | Some v -> v
+          | None ->
+              let v = f k in
+              Hashtbl.add tbl k v;
+              v
+        in
+        recent :=
+          (k, v) :: List.filteri (fun i _ -> i < recent_keys - 1) !recent;
         v
 
 let memoize env =
@@ -130,8 +144,8 @@ let rec of_expr env ~ctx expr =
   match expr with
   | Expr.Data_at { forest; _ } ->
       { zero with result_bytes = Axml_xml.Forest.byte_size forest }
-  | Expr.Doc r -> { zero with result_bytes = env.doc_bytes r }
-  | Expr.Query_app { query; args; at } ->
+  | Expr.Doc { doc; _ } -> { zero with result_bytes = env.doc_bytes doc }
+  | Expr.Query_app { query; args; at; _ } ->
       (* Ship the query value to [at] if it lives elsewhere. *)
       let q_bytes, q_at, q_ast = query_info env query in
       let q_cost = transfer env ~src:q_at ~dst:at ~bytes:q_bytes in
@@ -161,7 +175,8 @@ let rec of_expr env ~ctx expr =
             else
               let stats =
                 List.map
-                  (function Expr.Doc r -> env.doc_stats r | _ -> None)
+                  (function
+                    | Expr.Doc { doc; _ } -> env.doc_stats doc | _ -> None)
                   args
               in
               if List.for_all Option.is_some stats then
@@ -184,7 +199,7 @@ let rec of_expr env ~ctx expr =
         (seq (par q_cost arg_cost) compute) with
         result_bytes = out_bytes;
       }
-  | Expr.Sc { sc; at } -> (
+  | Expr.Sc { sc; at; _ } -> (
       match sc.Axml_doc.Sc.provider with
       | Names.Any ->
           (* Unresolved generic service: charge as if provided
@@ -231,7 +246,7 @@ let rec of_expr env ~ctx expr =
             (seq (seq ship_params compute) deliver) with
             result_bytes = out_bytes;
           })
-  | Expr.Send { dest; expr } -> (
+  | Expr.Send { dest; expr; _ } -> (
       let inner = of_expr env ~ctx expr in
       let src = site_peer ~ctx expr in
       match dest with
@@ -251,7 +266,7 @@ let rec of_expr env ~ctx expr =
               zero targets
           in
           { (seq inner deliver) with result_bytes = 0 })
-  | Expr.Eval_at { at; expr } ->
+  | Expr.Eval_at { at; expr; _ } ->
       (* Ship the plan itself to the delegate, then evaluate there. *)
       let plan_bytes = Expr_xml.byte_size expr in
       let ship_plan = transfer env ~src:ctx ~dst:at ~bytes:plan_bytes in

@@ -3,6 +3,22 @@ module Names = Axml_doc.Names
 module Tree = Axml_xml.Tree
 module Forest = Axml_xml.Forest
 
+module Fingerprint = struct
+  type t = { hash : int; size : int; depth : int }
+
+  let equal a b = a.hash = b.hash && a.size = b.size && a.depth = b.depth
+
+  let compare a b =
+    match Int.compare a.hash b.hash with
+    | 0 -> (
+        match Int.compare a.size b.size with
+        | 0 -> Int.compare a.depth b.depth
+        | c -> c)
+    | c -> c
+
+  let pp fmt f = Format.fprintf fmt "#%x[n=%d,d=%d]" f.hash f.size f.depth
+end
+
 type dest =
   | To_peer of Peer_id.t
   | To_nodes of Names.Node_ref.t list
@@ -13,36 +29,68 @@ type query_expr =
   | Q_service of Names.Service_ref.t
   | Q_send of { dest : Peer_id.t; q : query_expr }
 
+(* A node's summaries, each filled the first time it is asked for.
+   Nodes are immutable and only the constructors below make them, each
+   with an empty memo, so a filled slot describes its node for good and
+   a rebuilt node starts empty. *)
+type memo = { mutable fp : Fingerprint.t; mutable bytes : int }
+
 type t =
-  | Data_at of { forest : Forest.t; at : Peer_id.t }
-  | Doc of Names.Doc_ref.t
-  | Query_app of { query : query_expr; args : t list; at : Peer_id.t }
-  | Sc of { sc : Axml_doc.Sc.t; at : Peer_id.t }
-  | Send of { dest : dest; expr : t }
-  | Eval_at of { at : Peer_id.t; expr : t }
+  | Data_at of { forest : Forest.t; at : Peer_id.t; memo : memo }
+  | Doc of { doc : Names.Doc_ref.t; memo : memo }
+  | Query_app of {
+      query : query_expr;
+      args : t list;
+      at : Peer_id.t;
+      memo : memo;
+    }
+  | Sc of { sc : Axml_doc.Sc.t; at : Peer_id.t; memo : memo }
+  | Send of { dest : dest; expr : t; memo : memo }
+  | Eval_at of { at : Peer_id.t; expr : t; memo : memo }
   | Shared of {
       name : Names.Doc_name.t;
       at : Peer_id.t;
       value : t;
       body : t;
+      memo : memo;
     }
 
-let tree_at tree ~at = Data_at { forest = [ tree ]; at }
-let data_at forest ~at = Data_at { forest; at }
-let doc name ~at = Doc (Names.Doc_ref.at_peer name ~peer:at)
-let doc_any name = Doc (Names.Doc_ref.any name)
-let query_at q ~at ~args = Query_app { query = Q_val { q; at }; args; at }
-let send_to_peer p expr = Send { dest = To_peer p; expr }
-let send_to_nodes targets expr = Send { dest = To_nodes targets; expr }
+(* The empty fingerprint slot, recognized physically: real hashes are
+   non-negative. *)
+let unset : Fingerprint.t = { hash = -1; size = 0; depth = 0 }
+let empty () = { fp = unset; bytes = -1 }
+let data_at forest ~at = Data_at { forest; at; memo = empty () }
+let tree_at tree ~at = data_at [ tree ] ~at
+let doc_ref doc = Doc { doc; memo = empty () }
+let doc name ~at = doc_ref (Names.Doc_ref.at_peer name ~peer:at)
+let doc_any name = doc_ref (Names.Doc_ref.any name)
+let query_app query ~args ~at = Query_app { query; args; at; memo = empty () }
+let query_at q ~at ~args = query_app (Q_val { q; at }) ~args ~at
+let send dest expr = Send { dest; expr; memo = empty () }
+let send_to_peer p expr = send (To_peer p) expr
+let send_to_nodes targets expr = send (To_nodes targets) expr
 
 let send_as_doc ~name ~at expr =
-  Send { dest = To_doc (Names.Doc_name.of_string name, at); expr }
+  send (To_doc (Names.Doc_name.of_string name, at)) expr
 
-let eval_at at expr = Eval_at { at; expr }
-let sc s ~at = Sc { sc = s; at }
+let eval_at at expr = Eval_at { at; expr; memo = empty () }
+let sc s ~at = Sc { sc = s; at; memo = empty () }
+
+let shared_named name ~at ~value ~body =
+  Shared { name; at; value; body; memo = empty () }
 
 let shared ~name ~at ~value ~body =
-  Shared { name = Names.Doc_name.of_string name; at; value; body }
+  shared_named (Names.Doc_name.of_string name) ~at ~value ~body
+
+let memo_of = function
+  | Data_at { memo; _ }
+  | Doc { memo; _ }
+  | Query_app { memo; _ }
+  | Sc { memo; _ }
+  | Send { memo; _ }
+  | Eval_at { memo; _ }
+  | Shared { memo; _ } ->
+      memo
 
 let query_site = function
   | Q_val { at; _ } -> Names.At at
@@ -51,11 +99,11 @@ let query_site = function
 
 let rec site = function
   | Data_at { at; _ } -> Names.At at
-  | Doc r -> r.Names.Doc_ref.at
+  | Doc { doc; _ } -> doc.Names.Doc_ref.at
   | Query_app { at; _ } -> Names.At at
   | Sc { at; _ } -> Names.At at
   | Send { dest = To_peer p; _ } -> Names.At p
-  | Send { dest = To_nodes _ | To_doc _; expr } ->
+  | Send { dest = To_nodes _ | To_doc _; expr; _ } ->
       (* Side-effecting sends return ∅ at the site of their operand
          (definitions (3), (4)). *)
       site expr
@@ -68,22 +116,21 @@ let subexpressions = function
   | Send { expr; _ } | Eval_at { expr; _ } -> [ expr ]
   | Shared { value; body; _ } -> [ value; body ]
 
-let map_children f = function
-  | (Data_at _ | Doc _ | Sc _) as e -> e
-  | Query_app q -> Query_app { q with args = List.map f q.args }
-  | Send s -> Send { s with expr = f s.expr }
-  | Eval_at e -> Eval_at { e with expr = f e.expr }
-  | Shared s ->
+let map_children f e =
+  match e with
+  | Data_at _ | Doc _ | Sc _ -> e
+  | Query_app { query; args; at; _ } ->
+      query_app query ~args:(List.map f args) ~at
+  | Send { dest; expr; _ } -> send dest (f expr)
+  | Eval_at { at; expr; _ } -> eval_at at (f expr)
+  | Shared { name; at; value; body; _ } ->
       (* Forced left-to-right so [f] sees children in
-         [subexpressions] order — record fields evaluate
+         [subexpressions] order — labelled arguments evaluate
          right-to-left, which silently swapped the two slots for any
          stateful [f] (e.g. Rewrite.everywhere's positional rebuild). *)
-      let value = f s.value in
-      let body = f s.body in
-      Shared { s with value; body }
-
-let rec size e =
-  1 + List.fold_left (fun acc c -> acc + size c) 0 (subexpressions e)
+      let value = f value in
+      let body = f body in
+      shared_named name ~at ~value ~body
 
 exception Uncacheable
 
@@ -100,9 +147,9 @@ let cache_deps e =
            calls (definition (6)), a side effect a cached replay would
            repeat at the wrong time. *)
         if List.exists Axml_doc.Sc.is_sc forest then raise Uncacheable else acc
-    | Doc { Names.Doc_ref.name; at = Names.At p } ->
+    | Doc { doc = { Names.Doc_ref.name; at = Names.At p }; _ } ->
         add acc (p, Names.Doc_name.to_string name)
-    | Doc { at = Names.Any; _ } ->
+    | Doc { doc = { at = Names.Any; _ }; _ } ->
         (* Resolution of d@any depends on catalog state, not document
            content — not captured by doc versions. *)
         raise Uncacheable
@@ -143,32 +190,36 @@ let dest_peers acc = function
 
 let rec peers_acc acc = function
   | Data_at { at; _ } -> add_peer acc at
-  | Doc r -> location_peers acc r.Names.Doc_ref.at
-  | Query_app { query; args; at } ->
+  | Doc { doc; _ } -> location_peers acc doc.Names.Doc_ref.at
+  | Query_app { query; args; at; _ } ->
       let acc = add_peer acc at in
       let acc = query_peers acc query in
       List.fold_left peers_acc acc args
-  | Sc { sc; at } ->
+  | Sc { sc; at; _ } ->
       let acc = add_peer acc at in
       let acc = location_peers acc sc.Axml_doc.Sc.provider in
       List.fold_left
         (fun acc (r : Names.Node_ref.t) -> add_peer acc r.peer)
         acc sc.Axml_doc.Sc.forward
-  | Send { dest; expr } -> peers_acc (dest_peers acc dest) expr
-  | Eval_at { at; expr } -> peers_acc (add_peer acc at) expr
+  | Send { dest; expr; _ } -> peers_acc (dest_peers acc dest) expr
+  | Eval_at { at; expr; _ } -> peers_acc (add_peer acc at) expr
   | Shared { at; value; body; _ } ->
       peers_acc (peers_acc (add_peer acc at) value) body
 
 let peers e = peers_acc [] e
 
+(* Plans share every subtree a rewrite did not rebuild, so physical
+   equality settles most comparisons before any walk. *)
 let rec equal_expr a b =
+  a == b
+  ||
   match (a, b) with
   | Data_at x, Data_at y ->
       (* Canonical comparison: node identifiers, sibling order and text
          segmentation are wire artefacts, not plan structure. *)
       Peer_id.equal x.at y.at
       && Axml_xml.Canonical.equal_forest x.forest y.forest
-  | Doc x, Doc y -> Names.Doc_ref.equal x y
+  | Doc x, Doc y -> Names.Doc_ref.equal x.doc y.doc
   | Query_app x, Query_app y ->
       Peer_id.equal x.at y.at
       && query_equal x.query y.query
@@ -216,23 +267,8 @@ let equal_calls () = !equal_counter
    node identifiers and sibling order inside embedded forests (hashed
    through the canonical form, combined commutatively for multiset
    equality) and the order of an sc's forward list (sorted before
-   hashing). *)
-
-module Fingerprint = struct
-  type t = { hash : int; size : int; depth : int }
-
-  let equal a b = a.hash = b.hash && a.size = b.size && a.depth = b.depth
-
-  let compare a b =
-    match Int.compare a.hash b.hash with
-    | 0 -> (
-        match Int.compare a.size b.size with
-        | 0 -> Int.compare a.depth b.depth
-        | c -> c)
-    | c -> c
-
-  let pp fmt f = Format.fprintf fmt "#%x[n=%d,d=%d]" f.hash f.size f.depth
-end
+   hashing).  Each node's is computed from its own fields and its
+   children's stored fingerprints, once, and kept in its memo. *)
 
 let mix h x = ((h * 0x01000193) lxor x) land max_int
 let hash_string s = Hashtbl.hash (s : string)
@@ -263,8 +299,21 @@ let hash_sc (sc : Axml_doc.Sc.t) =
     h
     (List.sort Names.Node_ref.compare sc.Axml_doc.Sc.forward)
 
+(* The planner hands one query AST to every candidate it builds: the
+   last AST hashed is recognized physically, so a rebuilt application
+   over it skips the structural hash. *)
+let last_ast_hash = ref None
+
+let hash_ast q =
+  match !last_ast_hash with
+  | Some (q', h) when q' == q -> h
+  | Some _ | None ->
+      let h = Hashtbl.hash (q : Axml_query.Ast.t) in
+      last_ast_hash := Some (q, h);
+      h
+
 let rec hash_query = function
-  | Q_val { q; at } -> mix (mix 20 (Hashtbl.hash q)) (Peer_id.hash at)
+  | Q_val { q; at } -> mix (mix 20 (hash_ast q)) (Peer_id.hash at)
   | Q_service r ->
       mix
         (mix 21 (hash_string (Names.Service_name.to_string r.Names.Service_ref.name)))
@@ -278,37 +327,35 @@ let hash_dest = function
   | To_doc (d, p) ->
       mix (mix 32 (hash_string (Names.Doc_name.to_string d))) (Peer_id.hash p)
 
-let rec fingerprint e : Fingerprint.t =
-  match e with
-  | Data_at { forest; at } ->
-      { hash = mix (mix 1 (Peer_id.hash at)) (hash_forest forest);
-        size = 1;
-        depth = 1;
-      }
-  | Doc r ->
-      {
-        hash =
-          mix
-            (mix 2 (hash_string (Names.Doc_name.to_string r.Names.Doc_ref.name)))
-            (hash_location r.Names.Doc_ref.at);
-        size = 1;
-        depth = 1;
-      }
-  | Sc { sc; at } ->
-      { hash = mix (hash_sc sc) (Peer_id.hash at); size = 1; depth = 1 }
-  | Query_app { query; args; at } ->
+let leaf hash : Fingerprint.t = { hash; size = 1; depth = 1 }
+
+let rec fingerprint e =
+  let m = memo_of e in
+  if m.fp == unset then m.fp <- summarize e;
+  m.fp
+
+and summarize = function
+  | Data_at { forest; at; _ } ->
+      leaf (mix (mix 1 (Peer_id.hash at)) (hash_forest forest))
+  | Doc { doc = r; _ } ->
+      leaf
+        (mix
+           (mix 2 (hash_string (Names.Doc_name.to_string r.Names.Doc_ref.name)))
+           (hash_location r.Names.Doc_ref.at))
+  | Sc { sc; at; _ } -> leaf (mix (hash_sc sc) (Peer_id.hash at))
+  | Query_app { query; args; at; _ } ->
       let h = mix (mix 3 (hash_query query)) (Peer_id.hash at) in
       combine h args
-  | Send { dest; expr } -> combine (mix 4 (hash_dest dest)) [ expr ]
-  | Eval_at { at; expr } -> combine (mix 5 (Peer_id.hash at)) [ expr ]
-  | Shared { name; at; value; body } ->
+  | Send { dest; expr; _ } -> combine (mix 4 (hash_dest dest)) [ expr ]
+  | Eval_at { at; expr; _ } -> combine (mix 5 (Peer_id.hash at)) [ expr ]
+  | Shared { name; at; value; body; _ } ->
       let h =
         mix (mix 7 (hash_string (Names.Doc_name.to_string name)))
           (Peer_id.hash at)
       in
       combine h [ value; body ]
 
-and combine h children =
+and combine h children : Fingerprint.t =
   let h, size, depth =
     List.fold_left
       (fun (h, size, depth) child ->
@@ -318,25 +365,32 @@ and combine h children =
   in
   { hash = h; size; depth = depth + 1 }
 
+let size e = (fingerprint e).Fingerprint.size
 let depth e = (fingerprint e).Fingerprint.depth
 
+let memo_byte_size measure e =
+  let m = memo_of e in
+  if m.bytes < 0 then m.bytes <- measure e;
+  m.bytes
+
 let rec pp fmt = function
-  | Data_at { forest; at } ->
+  | Data_at { forest; at; _ } ->
       Format.fprintf fmt "data[%dB]@%a" (Forest.byte_size forest) Peer_id.pp at
-  | Doc r -> Format.fprintf fmt "doc(%a)" Names.Doc_ref.pp r
-  | Query_app { query; args; at } ->
+  | Doc { doc; _ } -> Format.fprintf fmt "doc(%a)" Names.Doc_ref.pp doc
+  | Query_app { query; args; at; _ } ->
       Format.fprintf fmt "@[<hv 2>apply@%a(%a)(@,%a)@]" Peer_id.pp at pp_query
         query
         (Format.pp_print_list
            ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@ ")
            pp)
         args
-  | Sc { sc; at } -> Format.fprintf fmt "%a@%a" Axml_doc.Sc.pp sc Peer_id.pp at
-  | Send { dest; expr } ->
+  | Sc { sc; at; _ } ->
+      Format.fprintf fmt "%a@%a" Axml_doc.Sc.pp sc Peer_id.pp at
+  | Send { dest; expr; _ } ->
       Format.fprintf fmt "@[<hv 2>send(%a,@ %a)@]" pp_dest dest pp expr
-  | Eval_at { at; expr } ->
+  | Eval_at { at; expr; _ } ->
       Format.fprintf fmt "@[<hv 2>eval@%a(@,%a)@]" Peer_id.pp at pp expr
-  | Shared { name; at; value; body } ->
+  | Shared { name; at; value; body; _ } ->
       Format.fprintf fmt "@[<hv 2>share %a@%a :=@ %a@ in@ %a@]"
         Names.Doc_name.pp name Peer_id.pp at pp value pp body
 

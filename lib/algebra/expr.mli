@@ -43,23 +43,37 @@ type query_expr =
   | Q_send of { dest : Peer_id.t; q : query_expr }
       (** send(p2, q): ship the query to p2 (definition (8)). *)
 
-type t =
-  | Data_at of { forest : Axml_xml.Forest.t; at : Peer_id.t }
+type memo
+(** A node's stored summaries — its {!fingerprint} and its
+    {!Expr_xml.byte_size} — each filled the first time it is asked
+    for.  Every constructor below starts a node with an empty memo, so
+    a rebuilt node never inherits a summary of the node it replaces. *)
+
+(** The type is private: nodes are built only by the constructors
+    below, and read by pattern matching. *)
+type t = private
+  | Data_at of { forest : Axml_xml.Forest.t; at : Peer_id.t; memo : memo }
       (** t\@p — literal data located at a peer.  A forest, because
           expression values are forests (streams of trees). *)
-  | Doc of Names.Doc_ref.t
-  | Query_app of { query : query_expr; args : t list; at : Peer_id.t }
+  | Doc of { doc : Names.Doc_ref.t; memo : memo }
+  | Query_app of {
+      query : query_expr;
+      args : t list;
+      at : Peer_id.t;
+      memo : memo;
+    }
       (** Apply [query] at peer [at] to the argument expressions. *)
-  | Sc of { sc : Axml_doc.Sc.t; at : Peer_id.t }
+  | Sc of { sc : Axml_doc.Sc.t; at : Peer_id.t; memo : memo }
       (** An sc-rooted tree located at [at] (definition (6)). *)
-  | Send of { dest : dest; expr : t }
-  | Eval_at of { at : Peer_id.t; expr : t }
+  | Send of { dest : dest; expr : t; memo : memo }
+  | Eval_at of { at : Peer_id.t; expr : t; memo : memo }
       (** Delegate the evaluation of [expr] to peer [at]. *)
   | Shared of {
       name : Names.Doc_name.t;
       at : Peer_id.t;
       value : t;
       body : t;
+      memo : memo;
     }
       (** Rule (13): evaluate [value], materialize it at [at] under
           [name]; [body] (which may reference Doc(name\@at)) starts
@@ -72,7 +86,10 @@ val tree_at : Axml_xml.Tree.t -> at:Peer_id.t -> t
 val data_at : Axml_xml.Forest.t -> at:Peer_id.t -> t
 val doc : string -> at:string -> t
 val doc_any : string -> t
+val doc_ref : Names.Doc_ref.t -> t
 val query_at : Axml_query.Ast.t -> at:Peer_id.t -> args:t list -> t
+val query_app : query_expr -> args:t list -> at:Peer_id.t -> t
+val send : dest -> t -> t
 val send_to_peer : Peer_id.t -> t -> t
 val send_to_nodes : Names.Node_ref.t list -> t -> t
 val send_as_doc : name:string -> at:Peer_id.t -> t -> t
@@ -97,7 +114,7 @@ val subexpressions : t -> t list
 (** Direct children in the expression tree. *)
 
 val size : t -> int
-(** Number of expression nodes. *)
+(** Number of expression nodes: {!fingerprint}'s [size]. *)
 
 val cache_deps : t -> (Peer_id.t * string) list option
 (** [Some deps] if the expression is a deterministic, effect-free
@@ -115,10 +132,12 @@ val map_children : (t -> t) -> t -> t
 (** Rebuild with rewritten direct children.  The function is applied
     to the children in {!subexpressions} order, so a stateful argument
     (e.g. a positional rebuild) may rely on the two traversals
-    agreeing. *)
+    agreeing.  The rebuilt node starts with an empty {!memo}; leaves
+    are returned as they are. *)
 
 val equal : t -> t -> bool
-(** Structural, modulo node identifiers inside embedded trees. *)
+(** Structural, modulo node identifiers inside embedded trees.
+    Physically equal subtrees are equal without a walk. *)
 
 val equal_calls : unit -> int
 (** Number of {!equal} invocations since program start.  Structural
@@ -146,13 +165,23 @@ module Fingerprint : sig
 end
 
 val fingerprint : t -> Fingerprint.t
-(** One bottom-up pass; [equal a b] implies
+(** Stored in the node: computed on the first call from the node's own
+    fields and its children's stored fingerprints, then read.  A plan a
+    rewrite derived from another therefore pays only for the spine the
+    rewrite rebuilt.  [equal a b] implies
     [Fingerprint.equal (fingerprint a) (fingerprint b)] — the hash
     looks through everything {!equal} ignores (node identifiers and
     sibling order in embedded forests, the order of forward lists). *)
 
 val depth : t -> int
-(** Depth of the expression tree (via {!fingerprint}). *)
+(** Depth of the expression tree: {!fingerprint}'s [depth]. *)
+
+val memo_byte_size : (t -> int) -> t -> int
+(** [memo_byte_size measure e] is [measure e], computed on the first
+    call for [e] and stored in its {!memo}: the slot behind
+    {!Expr_xml.byte_size}, which owns the encoding [measure] sizes and
+    is its only caller.  [measure] must be a function of the node's
+    structure. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-oriented notation close to the paper's, e.g.

@@ -43,24 +43,24 @@ let shared_attrs name at =
 
 let rec to_tree ~gen (e : Expr.t) =
   match e with
-  | Expr.Data_at { forest; at } ->
+  | Expr.Data_at { forest; at; _ } ->
       Tree.element ~gen l_tree ~attrs:(at_attr at)
         (Axml_xml.Forest.copy ~gen forest)
-  | Expr.Doc r ->
+  | Expr.Doc { doc; _ } ->
       Tree.element ~gen l_doc
-        ~attrs:[ ("ref", Names.Doc_ref.to_string r) ]
+        ~attrs:[ ("ref", Names.Doc_ref.to_string doc) ]
         []
-  | Expr.Query_app { query; args; at } ->
+  | Expr.Query_app { query; args; at; _ } ->
       Tree.element ~gen l_apply ~attrs:(at_attr at)
         (query_to_tree ~gen query
         :: [ Tree.element ~gen l_args (List.map (to_tree ~gen) args) ])
-  | Expr.Sc { sc; at } ->
+  | Expr.Sc { sc; at; _ } ->
       Tree.element ~gen l_sc ~attrs:(at_attr at) [ Axml_doc.Sc.to_tree ~gen sc ]
-  | Expr.Send { dest; expr } ->
+  | Expr.Send { dest; expr; _ } ->
       Tree.element ~gen l_send ~attrs:(dest_attrs dest) [ to_tree ~gen expr ]
-  | Expr.Eval_at { at; expr } ->
+  | Expr.Eval_at { at; expr; _ } ->
       Tree.element ~gen l_eval ~attrs:(at_attr at) [ to_tree ~gen expr ]
-  | Expr.Shared { name; at; value; body } ->
+  | Expr.Shared { name; at; value; body; _ } ->
       Tree.element ~gen l_shared ~attrs:(shared_attrs name at)
         [
           Tree.element ~gen l_value [ to_tree ~gen value ];
@@ -105,11 +105,11 @@ let rec of_element (e : Tree.element) : (Expr.t, string) result =
   if Label.equal lbl l_tree then
     let* at = peer_attr e "at" in
     (* The whole child list is the forest — text nodes included. *)
-    Ok (Expr.Data_at { forest = e.children; at })
+    Ok (Expr.data_at e.children ~at)
   else if Label.equal lbl l_doc then
     let* r = attr_or e "ref" in
     match Names.Doc_ref.of_string r with
-    | dr -> Ok (Expr.Doc dr)
+    | dr -> Ok (Expr.doc_ref dr)
     | exception Invalid_argument msg -> Error msg
   else if Label.equal lbl l_apply then
     let* at = peer_attr e "at" in
@@ -131,14 +131,14 @@ let rec of_element (e : Tree.element) : (Expr.t, string) result =
               | Tree.Text _ -> Ok acc)
             (Ok []) args.children
         in
-        Ok (Expr.Query_app { query; args = List.rev args; at })
+        Ok (Expr.query_app query ~args:(List.rev args) ~at)
     | _ -> Error "e-apply must contain a query and an args element"
   else if Label.equal lbl l_sc then
     let* at = peer_attr e "at" in
     match element_children e with
     | [ Tree.Element sce ] ->
         let* sc = Axml_doc.Sc.of_element sce in
-        Ok (Expr.Sc { sc; at })
+        Ok (Expr.sc sc ~at)
     | _ -> Error "e-sc must contain exactly one sc element"
   else if Label.equal lbl l_send then
     let* kind = attr_or e "kind" in
@@ -173,22 +173,22 @@ let rec of_element (e : Tree.element) : (Expr.t, string) result =
     match element_children e with
     | [ Tree.Element ce ] ->
         let* expr = of_element ce in
-        Ok (Expr.Send { dest; expr })
+        Ok (Expr.send dest expr)
     | _ -> Error "e-send must contain exactly one expression"
   else if Label.equal lbl l_eval then
     let* at = peer_attr e "at" in
     match element_children e with
     | [ Tree.Element ce ] ->
         let* expr = of_element ce in
-        Ok (Expr.Eval_at { at; expr })
+        Ok (Expr.eval_at at expr)
     | _ -> Error "e-eval must contain exactly one expression"
   else if Label.equal lbl l_shared then
     let* at = peer_attr e "at" in
-    let* name_str = attr_or e "name" in
-    let* name =
-      match Names.Doc_name.of_string_opt name_str with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "invalid document name %S" name_str)
+    let* name = attr_or e "name" in
+    let* () =
+      match Names.Doc_name.of_string_opt name with
+      | Some _ -> Ok ()
+      | None -> Error (Printf.sprintf "invalid document name %S" name)
     in
     let wrapped label =
       List.find_map
@@ -205,7 +205,7 @@ let rec of_element (e : Tree.element) : (Expr.t, string) result =
     | Some value, Some body ->
         let* value = value in
         let* body = body in
-        Ok (Expr.Shared { name; at; value; body })
+        Ok (Expr.shared ~name ~at ~value ~body)
     | _ -> Error "e-share must contain value and body elements")
   else
     Error
@@ -254,17 +254,30 @@ module Serializer = Axml_xml.Serializer
 
 (* A query's text is fixed by its AST: it is rendered once, and its
    length and escaped length are kept across plans and searches.
-   Bounded like [Compile]'s memo. *)
+   Bounded like [Compile]'s memo.  The planner hands one AST to every
+   candidate, so the last AST sized is recognized physically before the
+   table hashes and compares it structurally. *)
 let query_texts : (Axml_query.Ast.t, int * int) Hashtbl.t = Hashtbl.create 64
+let last_text = ref None
 
 let query_text_lengths q =
-  match Hashtbl.find_opt query_texts q with
-  | Some n -> n
-  | None ->
-      let s = Axml_query.Ast.to_string q in
-      let n = (String.length s, Serializer.escaped_length ~quot:false s) in
-      if Hashtbl.length query_texts >= 1024 then Hashtbl.reset query_texts;
-      Hashtbl.replace query_texts q n;
+  match !last_text with
+  | Some (q', n) when q' == q -> n
+  | Some _ | None ->
+      let n =
+        match Hashtbl.find_opt query_texts q with
+        | Some n -> n
+        | None ->
+            let s = Axml_query.Ast.to_string q in
+            let n =
+              (String.length s, Serializer.escaped_length ~quot:false s)
+            in
+            if Hashtbl.length query_texts >= 1024 then
+              Hashtbl.reset query_texts;
+            Hashtbl.replace query_texts q n;
+            n
+      in
+      last_text := Some (q, n);
       n
 
 let query_text_bytes q = fst (query_text_lengths q)
@@ -275,23 +288,29 @@ let element = Serializer.element_length
    tree is built, no [Data_at] forest copied, and each query's text is
    rendered once per AST ([query_text_lengths]).  Mirrors [to_tree]
    constructor by constructor; a property in the algebra suite pins
-   the equality. *)
-let rec byte_size (e : Expr.t) =
+   the equality.  Each node's size is stored in it
+   ([Expr.memo_byte_size]), so a candidate plan pays only for the
+   spine its rewrite rebuilt. *)
+let rec byte_size e = Expr.memo_byte_size node_size e
+
+and node_size (e : Expr.t) =
   match e with
-  | Expr.Data_at { forest; at } ->
+  | Expr.Data_at { forest; at; _ } ->
       element l_tree (at_attr at) (Serializer.forest_serialized_length forest)
-  | Expr.Doc r -> element l_doc [ ("ref", Names.Doc_ref.to_string r) ] 0
-  | Expr.Query_app { query; args; at } ->
+  | Expr.Doc { doc; _ } ->
+      element l_doc [ ("ref", Names.Doc_ref.to_string doc) ] 0
+  | Expr.Query_app { query; args; at; _ } ->
       element l_apply (at_attr at)
         (query_size query
         + element l_args []
             (List.fold_left (fun acc a -> acc + byte_size a) 0 args))
-  | Expr.Sc { sc; at } ->
+  | Expr.Sc { sc; at; _ } ->
       element l_sc (at_attr at) (Axml_doc.Sc.serialized_length sc)
-  | Expr.Send { dest; expr } ->
+  | Expr.Send { dest; expr; _ } ->
       element l_send (dest_attrs dest) (byte_size expr)
-  | Expr.Eval_at { at; expr } -> element l_eval (at_attr at) (byte_size expr)
-  | Expr.Shared { name; at; value; body } ->
+  | Expr.Eval_at { at; expr; _ } ->
+      element l_eval (at_attr at) (byte_size expr)
+  | Expr.Shared { name; at; value; body; _ } ->
       element l_shared (shared_attrs name at)
         (element l_value [] (byte_size value)
         + element l_body [] (byte_size body))

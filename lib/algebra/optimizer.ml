@@ -111,7 +111,7 @@ let optimize ~env ~ctx ?(objective = default_objective) ?peers
   in
   (* Cheapest-first search on the cost objective: pop the best
      unexpanded plan, generate its rewrites, push the unseen ones.
-     The priority queue is the simulator's pairing heap
+     The priority queue is the simulator's binary heap
      ({!Axml_net.Pqueue}); insertion order breaks objective ties,
      which keeps runs deterministic.
 

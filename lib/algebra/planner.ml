@@ -28,8 +28,8 @@ let optimize_queries ?stats expr =
   in
   let rec walk e =
     match e with
-    | Expr.Query_app { query; args; at } ->
-        Expr.Query_app { query = opt_query query; args = List.map walk args; at }
+    | Expr.Query_app { query; args; at; _ } ->
+        Expr.query_app (opt_query query) ~args:(List.map walk args) ~at
     | Expr.Data_at _ | Expr.Doc _ | Expr.Sc _ | Expr.Send _ | Expr.Eval_at _
     | Expr.Shared _ ->
         Expr.map_children walk e

@@ -13,30 +13,18 @@ let other_peers ~peers p = List.filter (fun p2 -> not (Peer_id.equal p2 p)) peer
    the result back. *)
 let r10_delegate ~peers expr =
   match expr with
-  | Expr.Query_app { query = Expr.Q_val { q; at = qat }; args; at }
+  | Expr.Query_app { query = Expr.Q_val { q; at = qat }; args; at; _ }
     when Peer_id.equal qat at ->
       List.map
         (fun p2 ->
           {
             rule = Printf.sprintf "r10-delegate(%s)" (Peer_id.to_string p2);
             result =
-              Expr.Send
-                {
-                  dest = Expr.To_peer at;
-                  expr =
-                    Expr.Query_app
-                      {
-                        query =
-                          Expr.Q_send
-                            { dest = p2; q = Expr.Q_val { q; at } };
-                        args =
-                          List.map
-                            (fun arg ->
-                              Expr.Send { dest = Expr.To_peer p2; expr = arg })
-                            args;
-                        at = p2;
-                      };
-                };
+              Expr.send_to_peer at
+                (Expr.query_app
+                   (Expr.Q_send { dest = p2; q = Expr.Q_val { q; at } })
+                   ~args:(List.map (Expr.send_to_peer p2) args)
+                   ~at:p2);
           })
         (other_peers ~peers at)
   | _ -> []
@@ -52,13 +40,15 @@ let r10_undelegate expr =
               query = Expr.Q_send { dest = p2; q = Expr.Q_val { q; at = qat } };
               args;
               at;
+              _;
             };
+        _;
       }
     when Peer_id.equal p2 at && Peer_id.equal qat p1 ->
       let unshipped =
         List.map
           (function
-            | Expr.Send { dest = Expr.To_peer p; expr = arg }
+            | Expr.Send { dest = Expr.To_peer p; expr = arg; _ }
               when Peer_id.equal p p2 ->
                 Some arg
             | _ -> None)
@@ -69,12 +59,7 @@ let r10_undelegate expr =
           {
             rule = "r10-undelegate";
             result =
-              Expr.Query_app
-                {
-                  query = Expr.Q_val { q; at = p1 };
-                  args = List.filter_map Fun.id unshipped;
-                  at = p1;
-                };
+              Expr.query_at q ~at:p1 ~args:(List.filter_map Fun.id unshipped);
           };
         ]
       else []
@@ -87,23 +72,15 @@ let r11_unfold expr =
       { query = Expr.Q_val { q = Axml_query.Ast.Compose (head, subs); at = qat };
         args;
         at;
+        _;
       }
     when Peer_id.equal qat at ->
       [
         {
           rule = "r11-unfold";
           result =
-            Expr.Query_app
-              {
-                query = Expr.Q_val { q = Axml_query.Ast.Flwr head; at };
-                args =
-                  List.map
-                    (fun sub ->
-                      Expr.Query_app
-                        { query = Expr.Q_val { q = sub; at }; args; at })
-                    subs;
-                at;
-              };
+            Expr.query_at (Axml_query.Ast.Flwr head) ~at
+              ~args:(List.map (fun sub -> Expr.query_at sub ~at ~args) subs);
         };
       ]
   | _ -> []
@@ -111,13 +88,23 @@ let r11_unfold expr =
 let r11_fold expr =
   match expr with
   | Expr.Query_app
-      { query = Expr.Q_val { q = Axml_query.Ast.Flwr head; at = qat }; args; at }
+      {
+        query = Expr.Q_val { q = Axml_query.Ast.Flwr head; at = qat };
+        args;
+        at;
+        _;
+      }
     when Peer_id.equal qat at && args <> [] ->
       let sub_parts =
         List.map
           (function
             | Expr.Query_app
-                { query = Expr.Q_val { q = sub; at = sat }; args = sub_args; at = aat }
+                {
+                  query = Expr.Q_val { q = sub; at = sat };
+                  args = sub_args;
+                  at = aat;
+                  _;
+                }
               when Peer_id.equal sat at && Peer_id.equal aat at ->
                 Some (sub, sub_args)
             | _ -> None)
@@ -137,13 +124,7 @@ let r11_fold expr =
               [
                 {
                   rule = "r11-fold";
-                  result =
-                    Expr.Query_app
-                      {
-                        query = Expr.Q_val { q = composed; at };
-                        args = first_args;
-                        at;
-                      };
+                  result = Expr.query_at composed ~at ~args:first_args;
                 };
               ]
             else []
@@ -155,7 +136,7 @@ let r11_fold expr =
    data. *)
 let r11_push_selection expr =
   match expr with
-  | Expr.Query_app { query = Expr.Q_val { q; at = qat }; args = [ arg ]; at }
+  | Expr.Query_app { query = Expr.Q_val { q; at = qat }; args = [ arg ]; at; _ }
     when Peer_id.equal qat at -> (
       match (Axml_query.Compose.push_selection q, Expr.site arg) with
       | Some { outer; pushed }, Names.At data_peer
@@ -164,22 +145,17 @@ let r11_push_selection expr =
             {
               rule = "r11-push-selection";
               result =
-                Expr.Query_app
-                  {
-                    query = Expr.Q_val { q = outer; at };
-                    args =
-                      [
-                        Expr.Query_app
-                          {
-                            query =
-                              Expr.Q_send
-                                { dest = data_peer; q = Expr.Q_val { q = pushed; at } };
-                            args = [ arg ];
-                            at = data_peer;
-                          };
-                      ];
-                    at;
-                  };
+                Expr.query_at outer ~at
+                  ~args:
+                    [
+                      Expr.query_app
+                        (Expr.Q_send
+                           {
+                             dest = data_peer;
+                             q = Expr.Q_val { q = pushed; at };
+                           })
+                        ~args:[ arg ] ~at:data_peer;
+                    ];
             };
           ]
       | (Some _ | None), _ -> [])
@@ -190,8 +166,12 @@ let r11_push_selection expr =
 let r12_skip_stop expr =
   match expr with
   | Expr.Send
-      { dest; expr = Expr.Send { dest = Expr.To_peer _; expr = inner } } ->
-      [ { rule = "r12-skip-stop"; result = Expr.Send { dest; expr = inner } } ]
+      {
+        dest;
+        expr = Expr.Send { dest = Expr.To_peer _; expr = inner; _ };
+        _;
+      } ->
+      [ { rule = "r12-skip-stop"; result = Expr.send dest inner } ]
   | _ -> []
 
 (* Rule (12), right to left: data in transit may halt at a relay.  For
@@ -200,7 +180,7 @@ let r12_skip_stop expr =
    once instead of once per target. *)
 let r12_add_stop ~peers expr =
   match expr with
-  | Expr.Send { dest; expr = inner } ->
+  | Expr.Send { dest; expr = inner; _ } ->
       let src =
         match Expr.site inner with Names.At p -> Some p | Names.Any -> None
       in
@@ -214,12 +194,7 @@ let r12_add_stop ~peers expr =
       |> List.map (fun p1 ->
              {
                rule = Printf.sprintf "r12-add-stop(%s)" (Peer_id.to_string p1);
-               result =
-                 Expr.Send
-                   {
-                     dest;
-                     expr = Expr.Send { dest = Expr.To_peer p1; expr = inner };
-                   };
+               result = Expr.send dest (Expr.send_to_peer p1 inner);
              })
   | _ -> []
 
@@ -231,7 +206,8 @@ let r13_share ~fresh expr =
   let rec collect acc e =
     let acc =
       match e with
-      | Expr.Send { dest = Expr.To_peer p; expr = inner } -> (p, inner) :: acc
+      | Expr.Send { dest = Expr.To_peer p; expr = inner; _ } ->
+          (p, inner) :: acc
       | _ -> acc
     in
     List.fold_left collect acc (Expr.subexpressions e)
@@ -264,25 +240,19 @@ let r13_share ~fresh expr =
     (fun (p, inner) ->
       let name = fresh () in
       let doc_ref =
-        Expr.Doc (Names.Doc_ref.make (Names.Doc_name.of_string name) (Names.At p))
+        Expr.doc_ref
+          (Names.Doc_ref.make (Names.Doc_name.of_string name) (Names.At p))
       in
       let rec replace e =
         match e with
-        | Expr.Send { dest = Expr.To_peer p'; expr = inner' }
+        | Expr.Send { dest = Expr.To_peer p'; expr = inner'; _ }
           when Peer_id.equal p p' && Expr.equal inner inner' ->
             doc_ref
         | e -> Expr.map_children replace e
       in
       {
         rule = "r13-share";
-        result =
-          Expr.Shared
-            {
-              name = Names.Doc_name.of_string name;
-              at = p;
-              value = inner;
-              body = replace expr;
-            };
+        result = Expr.shared ~name ~at:p ~value:inner ~body:(replace expr);
       })
     groups
 
@@ -306,7 +276,7 @@ let r14_delegate ~peers expr =
       |> List.map (fun p1 ->
              {
                rule = Printf.sprintf "r14-delegate(%s)" (Peer_id.to_string p1);
-               result = Expr.Eval_at { at = p1; expr };
+               result = Expr.eval_at p1 expr;
              })
 
 let r14_undelegate expr =
@@ -319,12 +289,12 @@ let r14_undelegate expr =
    activated from any peer — results flow to fwList either way. *)
 let r15_relocate_sc ~peers expr =
   match expr with
-  | Expr.Sc { sc; at } when sc.Axml_doc.Sc.forward <> [] ->
+  | Expr.Sc { sc; at; _ } when sc.Axml_doc.Sc.forward <> [] ->
       List.map
         (fun p2 ->
           {
             rule = Printf.sprintf "r15-relocate-sc(%s)" (Peer_id.to_string p2);
-            result = Expr.Eval_at { at = p2; expr = Expr.Sc { sc; at = p2 } };
+            result = Expr.eval_at p2 (Expr.sc sc ~at:p2);
           })
         (other_peers ~peers at)
   | _ -> []
@@ -335,40 +305,38 @@ let r15_relocate_sc ~peers expr =
 let r16_push_query_over_sc expr =
   match expr with
   | Expr.Query_app
-      { query = Expr.Q_val { q; at = qat }; args = [ Expr.Sc { sc; at = sc_at } ]; at }
+      {
+        query = Expr.Q_val { q; at = qat };
+        args = [ Expr.Sc { sc; at = sc_at; _ } ];
+        at;
+        _;
+      }
     when Peer_id.equal qat at && Peer_id.equal sc_at at -> (
       match sc.Axml_doc.Sc.provider with
       | Names.Any -> []
       | Names.At p1 ->
+          (* The parameters travel once, inside the shipped plan
+             (send_p→p1(parList)); after that shipping they live at the
+             provider. *)
           let service_app =
-            Expr.Query_app
-              {
-                query =
-                  Expr.Q_service
-                    (Names.Service_ref.make sc.Axml_doc.Sc.service
-                       (Names.At p1));
-                (* The parameters travel once, inside the shipped plan
-                   (send_p→p1(parList)); after that shipping they live
-                   at the provider. *)
-                args =
-                  List.map
-                    (fun forest -> Expr.Data_at { forest; at = p1 })
-                    sc.Axml_doc.Sc.params;
-                at = p1;
-              }
+            Expr.query_app
+              (Expr.Q_service
+                 (Names.Service_ref.make sc.Axml_doc.Sc.service (Names.At p1)))
+              ~args:
+                (List.map
+                   (fun forest -> Expr.data_at forest ~at:p1)
+                   sc.Axml_doc.Sc.params)
+              ~at:p1
           in
           let pushed =
-            Expr.Query_app
-              {
-                query = Expr.Q_send { dest = p1; q = Expr.Q_val { q; at } };
-                args = [ service_app ];
-                at = p1;
-              }
+            Expr.query_app
+              (Expr.Q_send { dest = p1; q = Expr.Q_val { q; at } })
+              ~args:[ service_app ] ~at:p1
           in
           let result =
             match sc.Axml_doc.Sc.forward with
-            | [] -> Expr.Send { dest = Expr.To_peer at; expr = pushed }
-            | fw -> Expr.Send { dest = Expr.To_nodes fw; expr = pushed }
+            | [] -> Expr.send_to_peer at pushed
+            | fw -> Expr.send_to_nodes fw pushed
           in
           [ { rule = "r16-push-query-over-sc"; result } ])
   | _ -> []

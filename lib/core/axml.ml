@@ -28,7 +28,6 @@ module Xml = struct
   module Serializer = Axml_xml.Serializer
   module Canonical = Axml_xml.Canonical
   module Path = Axml_xml.Path
-  module Zipper = Axml_xml.Zipper
   module Index = Axml_xml.Index
 end
 
@@ -110,7 +109,6 @@ end
 module Workload = struct
   module Rng = Axml_workload.Rng
   module Xml_gen = Axml_workload.Xml_gen
-  module Schema_gen = Axml_workload.Schema_gen
   module Xmark = Axml_workload.Xmark
   module Query_gen = Axml_workload.Query_gen
   module Scenarios = Axml_workload.Scenarios

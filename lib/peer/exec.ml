@@ -123,27 +123,27 @@ and eval_cached sys ~ctx cache ~fresh_deps expr ~emit =
 
 and eval_core sys ~ctx (expr : Expr.t) ~(emit : System.emit) : unit =
   match expr with
-  | Expr.Data_at { forest = _; at } when not (Peer_id.equal at ctx) ->
+  | Expr.Data_at { at; _ } when not (Peer_id.equal at ctx) ->
       (* Definition (5): ask the owner to evaluate and send back. *)
       delegate sys ~ctx ~to_:at expr
         ~replies:[ cont_at sys ~at:ctx emit ]
         ~ack:None
-  | Expr.Data_at { forest; at = _ } -> eval_local_data sys ~ctx forest ~emit
-  | Expr.Doc r -> eval_doc sys ~ctx r ~emit
-  | Expr.Query_app { query; args; at } ->
+  | Expr.Data_at { forest; _ } -> eval_local_data sys ~ctx forest ~emit
+  | Expr.Doc { doc; _ } -> eval_doc sys ~ctx doc ~emit
+  | Expr.Query_app { query; args; at; _ } ->
       if not (Peer_id.equal at ctx) then
         delegate sys ~ctx ~to_:at expr
           ~replies:[ cont_at sys ~at:ctx emit ]
           ~ack:None
       else eval_query_app sys ~ctx query args ~emit
-  | Expr.Sc { sc; at } ->
+  | Expr.Sc { sc; at; _ } ->
       if not (Peer_id.equal at ctx) then
         delegate sys ~ctx ~to_:at expr
           ~replies:[ cont_at sys ~at:ctx emit ]
           ~ack:None
       else eval_sc sys ~ctx sc ~emit
-  | Expr.Send { dest; expr = inner } -> eval_send sys ~ctx dest inner ~emit
-  | Expr.Eval_at { at; expr = inner } ->
+  | Expr.Send { dest; expr = inner; _ } -> eval_send sys ~ctx dest inner ~emit
+  | Expr.Eval_at { at; expr = inner; _ } ->
       let io = sub_op (Trace.current_op ()) [ inner ] 0 in
       if Peer_id.equal at ctx then
         with_op_if io (fun () -> eval sys ~ctx inner ~emit)
@@ -153,7 +153,7 @@ and eval_core sys ~ctx (expr : Expr.t) ~(emit : System.emit) : unit =
             delegate sys ~ctx ~to_:at inner
               ~replies:[ cont_at sys ~at:ctx emit ]
               ~ack:None)
-  | Expr.Shared { name; at; value; body } ->
+  | Expr.Shared { name; at; value; body; _ } ->
       (* Rule (13): materialize [value] as a document at [at], then run
          [body].  The sequencing is the parallelism loss the paper
          notes.  Calls the send-as-document machinery directly (rather
@@ -230,7 +230,7 @@ and eval_doc sys ~ctx (r : Names.Doc_ref.t) ~emit =
                 ctx Names.Doc_name.pp r.name);
           emit [] ~final:true)
   | Names.At p when not (Peer_id.equal p ctx) ->
-      delegate sys ~ctx ~to_:p (Expr.Doc r)
+      delegate sys ~ctx ~to_:p (Expr.doc_ref r)
         ~replies:[ cont_at sys ~at:ctx emit ]
         ~ack:None
   | Names.At _ -> (
@@ -416,7 +416,7 @@ and eval_send sys ~ctx dest inner ~emit =
         let key = System.fresh_key sys in
         System.set_cont sys key (fun _ ~final ->
             if final then emit [] ~final:true);
-        delegate sys ~ctx ~to_:p (Expr.Send { dest; expr = inner }) ~replies:[]
+        delegate sys ~ctx ~to_:p (Expr.send dest inner) ~replies:[]
           ~ack:(Some (ctx, key))
       end
       else if not (Peer_id.equal src ctx) then
@@ -550,7 +550,7 @@ let apply_qcache_rewrites sys ~ctx plan =
                         ~ts:(System.now_ms sys)
                         ~args:[ ("expr", Expr.to_string e) ]
                         "plan_rewrite";
-                    Expr.Data_at { forest = Forest.copy ~gen forest; at = ctx }
+                    Expr.data_at (Forest.copy ~gen forest) ~at:ctx
                 | None -> Expr.map_children go e))
       in
       let plan = go plan in

@@ -53,18 +53,18 @@ let label expr =
     | Axml_doc.Names.Any -> "@any"
   in
   match expr with
-  | Expr.Data_at { at; forest } ->
+  | Expr.Data_at { at; forest; _ } ->
       Printf.sprintf "data(%dB)@%s"
         (Axml_xml.Forest.byte_size forest)
         (Peer_id.to_string at)
-  | Expr.Doc r ->
+  | Expr.Doc { doc = r; _ } ->
       Printf.sprintf "doc %s%s"
         (Axml_doc.Names.Doc_name.to_string r.Axml_doc.Names.Doc_ref.name)
         (site r.Axml_doc.Names.Doc_ref.at)
   | Expr.Query_app { at; args; _ } ->
       Printf.sprintf "query_app/%d@%s" (List.length args)
         (Peer_id.to_string at)
-  | Expr.Sc { sc; at } ->
+  | Expr.Sc { sc; at; _ } ->
       Printf.sprintf "sc %s%s@%s"
         (Axml_doc.Names.Service_name.to_string sc.Axml_doc.Sc.service)
         (site sc.Axml_doc.Sc.provider)

@@ -233,4 +233,6 @@ let rec to_string = function
         (String.concat "; " (List.map (fun q -> "{ " ^ to_string q ^ " }") subs))
 
 let pp fmt q = Format.pp_print_string fmt (to_string q)
-let equal (a : t) (b : t) = a = b
+(* Polymorphic [=] walks both trees even when they are one: the
+   planner compares an AST with itself on every candidate plan. *)
+let equal (a : t) (b : t) = a == b || a = b

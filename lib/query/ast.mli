@@ -96,4 +96,5 @@ val path_to_string : path -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
-(** Structural (syntactic) equality. *)
+(** Structural (syntactic) equality; physically equal ASTs are equal
+    without a walk. *)

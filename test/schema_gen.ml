@@ -1,3 +1,4 @@
+module Rng = Axml_workload.Rng
 module Schema = Axml_schema.Schema
 module Cm = Axml_schema.Content_model
 module Tree = Axml_xml.Tree

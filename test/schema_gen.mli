@@ -10,7 +10,7 @@ val tree :
   schema:Axml_schema.Schema.t ->
   type_name:string ->
   gen:Axml_xml.Node_id.Gen.t ->
-  rng:Rng.t ->
+  rng:Axml_workload.Rng.t ->
   ?max_depth:int ->
   ?max_star:int ->
   unit ->
@@ -28,7 +28,7 @@ val forest :
   schema:Axml_schema.Schema.t ->
   type_names:string list ->
   gen:Axml_xml.Node_id.Gen.t ->
-  rng:Rng.t ->
+  rng:Axml_workload.Rng.t ->
   unit ->
   Axml_xml.Forest.t option
 (** Point-wise {!tree}; [None] if any position fails. *)

@@ -33,18 +33,14 @@ let sample_exprs () =
     Expr.shared ~name:"_tmp_m" ~at:p2
       ~value:(Expr.doc "cat" ~at:"p2")
       ~body:(Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "_tmp_m" ~at:"p2" ]);
-    Expr.Query_app
-      {
-        query = Expr.Q_send { dest = p2; q = Expr.Q_val { q = sel_query; at = p1 } };
-        args = [ Expr.doc "cat" ~at:"p2" ];
-        at = p2;
-      };
-    Expr.Query_app
-      {
-        query = Expr.Q_service (Names.Service_ref.at_peer "resolve" ~peer:"p2");
-        args = [ Expr.tree_at (parse "<req/>") ~at:p1 ];
-        at = p2;
-      };
+    Expr.query_app
+      (Expr.Q_send { dest = p2; q = Expr.Q_val { q = sel_query; at = p1 } })
+      ~args:[ Expr.doc "cat" ~at:"p2" ]
+      ~at:p2;
+    Expr.query_app
+      (Expr.Q_service (Names.Service_ref.at_peer "resolve" ~peer:"p2"))
+      ~args:[ Expr.tree_at (parse "<req/>") ~at:p1 ]
+      ~at:p2;
   ]
 
 let test_site () =
@@ -151,12 +147,10 @@ let test_byte_size_is_serialized_length () =
       Expr.data_at [ escaped; txt "" ] ~at:p2;
       Expr.query_at tricky ~at:p1 ~args:[];
       Expr.eval_at p2
-        (Expr.Query_app
-           {
-             query = Expr.Q_send { dest = p3; q = Expr.Q_val { q = tricky; at = p1 } };
-             args = [ Expr.doc "cat" ~at:"p2"; Expr.data_at [] ~at:p1 ];
-             at = p3;
-           });
+        (Expr.query_app
+           (Expr.Q_send { dest = p3; q = Expr.Q_val { q = tricky; at = p1 } })
+           ~args:[ Expr.doc "cat" ~at:"p2"; Expr.data_at [] ~at:p1 ]
+           ~at:p3);
       Expr.sc
         (Doc.Sc.make ~provider:Names.Any ~service:"svc"
            [ []; [ txt "" ]; [ escaped ] ])

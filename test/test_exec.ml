@@ -85,12 +85,10 @@ let test_query_applied_remotely () =
   let sys = make_system () in
   System.load_document sys p2 ~name:"cat" ~xml:catalog_xml;
   let e =
-    Expr.Query_app
-      {
-        query = Expr.Q_val { q = sel_query; at = p1 };
-        args = [ Expr.doc "cat" ~at:"p2" ];
-        at = p2;
-      }
+    Expr.query_app
+      (Expr.Q_val { q = sel_query; at = p1 })
+      ~args:[ Expr.doc "cat" ~at:"p2" ]
+      ~at:p2
   in
   let out = run sys ~ctx:p1 e in
   Alcotest.(check int) "two hits" 2 (List.length out.results);
@@ -108,12 +106,10 @@ let test_query_send_deploys () =
   let sys = make_system () in
   System.load_document sys p2 ~name:"cat" ~xml:catalog_xml;
   let e =
-    Expr.Query_app
-      {
-        query = Expr.Q_send { dest = p2; q = Expr.Q_val { q = sel_query; at = p1 } };
-        args = [ Expr.doc "cat" ~at:"p2" ];
-        at = p2;
-      }
+    Expr.query_app
+      (Expr.Q_send { dest = p2; q = Expr.Q_val { q = sel_query; at = p1 } })
+      ~args:[ Expr.doc "cat" ~at:"p2" ]
+      ~at:p2
   in
   let out = run sys ~ctx:p1 e in
   Alcotest.(check int) "two hits" 2 (List.length out.results);

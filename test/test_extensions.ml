@@ -53,17 +53,10 @@ let test_cpu_factor_runtime_delegation () =
     Algebra.Expr.query_at q ~at:p1 ~args:[ Algebra.Expr.doc "cat" ~at:"p1" ]
   in
   let delegated =
-    Algebra.Expr.Query_app
-      {
-        query =
-          Algebra.Expr.Q_send { dest = p2; q = Algebra.Expr.Q_val { q; at = p1 } };
-        args =
-          [
-            Algebra.Expr.Send
-              { dest = Algebra.Expr.To_peer p2; expr = Algebra.Expr.doc "cat" ~at:"p1" };
-          ];
-        at = p2;
-      }
+    Algebra.Expr.query_app
+      (Algebra.Expr.Q_send { dest = p2; q = Algebra.Expr.Q_val { q; at = p1 } })
+      ~args:[ Algebra.Expr.send_to_peer p2 (Algebra.Expr.doc "cat" ~at:"p1") ]
+      ~at:p2
   in
   (* Raise the price of computation so the CPU term dominates. *)
   let sys1 =

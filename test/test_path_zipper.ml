@@ -64,26 +64,26 @@ let test_select_forest () =
 
 let test_zipper_navigation () =
   let t = doc () in
-  let z = Xml.Zipper.of_tree t in
-  let z = Option.get (Xml.Zipper.down z) in
+  let z = Zipper.of_tree t in
+  let z = Option.get (Zipper.down z) in
   Alcotest.(check (list string)) "first child" [ "shelf" ]
-    (labels_of [ Xml.Zipper.focus z ]);
-  let z = Option.get (Xml.Zipper.right z) in
+    (labels_of [ Zipper.focus z ]);
+  let z = Option.get (Zipper.right z) in
   Alcotest.(check (list string)) "second child" [ "title" ]
-    (labels_of [ Xml.Zipper.focus z ]);
-  Alcotest.(check bool) "no right of last" true (Xml.Zipper.right z = None);
-  let z = Option.get (Xml.Zipper.left z) in
-  let z = Option.get (Xml.Zipper.up z) in
+    (labels_of [ Zipper.focus z ]);
+  Alcotest.(check bool) "no right of last" true (Zipper.right z = None);
+  let z = Option.get (Zipper.left z) in
+  let z = Option.get (Zipper.up z) in
   Alcotest.(check (list string)) "back at root" [ "lib" ]
-    (labels_of [ Xml.Zipper.focus z ])
+    (labels_of [ Zipper.focus z ])
 
 let test_zipper_edit_rebuild () =
   let t = doc () in
   let g = gen () in
-  let z = Xml.Zipper.of_tree t in
-  let z = Option.get (Xml.Zipper.down z) in
-  let z = Xml.Zipper.append_child (elt g "book" [ txt "new" ]) z in
-  let t' = Xml.Zipper.to_tree z in
+  let z = Zipper.of_tree t in
+  let z = Option.get (Zipper.down z) in
+  let z = Zipper.append_child (elt g "book" [ txt "new" ]) z in
+  let t' = Zipper.to_tree z in
   Alcotest.(check int) "book added" 3
     (List.length (Xml.Path.select (Xml.Path.of_string "//book") t'))
 
@@ -93,34 +93,34 @@ let test_zipper_find_id () =
     List.nth (Xml.Path.select (Xml.Path.of_string "//book") t) 1
   in
   let tid = Option.get (Xml.Tree.id target) in
-  match Xml.Zipper.find_id tid (Xml.Zipper.of_tree t) with
+  match Zipper.find_id tid (Zipper.of_tree t) with
   | Some z ->
       Alcotest.(check (list string)) "focused" [ "book" ]
-        (labels_of [ Xml.Zipper.focus z ])
+        (labels_of [ Zipper.focus z ])
   | None -> Alcotest.fail "find_id"
 
 let test_zipper_delete () =
   let t = doc () in
   let shelf = List.hd (Xml.Path.select (Xml.Path.of_string "/shelf") t) in
   let sid = Option.get (Xml.Tree.id shelf) in
-  let z = Option.get (Xml.Zipper.find_id sid (Xml.Zipper.of_tree t)) in
-  let z = Option.get (Xml.Zipper.delete z) in
-  let t' = Xml.Zipper.to_tree z in
+  let z = Option.get (Zipper.find_id sid (Zipper.of_tree t)) in
+  let z = Option.get (Zipper.delete z) in
+  let t' = Zipper.to_tree z in
   Alcotest.(check int) "shelf gone" 0
     (List.length (Xml.Path.select (Xml.Path.of_string "/shelf") t'));
   Alcotest.(check bool) "cannot delete root" true
-    (Xml.Zipper.delete (Xml.Zipper.of_tree t') = None)
+    (Zipper.delete (Zipper.of_tree t') = None)
 
 let test_zipper_insert_right () =
   let t = parse "<r><a/></r>" in
   let g = gen () in
-  let z = Option.get (Xml.Zipper.down (Xml.Zipper.of_tree t)) in
-  let z = Option.get (Xml.Zipper.insert_right (elt g "b" []) z) in
-  let t' = Xml.Zipper.to_tree z in
+  let z = Option.get (Zipper.down (Zipper.of_tree t)) in
+  let z = Option.get (Zipper.insert_right (elt g "b" []) z) in
+  let t' = Zipper.to_tree z in
   Alcotest.(check (list string)) "order a,b" [ "a"; "b" ]
     (labels_of (Xml.Tree.children t'));
   Alcotest.(check bool) "no insert_right at root" true
-    (Xml.Zipper.insert_right (elt g "c" []) (Xml.Zipper.of_tree t') = None)
+    (Zipper.insert_right (elt g "c" []) (Zipper.of_tree t') = None)
 
 let suite =
   [

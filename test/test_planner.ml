@@ -86,44 +86,146 @@ let test_fingerprint_node_id_blind () =
         ~rng ~items:12 ~selectivity:0.25 ();
     ]
   in
-  let e ns = Expr.Data_at { forest = forest ns; at = p1 } in
+  let e ns = Expr.data_at (forest ns) ~at:p1 in
   let a = e "nsA" and b = e "nsB" in
   Alcotest.(check bool) "expressions equal" true (Expr.equal a b);
   Alcotest.(check bool) "fingerprints equal" true
     (Expr.Fingerprint.equal (Expr.fingerprint a) (Expr.fingerprint b))
 
-(* Over random plans and all their rewrites: Expr.equal a b implies
-   Fingerprint.equal (the visited table's correctness condition).
-   Reuses the rules-preservation plan generator. *)
-let fingerprint_soundness seed =
+(* A random plan (the rules-preservation generator's) and every
+   one-step rewrite of it.  As in the optimizer, the plan's summaries
+   are read before it is rewritten ([Optimizer.fresh_for] fingerprints
+   the parent), so a rebuilt node that kept its predecessor's memo
+   would carry a stale value. *)
+let rewrite_pool seed =
   let rng = Workload.Rng.create ~seed in
   let plan = Test_rules_random.random_plan rng in
+  ignore (Expr.fingerprint plan);
+  ignore (Algebra.Expr_xml.byte_size plan);
   let n = ref 0 in
   let fresh () =
     incr n;
     Printf.sprintf "_tmp_fp%d" !n
   in
-  let pool =
-    plan
-    :: List.map
-         (fun (r : Algebra.Rewrite.rewrite) -> r.result)
-         (Algebra.Rewrite.everywhere ~peers:all_peers ~fresh plan)
-  in
-  List.for_all
-    (fun a ->
-      List.for_all
-        (fun b ->
-          (not (Expr.equal a b))
-          || Expr.Fingerprint.equal (Expr.fingerprint a) (Expr.fingerprint b))
-        pool)
-    pool
+  plan
+  :: List.map
+       (fun (r : Algebra.Rewrite.rewrite) -> r.result)
+       (Algebra.Rewrite.everywhere ~peers:all_peers ~fresh plan)
 
-let fingerprint_prop =
+let pool_prop ~name check =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30
-       ~name:"Expr.equal implies Fingerprint.equal (plans and rewrites)"
+    (QCheck.Test.make ~count:30 ~name
        (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
-       fingerprint_soundness)
+       (fun seed -> check (rewrite_pool seed)))
+
+(* Over random plans and all their rewrites: Expr.equal a b implies
+   Fingerprint.equal (the visited table's correctness condition). *)
+let fingerprint_prop =
+  pool_prop ~name:"Expr.equal implies Fingerprint.equal (plans and rewrites)"
+    (fun pool ->
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              (not (Expr.equal a b))
+              || Expr.Fingerprint.equal (Expr.fingerprint a)
+                   (Expr.fingerprint b))
+            pool)
+        pool)
+
+(* The fingerprint recomputed from scratch: a whole-expression walk
+   that reads no stored summary, the oracle for what each node
+   stores. *)
+let mix h x = ((h * 0x01000193) lxor x) land max_int
+let hash_string (s : string) = Hashtbl.hash s
+
+let hash_location = function
+  | Doc.Names.Any -> 0x9e3779b9 land max_int
+  | Doc.Names.At p -> mix 0x51ed (Net.Peer_id.hash p)
+
+let hash_forest f =
+  List.fold_left
+    (fun acc t -> (acc + Xml.Canonical.hash t) land max_int)
+    0x1505 f
+
+let hash_node_ref r = hash_string (Doc.Names.Node_ref.to_string r)
+
+let hash_sc (sc : Doc.Sc.t) =
+  let h = mix 6 (hash_location sc.provider) in
+  let h = mix h (hash_string (Doc.Names.Service_name.to_string sc.service)) in
+  let h = List.fold_left (fun h f -> mix h (hash_forest f)) h sc.params in
+  List.fold_left
+    (fun h r -> mix h (hash_node_ref r))
+    h
+    (List.sort Doc.Names.Node_ref.compare sc.forward)
+
+let rec hash_query = function
+  | Expr.Q_val { q; at } -> mix (mix 20 (Hashtbl.hash q)) (Net.Peer_id.hash at)
+  | Expr.Q_service r ->
+      mix
+        (mix 21 (hash_string (Doc.Names.Service_name.to_string r.name)))
+        (hash_location r.at)
+  | Expr.Q_send { dest; q } ->
+      mix (mix 22 (Net.Peer_id.hash dest)) (hash_query q)
+
+let hash_dest = function
+  | Expr.To_peer p -> mix 30 (Net.Peer_id.hash p)
+  | Expr.To_nodes targets ->
+      List.fold_left (fun h r -> mix h (hash_node_ref r)) 31 targets
+  | Expr.To_doc (d, p) ->
+      mix
+        (mix 32 (hash_string (Doc.Names.Doc_name.to_string d)))
+        (Net.Peer_id.hash p)
+
+let rec recomputed e : Expr.Fingerprint.t =
+  let node h children : Expr.Fingerprint.t =
+    let h, size, depth =
+      List.fold_left
+        (fun (h, size, depth) c ->
+          let (f : Expr.Fingerprint.t) = recomputed c in
+          (mix h f.hash, size + f.size, max depth f.depth))
+        (h, 1, 0) children
+    in
+    { hash = h; size; depth = depth + 1 }
+  in
+  match e with
+  | Expr.Data_at { forest; at; _ } ->
+      node (mix (mix 1 (Net.Peer_id.hash at)) (hash_forest forest)) []
+  | Expr.Doc { doc; _ } ->
+      node
+        (mix
+           (mix 2 (hash_string (Doc.Names.Doc_name.to_string doc.name)))
+           (hash_location doc.at))
+        []
+  | Expr.Sc { sc; at; _ } -> node (mix (hash_sc sc) (Net.Peer_id.hash at)) []
+  | Expr.Query_app { query; args; at; _ } ->
+      node (mix (mix 3 (hash_query query)) (Net.Peer_id.hash at)) args
+  | Expr.Send { dest; expr; _ } -> node (mix 4 (hash_dest dest)) [ expr ]
+  | Expr.Eval_at { at; expr; _ } -> node (mix 5 (Net.Peer_id.hash at)) [ expr ]
+  | Expr.Shared { name; at; value; body; _ } ->
+      node
+        (mix
+           (mix 7 (hash_string (Doc.Names.Doc_name.to_string name)))
+           (Net.Peer_id.hash at))
+        [ value; body ]
+
+let rec nodes acc e = List.fold_left nodes (e :: acc) (Expr.subexpressions e)
+
+(* Every node of every plan in the pool stores the fingerprint the
+   oracle recomputes and the size its serialization has. *)
+let stored_summaries_prop =
+  pool_prop
+    ~name:"stored fingerprint and size equal recomputed (plans and rewrites)"
+    (fun pool ->
+      List.for_all
+        (fun plan ->
+          List.for_all
+            (fun e ->
+              Expr.Fingerprint.equal (Expr.fingerprint e) (recomputed e)
+              && Algebra.Expr_xml.byte_size e
+                 = String.length (Algebra.Expr_xml.to_xml_string e))
+            (nodes [] plan))
+        pool)
 
 (* --- best-first against the oracle --------------------------------- *)
 
@@ -171,10 +273,7 @@ let test_reproducible_plans () =
 let test_map_children_order () =
   let value = Expr.doc "cat" ~at:"p2" in
   let body = Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "shared" ~at:"p2" ] in
-  let shared =
-    Expr.Shared
-      { name = Doc.Names.Doc_name.of_string "shared"; at = p2; value; body }
-  in
+  let shared = Expr.shared ~name:"shared" ~at:p2 ~value ~body in
   let seen = ref [] in
   ignore
     (Expr.map_children
@@ -347,10 +446,121 @@ let test_plan_memo_lives_one_call () =
   Alcotest.(check bool) "the append moved the estimate" true
     (second.search.Optimizer.initial_cost <> first.search.Optimizer.initial_cost)
 
+(* --- golden fingerprints ----------------------------------------- *)
+
+(* Fingerprints name rule (10)/(13)'s auxiliary documents and key the
+   query cache, so how they are computed must not move them.  Recorded
+   values for E15's three fixtures (bench/paper.ml) and for perfbench's
+   xmark_join: its three request expressions and the plans the planner
+   chooses for them over the live system. *)
+let e15_fixtures () =
+  let q = Workload.Xml_gen.selection_query () in
+  let join =
+    query
+      {|query(2) for $x in $0//item, $y in $1//item
+        where attr($x, "category") = "wanted" and attr($y, "category") = "wanted"
+        return <pair/>|}
+  in
+  let fetch = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
+  [
+    Expr.query_at q ~at:p1 ~args:[ Expr.doc "cat" ~at:"p2" ];
+    Expr.query_at join ~at:p1 ~args:[ fetch; fetch ];
+    Expr.query_at join ~at:p1
+      ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ];
+  ]
+
+(* perfbench's xmark_join system (perfbench/workloads.ml), rebuilt. *)
+let xmark_hub = peer "hub"
+
+let xmark_join_plans () =
+  let join_query =
+    query
+      {|query(2) for $a in $0//auction, $i in $1//item, $n in $i/name, $c in $a/current
+      where attr($a, "item") = attr($i, "id")
+      return <sale>{$n}<price>{text($c)}</price></sale>|}
+  in
+  let regions = List.map peer Workload.Xmark.regions in
+  let sys =
+    Runtime.System.create ~transport:Runtime.System.Reliable
+      ~wire:Runtime.System.Binary
+      (Net.Topology.star ~hub:xmark_hub
+         ~spoke_link:
+           (Net.Link.make ~latency_ms:8.0 ~bandwidth_bytes_per_ms:120.0)
+         (xmark_hub :: regions))
+  in
+  let gen = Runtime.System.gen_of sys xmark_hub in
+  let site =
+    Workload.Xmark.site
+      ~scale:
+        {
+          Workload.Xmark.default_scale with
+          people = 200;
+          items_per_region = 400;
+          auctions = 600;
+          description_bytes = 960;
+        }
+      ~gen ~rng:(Workload.Rng.create ~seed:1) ()
+  in
+  let part p path =
+    Xml.Tree.copy ~gen:(Runtime.System.gen_of sys p)
+      (List.hd (Xml.Path.select (Xml.Path.of_string path) site))
+  in
+  Runtime.System.add_document sys xmark_hub ~name:"auctions"
+    (part xmark_hub "/auctions");
+  List.iter2
+    (fun p region ->
+      Runtime.System.add_document sys p ~name:"items"
+        (part p ("/regions/" ^ region)))
+    regions Workload.Xmark.regions;
+  List.map
+    (fun region ->
+      let expr =
+        Expr.query_at join_query ~at:xmark_hub
+          ~args:
+            [
+              Expr.doc "auctions" ~at:"hub";
+              Expr.doc "items" ~at:(Net.Peer_id.to_string region);
+            ]
+      in
+      ( expr,
+        Planner.plan ~env:(Runtime.System.cost_env sys) ~ctx:xmark_hub
+          (Optimizer.Best_first { max_expansions = 32 })
+          expr ))
+    regions
+
+let test_golden_fingerprints () =
+  let check msg (hash, size, depth) e =
+    let (f : Expr.Fingerprint.t) = Expr.fingerprint e in
+    Alcotest.(check (triple int int int)) msg (hash, size, depth)
+      (f.hash, f.size, f.depth)
+  in
+  List.iter2 (check "E15 fixture")
+    [
+      (0x3d58c2f923db1926, 2, 2);
+      (0x24d795f2d8c50b05, 5, 3);
+      (0x34dcf7fcfccdcfa6, 3, 2);
+    ]
+    (e15_fixtures ());
+  List.iter2
+    (fun (request, plan) (expr, (r : Planner.result)) ->
+      check "xmark_join request" request expr;
+      check "xmark_join plan" plan r.plan;
+      Alcotest.(check int) "xmark_join explored" 474 r.search.explored)
+    [
+      ((0x2fa9799a2b1b99d2, 3, 2), (0xa02263af29986d8, 6, 4));
+      ((0x2fa9799a057d5d26, 3, 2), (0x304f9896de29201c, 6, 4));
+      ((0x2fa9799a20910d33, 3, 2), (0x39d909da3600d55f, 6, 4));
+    ]
+    (xmark_join_plans ())
+
 let suite =
   [
     ("fingerprints are node-id blind", `Quick, test_fingerprint_node_id_blind);
     fingerprint_prop;
+    stored_summaries_prop;
+    ( "fingerprints match the recorded values",
+      `Quick,
+      test_golden_fingerprints );
     ("strategies agree on the fixtures", `Quick, test_strategies_agree);
     ("plans are reproducible across runs and strategies", `Quick,
      test_reproducible_plans);

@@ -122,14 +122,14 @@ let zipper_roundtrip seed =
     else
       let moves =
         List.filter_map Fun.id
-          [ Xml.Zipper.down z; Xml.Zipper.right z; Xml.Zipper.up z ]
+          [ Zipper.down z; Zipper.right z; Zipper.up z ]
       in
       match moves with
       | [] -> z
       | ms -> walk (Rng.pick rng ms) (budget - 1)
   in
-  let z = walk (Xml.Zipper.of_tree t) 10 in
-  Xml.Tree.equal_strict (Xml.Zipper.to_tree z) t
+  let z = walk (Zipper.of_tree t) 10 in
+  Xml.Tree.equal_strict (Zipper.to_tree z) t
 
 (* --- Content models --- *)
 

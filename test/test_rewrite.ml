@@ -30,6 +30,7 @@ let test_r10_delegate_shape () =
           {
             dest = Expr.To_peer back;
             expr = Expr.Query_app { query = Expr.Q_send _; args; _ };
+            _;
           } ->
           Alcotest.(check bool) "result returns home" true (Net.Peer_id.equal back p1);
           List.iter
@@ -54,12 +55,10 @@ let test_r10_roundtrip () =
 let test_r10_not_applicable () =
   (* Query and application sites differ: not the rule's pattern. *)
   let e =
-    Expr.Query_app
-      {
-        query = Expr.Q_val { q = sel_query; at = p2 };
-        args = [ Expr.tree_at (parse "<c/>") ~at:p1 ];
-        at = p1;
-      }
+    Expr.query_app
+      (Expr.Q_val { q = sel_query; at = p2 })
+      ~args:[ Expr.tree_at (parse "<c/>") ~at:p1 ]
+      ~at:p1
   in
   Alcotest.(check int) "no rewrites" 0
     (List.length (Rewrite.r10_delegate ~peers:all_peers e))
@@ -132,7 +131,7 @@ let test_r13_share () =
   match Rewrite.r13_share ~fresh:(fresh_counter ()) e with
   | [ r ] -> (
       match r.result with
-      | Expr.Shared { at; value; body; name } ->
+      | Expr.Shared { at; value; body; name; _ } ->
           Alcotest.(check bool) "materialized at consumer" true
             (Net.Peer_id.equal at p1);
           Alcotest.(check bool) "value is the fetched doc" true
@@ -142,7 +141,7 @@ let test_r13_share () =
           (* Both occurrences replaced by doc references. *)
           let rec count_docs e =
             (match e with
-            | Expr.Doc r
+            | Expr.Doc { doc = r; _ }
               when Names.Doc_name.equal r.Names.Doc_ref.name name ->
                 1
             | _ -> 0)
@@ -200,12 +199,9 @@ let test_r15_needs_forward_list () =
 let test_r16_shape () =
   let sc = Doc.Sc.make ~provider:(Names.At p2) ~service:"svc" [ [ parse "<in/>" ] ] in
   let e =
-    Expr.Query_app
-      {
-        query = Expr.Q_val { q = query "query(1) for $x in $0 return {$x}"; at = p1 };
-        args = [ Expr.Sc { sc; at = p1 } ];
-        at = p1;
-      }
+    Expr.query_at
+      (query "query(1) for $x in $0 return {$x}")
+      ~at:p1 ~args:[ Expr.sc sc ~at:p1 ]
   in
   match Rewrite.r16_push_query_over_sc e with
   | [ r ] -> (
@@ -219,7 +215,9 @@ let test_r16_shape () =
                   query = Expr.Q_send { dest; _ };
                   args = [ Expr.Query_app { query = Expr.Q_service svc_ref; at = svc_at; _ } ];
                   at;
+                  _;
                 };
+            _;
           } ->
           Alcotest.(check bool) "results return to caller" true
             (Net.Peer_id.equal home p1);
@@ -241,12 +239,9 @@ let test_r16_with_forward_list () =
       ~provider:(Names.At p2) ~service:"svc" []
   in
   let e =
-    Expr.Query_app
-      {
-        query = Expr.Q_val { q = query "query(1) for $x in $0 return {$x}"; at = p1 };
-        args = [ Expr.Sc { sc; at = p1 } ];
-        at = p1;
-      }
+    Expr.query_at
+      (query "query(1) for $x in $0 return {$x}")
+      ~at:p1 ~args:[ Expr.sc sc ~at:p1 ]
   in
   match Rewrite.r16_push_query_over_sc e with
   | [ { result = Expr.Send { dest = Expr.To_nodes [ target ]; _ }; _ } ] ->

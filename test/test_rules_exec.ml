@@ -69,21 +69,14 @@ let base_plans inbox_id =
            [ [ parse catalog_xml ] ])
         ~at:p1 );
     ( "query-over-sc",
-      Expr.Query_app
-        {
-          query = Expr.Q_val { q = wrap_query; at = p1 };
-          args =
-            [
-              Expr.Sc
-                {
-                  sc =
-                    Doc.Sc.make ~provider:(Names.At p2) ~service:"find_wanted"
-                      [ [ parse catalog_xml ] ];
-                  at = p1;
-                };
-            ];
-          at = p1;
-        } );
+      Expr.query_at wrap_query ~at:p1
+        ~args:
+          [
+            Expr.sc
+              (Doc.Sc.make ~provider:(Names.At p2) ~service:"find_wanted"
+                 [ [ parse catalog_xml ] ])
+              ~at:p1;
+          ] );
     ( "duplicate-transfer",
       Expr.query_at
         (query

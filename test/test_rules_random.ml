@@ -51,27 +51,22 @@ let random_plan rng =
         ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ]
   | 2 -> Expr.send_to_peer p1 (Expr.doc "cat" ~at:datap)
   | 3 ->
-      Expr.Query_app
-        {
-          query = Expr.Q_val { q = query "query(1) for $h in $0 return <w>{$h}</w>"; at = p1 };
-          args =
-            [
-              Expr.Sc
-                {
-                  sc =
-                    Doc.Sc.make ~provider:(Doc.Names.At p2) ~service:"wanted"
-                      [
-                        [
-                          Workload.Xml_gen.catalog
-                            ~gen:(Xml.Node_id.Gen.create ~namespace:"prm")
-                            ~rng ~items:15 ~selectivity:0.3 ();
-                        ];
-                      ];
-                  at = p1;
-                };
-            ];
-          at = p1;
-        }
+      Expr.query_at
+        (query "query(1) for $h in $0 return <w>{$h}</w>")
+        ~at:p1
+        ~args:
+          [
+            Expr.sc
+              (Doc.Sc.make ~provider:(Doc.Names.At p2) ~service:"wanted"
+                 [
+                   [
+                     Workload.Xml_gen.catalog
+                       ~gen:(Xml.Node_id.Gen.create ~namespace:"prm")
+                       ~rng ~items:15 ~selectivity:0.3 ();
+                   ];
+                 ])
+              ~at:p1;
+          ]
   | _ ->
       Expr.send_as_doc ~name:"copy" ~at:p1
         (Expr.query_at sel ~at:p1 ~args:[ Expr.doc "cat" ~at:datap ])

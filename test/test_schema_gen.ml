@@ -1,6 +1,6 @@
 open Axml
 module Cm = Schema.Content_model
-module Sg = Workload.Schema_gen
+module Sg = Schema_gen
 
 let library_schema =
   Schema.Schema.of_decls

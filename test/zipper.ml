@@ -1,3 +1,7 @@
+module Label = Axml_xml.Label
+module Node_id = Axml_xml.Node_id
+module Tree = Axml_xml.Tree
+
 type crumb = {
   parent_id : Node_id.t;
   parent_label : Label.t;

@@ -1,19 +1,18 @@
 (** Tree zipper.
 
-    A purely functional cursor into a {!Tree.t}, supporting navigation
-    and local edits in O(1) amortized per step.  The peer runtime uses
-    zippers to apply streams of insertions under designated nodes
-    without rebuilding whole documents on every event. *)
+    A purely functional cursor into a {!Axml_xml.Tree.t}, supporting
+    navigation and local edits in O(1) amortized per step.  The tree
+    suites check it against {!Axml_xml.Tree}'s own operations. *)
 
 type t
 
-val of_tree : Tree.t -> t
+val of_tree : Axml_xml.Tree.t -> t
 (** Cursor focused on the root. *)
 
-val to_tree : t -> Tree.t
+val to_tree : t -> Axml_xml.Tree.t
 (** Rebuild the full tree from any focus position. *)
 
-val focus : t -> Tree.t
+val focus : t -> Axml_xml.Tree.t
 (** The subtree currently under the cursor. *)
 
 (** {1 Navigation} — [None] when the move is impossible. *)
@@ -27,20 +26,20 @@ val right : t -> t option
 val root : t -> t
 (** Move all the way up. *)
 
-val find_id : Node_id.t -> t -> t option
+val find_id : Axml_xml.Node_id.t -> t -> t option
 (** Cursor on the element with the given identifier, searching the
     whole tree from the root. *)
 
 (** {1 Edits} *)
 
-val replace : Tree.t -> t -> t
+val replace : Axml_xml.Tree.t -> t -> t
 (** Replace the focused subtree. *)
 
-val append_child : Tree.t -> t -> t
+val append_child : Axml_xml.Tree.t -> t -> t
 (** Append a child to the focused element.
     @raise Invalid_argument if the focus is a text node. *)
 
-val insert_right : Tree.t -> t -> t option
+val insert_right : Axml_xml.Tree.t -> t -> t option
 (** Insert a sibling immediately to the right of the focus; [None] at
     the root. *)
 
