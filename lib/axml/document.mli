@@ -17,9 +17,10 @@ val calls : t -> (Axml_xml.Node_id.t * Sc.t) list
 val has_calls : t -> bool
 
 val byte_size : t -> int
-(** {!Axml_xml.Tree.byte_size} of the root, walked on every call.  A
-    planning call reads each document's size once, through the
-    planner's [Cost.memoize]. *)
+(** {!Axml_xml.Tree.byte_size} of the root, walked on every call.
+    Planning reads a document's size from its store statistics'
+    [total_bytes] instead, and a document read takes it from the walk
+    that copies the root; lazy evaluation prices its input with this. *)
 
 val size : t -> int
 

@@ -152,51 +152,93 @@ let encode_tree_blob t =
    allocate more than the XML model's arithmetic walk.  So sizing has
    its own pure-arithmetic pass that mirrors [encode_tree_blob]
    byte-for-byte: same pre-order traversal, hence the same first-use
-   intern order, hence the same index widths.  The scratch intern
-   table is reused across calls ([Hashtbl.clear] keeps the bucket
-   array) and probed with [Hashtbl.find] (the raise allocates
-   nothing, unlike [find_opt]'s [Some]), so sizing a fresh tree
-   allocates only the table's bucket cells. *)
+   intern order, hence the same index widths.
 
-let size_tbl : (string, int) Hashtbl.t = Hashtbl.create 64
+   A blob's string table is small — a few labels, attribute names and
+   one or two id namespaces, nearly always the very same string values
+   from node to node — so the scratch intern table is a fixed array of
+   [small_slots] strings, scanned by physical identity first and by
+   content second.  Only strings past the first [small_slots] go to a
+   hash table, which is cleared only after a blob that spilled into
+   it.  Each fold adds its list's count as it ends, so nothing takes a
+   list's length, and sizing allocates nothing. *)
+
+let small_slots = 32
+let small_keys = Array.make small_slots ""
+let spill : (string, int) Hashtbl.t = Hashtbl.create 64
 let size_count = ref 0
 let size_strings = ref 0
 
+let size_reset () =
+  if !size_count > small_slots then Hashtbl.clear spill;
+  size_count := 0;
+  size_strings := 0
+
+let rec find_phys s n i =
+  if i = n then -1 else if small_keys.(i) == s then i else find_phys s n (i + 1)
+
+let rec find_equal s n i =
+  if i = n then -1
+  else if String.equal small_keys.(i) s then i
+  else find_equal s n (i + 1)
+
+(* Consecutive blobs mostly intern the same strings in the same order,
+   so a slot that already holds [s] is not written again: the write
+   would go through the array's write barrier. *)
+let size_add s i =
+  if i >= small_slots then Hashtbl.add spill s i
+  else if small_keys.(i) != s then small_keys.(i) <- s;
+  size_count := i + 1;
+  size_strings := !size_strings + str_size s;
+  i
+
 let size_intern s =
-  match Hashtbl.find size_tbl s with
-  | i -> i
-  | exception Not_found ->
-      let i = !size_count in
-      Hashtbl.add size_tbl s i;
-      incr size_count;
-      size_strings := !size_strings + str_size s;
-      i
+  let count = !size_count in
+  let n = if count < small_slots then count else small_slots in
+  let i = find_phys s n 0 in
+  if i >= 0 then i
+  else
+    let i = find_equal s n 0 in
+    if i >= 0 then i
+    else if count <= small_slots then size_add s count
+    else
+      match Hashtbl.find spill s with
+      | i -> i
+      | exception Not_found -> size_add s count
+
+(* The blob bytes of each node kind, less its attributes and children
+   (and the two counts, which the folds add): both sizing walks price
+   nodes through these alone. *)
+let text_bytes s = 1 + str_size s
+let element_bytes ~label ~ns ~counter = 1 + uv_size label + uv_size ns + uv_size counter
+let attr_bytes ~key v = uv_size key + str_size v
+
+let blob_total body = uv_size !size_count + !size_strings + body
 
 (* Interning is order-sensitive (index width depends on assignment
    order), so side-effecting calls are sequenced with [let] — OCaml
    evaluates operands of [+] right to left. *)
-let rec size_node acc = function
-  | Tree.Text s -> acc + 1 + str_size s
-  | Tree.Element e ->
-      let lbl = uv_size (size_intern (Label.to_string e.label)) in
-      let ns = uv_size (size_intern (Node_id.namespace e.id)) in
-      let acc =
-        acc + 1 + lbl + ns
-        + uv_size (Node_id.counter e.id)
-        + uv_size (List.length e.attrs)
-        + uv_size (List.length e.children)
-      in
-      let acc = List.fold_left size_attr acc e.attrs in
-      List.fold_left size_node acc e.children
+let rec size_attrs acc n = function
+  | [] -> acc + uv_size n
+  | (k, v) :: rest ->
+      let key = size_intern k in
+      size_attrs (acc + attr_bytes ~key v) (n + 1) rest
 
-and size_attr acc (k, v) = acc + uv_size (size_intern k) + str_size v
+let rec size_node acc = function
+  | Tree.Text s -> acc + text_bytes s
+  | Tree.Element e ->
+      let label = size_intern (Label.to_string e.label) in
+      let ns = size_intern (Node_id.namespace e.id) in
+      let acc = acc + element_bytes ~label ~ns ~counter:(Node_id.counter e.id) in
+      size_children (size_attrs acc 0 e.attrs) 0 e.children
+
+and size_children acc n = function
+  | [] -> acc + uv_size n
+  | c :: rest -> size_children (size_node acc c) (n + 1) rest
 
 let tree_blob_size t =
-  Hashtbl.clear size_tbl;
-  size_count := 0;
-  size_strings := 0;
-  let body = size_node 0 t in
-  uv_size !size_count + !size_strings + body
+  size_reset ();
+  blob_total (size_node 0 t)
 
 (* Direct-mapped physical-identity cache of blob lengths: shared trees
    (flash-crowd request and package payloads) are carried by fresh
@@ -212,16 +254,17 @@ let len_slots = 4096
 let len_keys = Array.make len_slots (Tree.text "")
 let len_vals = Array.make len_slots 0
 
+let len_slot (e : Tree.element) =
+  (Node_id.counter e.id * 0x9e3779b1)
+  lxor Hashtbl.hash (Node_id.namespace e.id)
+  land (len_slots - 1)
+
 let tree_blob_len t =
   match t with
   (* an empty string table still has its one-byte count header *)
   | Tree.Text s -> 2 + str_size s
   | Tree.Element e ->
-      let i =
-        (Node_id.counter e.id * 0x9e3779b1)
-        lxor Hashtbl.hash (Node_id.namespace e.id)
-        land (len_slots - 1)
-      in
+      let i = len_slot e in
       if len_keys.(i) == t then len_vals.(i)
       else begin
         let n = tree_blob_size t in
@@ -229,6 +272,70 @@ let tree_blob_len t =
         len_vals.(i) <- n;
         n
       end
+
+(* ---------- the served copy ----------
+
+   A document read copies the stored tree under the serving peer's
+   generator, prices the copy's CPU by [Tree.byte_size], and ships it.
+   [serve_copy] does all three in one walk: it copies, sums
+   [Tree.byte_size]'s formula over the source, and sizes the copy's
+   blob as [size_node] would, then seeds the length cache under the
+   copy so the send that carries it is a hit.  The copy is
+   [Tree.copy]'s: children are copied left to right before their
+   parent draws its fresh id, so ids are drawn in post-order.  The
+   copy's blob interns the generator's namespace for every element,
+   in the same pre-order as [size_node].  The walk is the same on every
+   wire, though only the binary wire reads the cached length. *)
+
+let serve_blob = ref 0
+let serve_xml = ref 0
+
+let rec serve_attrs n = function
+  | [] -> serve_blob := !serve_blob + uv_size n
+  | (k, v) :: rest ->
+      let key = size_intern k in
+      serve_blob := !serve_blob + attr_bytes ~key v;
+      serve_xml := !serve_xml + String.length k + String.length v + 4;
+      serve_attrs (n + 1) rest
+
+let rec serve_node gen ns = function
+  | Tree.Text s ->
+      serve_blob := !serve_blob + text_bytes s;
+      serve_xml := !serve_xml + String.length s;
+      Tree.Text s
+  | Tree.Element e ->
+      let tag = Label.to_string e.label in
+      let label = size_intern tag in
+      let nsi = size_intern ns in
+      serve_attrs 0 e.attrs;
+      let children = serve_children gen ns 0 e.children in
+      let id = Node_id.Gen.fresh gen in
+      serve_blob :=
+        !serve_blob + element_bytes ~label ~ns:nsi ~counter:(Node_id.counter id);
+      (* <label attrs>children</label> *)
+      serve_xml := !serve_xml + (2 * String.length tag) + 5;
+      Tree.Element { e with id; children }
+
+and[@tail_mod_cons] serve_children gen ns n = function
+  | [] ->
+      serve_blob := !serve_blob + uv_size n;
+      []
+  | c :: rest ->
+      let c = serve_node gen ns c in
+      c :: serve_children gen ns (n + 1) rest
+
+let serve_copy ~gen t =
+  size_reset ();
+  serve_blob := 0;
+  serve_xml := 0;
+  let copy = serve_node gen (Node_id.Gen.namespace gen) t in
+  (match copy with
+  | Tree.Element e ->
+      let i = len_slot e in
+      len_keys.(i) <- copy;
+      len_vals.(i) <- blob_total !serve_blob
+  | Tree.Text _ -> ());
+  (copy, !serve_xml)
 
 let decode_tree_blob r =
   let nstrings = rd_count r ~per:1 in
@@ -288,15 +395,21 @@ let rd_tree r =
    forest := uv(ntrees) { uv(blob_len) blob }*
 
    Sizing reads each tree's blob length from the direct-mapped cache,
-   so a shared tree is measured once however many messages carry it. *)
+   so a shared tree is measured once however many messages carry it;
+   the tree count is taken in the same fold. *)
 
-let forest_section_size f =
-  List.fold_left
-    (fun acc t ->
+let rec forest_trees_size acc n = function
+  | [] -> acc + uv_size n
+  | t :: rest ->
       let len = tree_blob_len t in
-      acc + uv_size len + len)
-    (uv_size (List.length f))
-    f
+      forest_trees_size (acc + uv_size len + len) (n + 1) rest
+
+let forest_section_size f = forest_trees_size 0 0 f
+
+(* An [Invoke]'s parameters: uv(nparams) { forest }*. *)
+let rec params_size acc n = function
+  | [] -> acc + uv_size n
+  | f :: rest -> params_size (acc + forest_section_size f) (n + 1) rest
 
 let buf_forest b f =
   buf_uv b (List.length f);
@@ -383,8 +496,11 @@ let buf_dests b ds =
   buf_uv b (List.length ds);
   List.iter (buf_dest b) ds
 
-let dests_size ds =
-  List.fold_left (fun acc d -> acc + dest_size d) (uv_size (List.length ds)) ds
+let rec dests_size_from acc n = function
+  | [] -> acc + uv_size n
+  | d :: rest -> dests_size_from (acc + dest_size d) (n + 1) rest
+
+let dests_size ds = dests_size_from 0 0 ds
 
 let rd_dests r =
   let n = rd_count r ~per:2 in
@@ -514,8 +630,7 @@ and payload_size p =
       uv_size blen + blen + dests_size replies + notify_size ack
   | Message.Invoke { service; params; replies } ->
       str_size (Names.Service_name.to_string service)
-      + uv_size (List.length params)
-      + List.fold_left (fun acc f -> acc + forest_section_size f) 0 params
+      + params_size 0 0 params
       + dests_size replies
   | Message.Insert { node; forest; notify } ->
       node_id_size node + notify_size notify + forest_section_size forest
@@ -531,16 +646,17 @@ and payload_size p =
       zv_size key + str_size (Axml_query.Ast.to_string query)
   | Message.Ack { seq } -> zv_size seq
   | Message.Batch { items; ack } ->
-      zv_size ack + uv_size (List.length items) + batch_items_size 0 items
+      zv_size ack + batch_items_size 0 0 items
 
 (* A named member of the recursive group rather than an inline fold:
    an anonymous closure referencing the group is re-allocated on every
-   call, and this runs once per flushed frame on the hot path. *)
-and batch_items_size acc = function
-  | [] -> acc
+   call, and this runs once per flushed frame on the hot path.  The
+   item count is taken in the same fold. *)
+and batch_items_size acc n = function
+  | [] -> acc + uv_size n
   | m :: rest ->
       let s = subbody_size m in
-      batch_items_size (acc + 1 + uv_size s + s) rest
+      batch_items_size (acc + 1 + uv_size s + s) (n + 1) rest
 
 and subbody_size (m : Message.t) =
   zv_size m.corr + zv_size m.seq + zv_size m.op + payload_size m.payload

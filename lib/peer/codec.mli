@@ -33,6 +33,16 @@ val frame_bytes : Message.t -> int
 (** Exact length of [encode m], computed without materializing the
     frame.  The binary-wire byte charge ({!System.wire}). *)
 
+val serve_copy :
+  gen:Axml_xml.Node_id.Gen.t -> Axml_xml.Tree.t -> Axml_xml.Tree.t * int
+(** [serve_copy ~gen t] is [(Axml_xml.Tree.copy ~gen t,
+    Axml_xml.Tree.byte_size t)] from one walk: the copy draws the same
+    fresh ids as [Tree.copy], in the same post-order.  The walk also
+    sizes the copy's tree blob and records that length in the per-tree
+    length cache {!frame_bytes} reads, so a frame carrying the copy is
+    priced without walking it again.  A document read serves through
+    this. *)
+
 val encode : Message.t -> Bytes.t
 
 val decode : Bytes.t -> (Message.t, error) result

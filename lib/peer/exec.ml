@@ -239,12 +239,14 @@ and eval_doc sys ~ctx (r : Names.Doc_ref.t) ~emit =
       | Some doc ->
           (* Serving a document read is real work: charge the copy at
              the owner so a hot replica queues behind its own CPU
-             (the latency signal placement steers on). *)
-          System.consume_cpu sys ~peer:ctx
-            ~bytes:(Axml_doc.Document.byte_size doc);
-          emit
-            [ Tree.copy ~gen:self.Peer.gen (Axml_doc.Document.root doc) ]
-            ~final:true
+             (the latency signal placement steers on).  One walk
+             copies the root, prices it and sizes the copy for the
+             send that carries it. *)
+          let copy, bytes =
+            Codec.serve_copy ~gen:self.Peer.gen (Axml_doc.Document.root doc)
+          in
+          System.consume_cpu sys ~peer:ctx ~bytes;
+          emit [ copy ] ~final:true
       | None ->
           Log.warn (fun m ->
               m "peer %a: unknown document %a" Peer_id.pp ctx Names.Doc_name.pp

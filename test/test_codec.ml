@@ -5,8 +5,11 @@
    - the codec itself: encode/decode round-trips every payload variant
      (batch frames included, each item with its own node ids),
      [frame_bytes] is exactly [Bytes.length (encode m)] without
-     materializing the frame, and truncated/corrupt/over-length/padded
-     frames are rejected with [Error], never an exception;
+     materializing the frame — also for blobs whose string tables
+     outgrow the sizing table's array slots — a served copy is
+     [Tree.copy] with its XML size and an exact cached blob length,
+     and truncated/corrupt/over-length/padded frames are rejected with
+     [Error], never an exception;
 
    - the system: chaos replays and the flash-crowd scenario reach the
      same canonical results and Σ fingerprint under the XML, binary
@@ -188,6 +191,71 @@ let rand_message seed =
     ~op:(Rng.int rng 6 - 1)
     (rand_payload ~gen rng)
 
+(* --- wide trees ---------------------------------------------------- *)
+
+(* Trees off the sizing table's fast path: more distinct labels and
+   attribute names than its 32 array slots, labels and names that are
+   equal in content but physically distinct strings, several id
+   namespaces (one spelled like a label), and counters on both sides of
+   the one/two- and two/three-byte varint boundaries. *)
+let wide_labels = Array.init 40 (fun i -> "l" ^ string_of_int i)
+let wide_keys = Array.init 40 (fun i -> "k" ^ string_of_int i)
+
+let wide_namespaces =
+  [| "wide"; "peer-b"; wide_labels.(3); String.concat "" [ "l"; "5" ] |]
+
+let boundary_counters =
+  [| 0; 1; 126; 127; 128; 129; 16_382; 16_383; 16_384; 16_385 |]
+
+(* [s] itself or a physically distinct string of the same content. *)
+let wide_string rng s = if Rng.bool rng then s else Bytes.to_string (Bytes.of_string s)
+
+let wide_id rng =
+  let counter =
+    if Rng.bool rng then boundary_counters.(Rng.int rng 10)
+    else Rng.int rng 20_000
+  in
+  Option.get (Xml.Node_id.make ~ns:wide_namespaces.(Rng.int rng 4) ~counter)
+
+let rec wide_tree rng depth =
+  if depth = 0 || Rng.int rng 5 = 0 then Xml.Tree.text texts.(Rng.int rng 6)
+  else wide_element rng ~kids:(Rng.int rng 8) depth
+
+and wide_element rng ~kids depth =
+  let first = Rng.int rng 40 in
+  let attrs =
+    List.init (Rng.int rng 4) (fun i ->
+        (wide_string rng wide_keys.((first + (7 * i)) mod 40), texts.(Rng.int rng 6)))
+  in
+  let label = Xml.Label.of_string (wide_string rng wide_labels.(Rng.int rng 40)) in
+  let id = wide_id rng in
+  let children = List.init kids (fun _ -> wide_tree rng (depth - 1)) in
+  Xml.Tree.with_id id ~attrs label children
+
+let wide_root rng = wide_element rng ~kids:(6 + Rng.int rng 7) 3
+
+(* A [Stream], [Insert] or [Install_doc] of wide trees, or a [Batch]
+   carrying several of them. *)
+let wide_message seed =
+  let rng = Rng.create ~seed in
+  let item seq =
+    let forest = List.init (1 + Rng.int rng 3) (fun _ -> wide_root rng) in
+    let payload =
+      match Rng.int rng 3 with
+      | 0 -> Message.Stream { key = Rng.int rng 100_000; forest; final = Rng.bool rng }
+      | 1 -> Message.Insert { node = wide_id rng; forest; notify = rand_notify rng }
+      | _ ->
+          Message.Install_doc
+            { name = "wide" ^ string_of_int (Rng.int rng 300); forest; notify = rand_notify rng }
+    in
+    Message.make ~corr:(Rng.int rng 1000) ~seq ~op:(Rng.int rng 5 - 1) payload
+  in
+  if Rng.int rng 4 = 0 then
+    Message.make ~corr:(Rng.int rng 1000)
+      (Message.batch ~ack:(Rng.int rng 20_000)
+         (List.init (1 + Rng.int rng 4) (fun i -> item (i + 1))))
+  else item (Rng.int rng 20_000)
+
 (* --- equality on decoded messages --------------------------------- *)
 
 (* The codec preserves node identifiers exactly, so tree equality here
@@ -265,6 +333,57 @@ let frame_bytes_prop =
       let m = rand_message seed in
       let predicted = Codec.frame_bytes m in
       predicted = Bytes.length (Codec.encode m))
+
+let wide_frame_bytes_prop =
+  prop "frame_bytes exact on wide string tables" (fun seed ->
+      let m = wide_message seed in
+      Codec.frame_bytes m = Bytes.length (Codec.encode m))
+
+(* Element counters in post-order: children left to right, then the
+   element itself. *)
+let post_order_counters t =
+  let rec go acc = function
+    | Xml.Tree.Text _ -> acc
+    | Xml.Tree.Element e -> Xml.Node_id.counter e.id :: List.fold_left go acc e.children
+  in
+  List.rev (go [] t)
+
+(* A document read serves [Codec.serve_copy]'s copy and charges its
+   CPU by the size it returns; the send that carries the copy reads
+   the blob length the walk cached.  Each generator pre-advanced to
+   [start] is checked against a twin under [Tree.copy]. *)
+let serve_copy_prop =
+  prop ~count:200 "serve_copy is Tree.copy, priced and sized in one walk"
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let src =
+        if Rng.bool rng then
+          rand_tree ~gen:(Xml.Node_id.Gen.create ~namespace:"src") rng 4
+        else wide_root rng
+      in
+      let namespace = [| "serve"; "item"; "l3" |].(Rng.int rng 3) in
+      List.for_all
+        (fun start ->
+          let check what ok = ok || QCheck.Test.fail_reportf "start %d: %s" start what in
+          let advanced () =
+            let g = Xml.Node_id.Gen.create ~namespace in
+            for _ = 1 to start do ignore (Xml.Node_id.Gen.fresh g) done;
+            g
+          in
+          let g = advanced () and twin = advanced () in
+          let copy, bytes = Codec.serve_copy ~gen:g src in
+          let m = Message.make (Message.Stream { key = 1; forest = [ copy ]; final = true }) in
+          let charged = Codec.frame_bytes m in
+          let counters = post_order_counters copy in
+          check "equal_strict to Tree.copy"
+            (Xml.Tree.equal_strict copy (Xml.Tree.copy ~gen:twin src))
+          && check "ids drawn in post-order"
+               (counters = List.init (List.length counters) (fun i -> start + i))
+          && check "generators end at the same counter"
+               (Xml.Node_id.equal (Xml.Node_id.Gen.fresh g) (Xml.Node_id.Gen.fresh twin))
+          && check "size is Tree.byte_size" (bytes = Xml.Tree.byte_size src)
+          && check "cached blob length is exact" (charged = Bytes.length (Codec.encode m)))
+        [ 0; 120; 16_380 ])
 
 (* Sizing a decoded message must also be exact, and re-encoding it
    must reproduce the frame it came from. *)
@@ -525,6 +644,8 @@ let suite =
   [
     roundtrip_prop;
     frame_bytes_prop;
+    wide_frame_bytes_prop;
+    serve_copy_prop;
     decoded_frame_bytes_prop;
     xml_sizing_prop;
     truncation_prop;
